@@ -49,6 +49,7 @@ from .errors import (
     IllegalMove,
     InternalConsistencyError,
     InvalidGenerator,
+    InvalidParameter,
     NonEmbeddedCore,
     NotAKnot,
     NotCoprime,

@@ -23,7 +23,7 @@ from math import gcd
 from . import curves as cv
 from .alexpoly import burau_alexander, hironaka_max_n, torus_alexander
 from .braidwords import DEFAULT_SEARCH_BUDGET, braid_invariants, parse_braid
-from .errors import DomainError, InternalConsistencyError, NotCoprime
+from .errors import DomainError, InternalConsistencyError, InvalidParameter, NotCoprime
 from .fatgraph import build_surface
 from .monodromy import alexander_from_monodromy
 from .plumbing import (
@@ -229,6 +229,8 @@ def _cmd_torus(args):
 def _cmd_orbit(args):
     if not args.word:
         raise DomainError("orbit needs a braid word")
+    if args.power < 0:
+        raise InvalidParameter(f"--power must be at least 0, got {args.power}")
     word = parse_braid(args.word, args.strands)
     surface = build_surface(word)
     if args.seed is None:

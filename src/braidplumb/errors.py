@@ -18,6 +18,10 @@ class InternalConsistencyError(BraidPlumbError):
     """A certified impossibility occurred; indicates an engine bug."""
 
 
+class InvalidParameter(DomainError):
+    """A numeric argument lies outside its documented range."""
+
+
 class InvalidGenerator(DomainError):
     """Braid letter outside the range 1..strands-1."""
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 
 from .braidwords import BraidWord
-from .errors import DisconnectedWord, InternalConsistencyError
+from .errors import DisconnectedWord, InternalConsistencyError, TrivialLink
 
 
 @dataclasses.dataclass(frozen=True)
@@ -169,9 +169,14 @@ class FatGraphSurface:
         return cached
 
     def top_left_rectangle(self) -> RectangleCurve:
-        """Topmost rectangle of the leftmost column."""
-        first_col = self.brick.columns[0]
-        return self.rectangles[self.rect_index[(1, first_col[0])]]
+        """Topmost rectangle of the leftmost column that has one.
+
+        Rectangles are listed column by column, top to bottom, so this is
+        the first one; a surface with b1 = 0 has none.
+        """
+        if not self.rectangles:
+            raise TrivialLink("b1 = 0: the fibre surface has no rectangle")
+        return self.rectangles[0]
 
     def column_rectangles(self, column: int) -> list[RectangleCurve]:
         return [r for r in self.rectangles if r.column == column]

@@ -6,6 +6,12 @@ right-handed twist acts on homology by the transvection
 x -> x + sign * <x, r> * r.  The ordered product over the plumbing order is
 the homological monodromy; its characteristic polynomial computes the
 Alexander polynomial of the fibred closure.
+
+charpoly is the exact kernel of linalg: Hessenberg reduction and the
+Hessenberg recurrence, O(n^3), modulo the smallest Mersenne prime above
+twice the Hadamard bound of the coefficients.  No coefficient of
+det(tI - H) can exceed that bound in absolute value, so the symmetric
+residues are the integer coefficients and the result is exact.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from .curves import (
     signed_intersection,
 )
 from .fatgraph import FatGraphSurface
+from .linalg import charpoly
 
 
 def intersection_form(surface: FatGraphSurface) -> list[list[int]]:
@@ -46,40 +53,6 @@ def homological_monodromy(surface: FatGraphSurface) -> list[list[int]]:
                 v[idx] += RIGHT_HANDED_SIGN * pairing
         cols.append(v)
     return [[cols[c][r] for c in range(n)] for r in range(n)]
-
-
-def charpoly(matrix: list[list[int]]) -> LaurentPolynomial:
-    """det(tI - M) by the Faddeev-LeVerrier recursion; exact over the integers."""
-    n = len(matrix)
-    if n == 0:
-        return LaurentPolynomial.one()
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    m = [row[:] for row in matrix]
-    c = 1
-    for k in range(1, n + 1):
-        if k > 1:
-            for i in range(n):
-                m[i][i] += c
-            m = _int_mat_mul(matrix, m)
-        trace = sum(m[i][i] for i in range(n))
-        if trace % k:
-            raise AssertionError("Faddeev-LeVerrier trace division must be exact")
-        c = -trace // k
-        coeffs[n - k] = c
-    return LaurentPolynomial({e: c for e, c in enumerate(coeffs) if c})
-
-
-def _int_mat_mul(a, b):
-    n = len(a)
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def monodromy_determinant(matrix: list[list[int]]) -> int:
-    p = charpoly(matrix)
-    n = len(matrix)
-    return (-1) ** n * p[0]
 
 
 def alexander_from_monodromy(surface: FatGraphSurface) -> LaurentPolynomial:

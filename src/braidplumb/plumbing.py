@@ -10,7 +10,6 @@ monodromy-image disjointness check.
 from __future__ import annotations
 
 import dataclasses
-from fractions import Fraction
 from math import gcd
 from typing import Optional
 
@@ -29,64 +28,13 @@ from .braidwords import (
 from .errors import (
     DisjointnessFailure,
     InternalConsistencyError,
+    InvalidParameter,
     NotAKnot,
     TrivialKnot,
 )
 from .fatgraph import FatGraphSurface, RectangleCurve, build_surface
+from .linalg import rank
 from .monodromy import homological_monodromy
-
-
-# ---------------------------------------------------------------------------
-# Exact linear algebra helpers
-# ---------------------------------------------------------------------------
-
-
-def _rational_rank(vectors) -> int:
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    pivot_col = 0
-    while rank < len(rows) and pivot_col < cols:
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][pivot_col]:
-                pivot = r
-                break
-        if pivot is None:
-            pivot_col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        inv = 1 / pr[pivot_col]
-        rows[rank] = [x * inv for x in pr]
-        for r in range(len(rows)):
-            if r != rank and rows[r][pivot_col]:
-                f = rows[r][pivot_col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        pivot_col += 1
-    return rank
-
-
-def _invert_rational(matrix):
-    n = len(matrix)
-    aug = [
-        [Fraction(matrix[r][c]) for c in range(n)]
-        + [Fraction(1 if c == r else 0) for c in range(n)]
-        for r in range(n)
-    ]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            raise InternalConsistencyError("homological monodromy must be invertible")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +88,7 @@ def _chain_ok(candidate, chain, homologies) -> bool:
     for earlier in chain[:-1]:
         if cv.geometric_intersection(candidate, earlier) != 0:
             return False
-    return _rational_rank(homologies + [list(candidate.homology)]) == len(chain) + 1
+    return rank(homologies + [list(candidate.homology)]) == len(chain) + 1
 
 
 def detect_chain(
@@ -148,9 +96,12 @@ def detect_chain(
 ) -> ChainCertificate:
     """Largest chain C_0, phi(C_0), ..., phi^{n-1}(C_0) with n <= max_n.
 
-    Greedy growth; a single embedded curve is a valid 1-chain, so n >= 1.
-    The result is prefix-monotone in max_n by construction.
+    Greedy growth; a single embedded curve is a valid 1-chain, so n >= 1
+    and max_n must be at least 1.  The result is prefix-monotone in max_n
+    by construction.
     """
+    if max_n < 1:
+        raise InvalidParameter(f"max_n must be at least 1, got {max_n}")
     c0 = cv.curve_from_rectangle(surface, seed)
     if cv.self_intersection(c0) != 0:
         raise InternalConsistencyError("rectangle curves must be embedded")
@@ -178,7 +129,7 @@ def detect_chain(
         n=n,
         curve_words=tuple(c.word for c in chain),
         intersections=table,
-        rank=_rational_rank(homologies),
+        rank=rank(homologies),
     )
 
 
@@ -218,7 +169,7 @@ def validate_chain_certificate(cert: ChainCertificate) -> bool:
                     f"intersection table mismatch at ({a}, {b}): {got}"
                 )
     homologies = [list(c.homology) for c in chain]
-    if _rational_rank(homologies) != n or cert.rank != n:
+    if rank(homologies) != n or cert.rank != n:
         raise InternalConsistencyError("chain classes are not independent over Q")
     if not _arc_functionals_independent(surface, cert.seed, n):
         raise InternalConsistencyError("cut surface would disconnect: arc rank too low")
@@ -232,26 +183,24 @@ def _arc_functionals_independent(
 
     Pairing a cycle with the k-th arc equals pairing its phi^{-k} image
     with a transversal arc of the seed's top band, so the functionals are
-    the rows u H^{-k}; independence is exactly what keeps the cut surface
-    connected.
+    the rows u H^{-k}, k < n; independence is exactly what keeps the cut
+    surface connected.  Multiplying every row on the right by the
+    invertible H^{n-1} turns them into the rows u H^k, k < n, and keeps
+    the rank, so the test needs only integer vector-matrix products.
     """
     h = homological_monodromy(surface)
-    h_inv = _invert_rational(h)
-    u = [Fraction(0)] * len(surface.rectangles)
+    cols = list(zip(*h))
+    u = [0] * len(surface.rectangles)
     for idx, rect in enumerate(surface.rectangles):
         if rect.top == seed.top:
             u[idx] += 1
         if rect.bottom == seed.top:
             u[idx] -= 1
-    rows = []
-    row = u
-    for _ in range(n):
-        rows.append(row)
-        row = [
-            sum(row[a] * h_inv[a][b] for a in range(len(row)))
-            for b in range(len(row))
-        ]
-    return _rational_rank(rows) == n
+    rows = [u]
+    for _ in range(n - 1):
+        row = rows[-1]
+        rows.append([sum(x * y for x, y in zip(row, col)) for col in cols])
+    return rank(rows) == n
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +417,7 @@ def trefoil_decomposition_from_json(data) -> TrefoilDecomposition:
 def torus_braid(p: int, q: int) -> BraidWord:
     """The braid (s_1 s_2 ... s_{p-1})^q on p strands."""
     if p < 1 or q < 0:
-        raise ValueError("need p >= 1 and q >= 0")
+        raise InvalidParameter(f"torus braid needs p >= 1 and q >= 0, got ({p}, {q})")
     return BraidWord(p, tuple(list(range(1, p)) * q))
 
 

@@ -120,6 +120,43 @@ class TestDispatch:
         assert code == 2
 
 
+class TestParameterContracts:
+    def test_torus_bad_parameters_exit_2(self, capsys):
+        code, out = run(capsys, "torus", "0", "5")
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "InvalidParameter"
+
+    def test_chain_max_n_zero_exit_2(self, capsys):
+        code, out = run(capsys, "chain", "1 1 1 1 1", "--max-n", "0")
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "InvalidParameter"
+
+    def test_orbit_negative_power_exit_2(self, capsys):
+        code, out = run(capsys, "orbit", "1 1 1", "--power", "-1")
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "InvalidParameter"
+
+
+class TestDefaultSeed:
+    def test_first_column_without_rectangle(self, capsys):
+        code, out = run(capsys, "chain", "4 3 1 2 2")
+        assert code == 0
+        assert json.loads(out)["seed"] == {"column": 2, "top": 3, "bottom": 4}
+        code, out = run(capsys, "orbit", "3 1 3 2")
+        assert code == 0
+        assert json.loads(out)["seed"] == {"column": 3, "top": 0, "bottom": 2}
+
+    def test_no_rectangle_exit_2(self, capsys):
+        code, out = run(capsys, "chain", "1")
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "TrivialLink"
+
+    def test_first_column_seed_unchanged(self, capsys):
+        _, default = run(capsys, "chain", "1 2 1 2 1 2 1")
+        _, explicit = run(capsys, "chain", "1 2 1 2 1 2 1", "--seed", "0")
+        assert default == explicit
+
+
 class TestSvg:
     def test_byte_identical(self):
         s = build_surface(torus_braid(4, 3))

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from braidplumb.braidwords import BraidWord, parse_braid
-from braidplumb.errors import DisconnectedWord
+from braidplumb.errors import DisconnectedWord, TrivialLink
 from braidplumb.fatgraph import BrickDiagram, build_surface
 from braidplumb.plumbing import torus_braid
 
@@ -40,6 +40,14 @@ class TestSurface:
         assert s.b1 == 6
         assert s.boundary_count == 1
         assert s.genus == 3
+
+    def test_top_left_rectangle_skips_empty_columns(self):
+        s = build_surface(parse_braid("1 2 1 2"))
+        assert (s.top_left_rectangle().column, s.top_left_rectangle().top) == (1, 0)
+        s = build_surface(parse_braid("4 3 1 2 2"))
+        assert (s.top_left_rectangle().column, s.top_left_rectangle().top) == (2, 3)
+        with pytest.raises(TrivialLink):
+            build_surface(parse_braid("1 2 3")).top_left_rectangle()
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedWord):

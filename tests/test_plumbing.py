@@ -8,6 +8,7 @@ from braidplumb.braidwords import BraidWord, parse_braid
 from braidplumb.errors import (
     DisjointnessFailure,
     InternalConsistencyError,
+    InvalidParameter,
     NotAKnot,
     TrivialKnot,
 )
@@ -37,6 +38,11 @@ class TestTorusBraid:
         w = torus_braid(3, 0)
         assert w.strands == 3 and w.letters == ()
 
+    def test_bad_parameters_are_domain_errors(self):
+        for p, q in ((0, 5), (3, -1)):
+            with pytest.raises(InvalidParameter):
+                torus_braid(p, q)
+
 
 class TestDetectChain:
     def test_two_strand_fills_surface(self):
@@ -58,6 +64,11 @@ class TestDetectChain:
             small = detect_chain(s, s.top_left_rectangle(), m)
             assert small.n == m
             assert small.curve_words == big.curve_words[:m]
+
+    def test_max_n_below_one_rejected(self):
+        s = build_surface(torus_braid(3, 4))
+        with pytest.raises(InvalidParameter):
+            detect_chain(s, s.top_left_rectangle(), 0)
 
     def test_single_curve_chain(self):
         s = build_surface(torus_braid(3, 4))
