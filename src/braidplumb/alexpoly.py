@@ -12,7 +12,13 @@ import dataclasses
 from math import gcd
 from typing import Iterable, Mapping, Optional
 
-from .errors import DisconnectedWord, NotCoprime, NotDivisible, ZeroPolynomial
+from .errors import (
+    DisconnectedWord,
+    InvalidParameter,
+    NotCoprime,
+    NotDivisible,
+    ZeroPolynomial,
+)
 
 
 class LaurentPolynomial:
@@ -235,7 +241,7 @@ def torus_alexander(p: int, q: int) -> LaurentPolynomial:
     Computed as the exact quotient (t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)).
     """
     if p < 1 or q < 1:
-        raise NotCoprime("torus parameters must be positive")
+        raise InvalidParameter(f"torus parameters must be positive, got ({p}, {q})")
     if gcd(p, q) != 1:
         raise NotCoprime(f"gcd({p}, {q}) != 1: the closure is a link, not a knot")
     num = cyclotomic_like(p * q) * cyclotomic_like(1)

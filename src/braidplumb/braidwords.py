@@ -10,18 +10,15 @@ destabilization of a generator occurring exactly once.
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
 from typing import Optional, Union
 
 from .errors import (
     DisconnectedWord,
     IllegalMove,
+    InternalConsistencyError,
     InvalidGenerator,
-    SearchBudgetExceeded,
     TrivialLink,
 )
-
-DEFAULT_SEARCH_BUDGET = 10**6
 
 
 @dataclasses.dataclass(frozen=True)
@@ -244,14 +241,14 @@ def move_from_json(data: dict) -> RewriteMove:
     raise IllegalMove(f"unknown move kind {kind!r}")
 
 
-def apply_move(word: BraidWord, move: RewriteMove) -> BraidWord:
-    """Apply a legal rewriting move; the closure link type is preserved."""
-    letters = word.letters
+def _apply(strands: int, letters: list[int], move: RewriteMove) -> int:
+    """Apply a legal rewriting move to `letters` in place; return the strand count."""
     c = len(letters)
     if isinstance(move, CyclicConjugate):
-        if c == 0:
-            return word
-        return word.rotated(move.shift)
+        if c:
+            shift = move.shift % c
+            letters[:] = letters[shift:] + letters[:shift]
+        return strands
     if isinstance(move, BraidRelation):
         p = move.position
         if p < 0 or p + 2 >= c:
@@ -263,8 +260,8 @@ def apply_move(word: BraidWord, move: RewriteMove) -> BraidWord:
             raise IllegalMove("direction +1 expects the pattern (i, i+1, i)")
         if move.direction == -1 and b != a - 1:
             raise IllegalMove("direction -1 expects the pattern (i+1, i, i+1)")
-        new = letters[:p] + (b, a, b) + letters[p + 3 :]
-        return BraidWord(word.strands, new)
+        letters[p : p + 3] = (b, a, b)
+        return strands
     if isinstance(move, CommutationSwap):
         p = move.position
         if p < 0 or p + 1 >= c:
@@ -272,8 +269,8 @@ def apply_move(word: BraidWord, move: RewriteMove) -> BraidWord:
         a, b = letters[p], letters[p + 1]
         if abs(a - b) < 2:
             raise IllegalMove(f"letters {a}, {b} do not commute")
-        new = letters[:p] + (b, a) + letters[p + 2 :]
-        return BraidWord(word.strands, new)
+        letters[p], letters[p + 1] = b, a
+        return strands
     if isinstance(move, Destabilize):
         g = move.generator
         if letters.count(g) != 1:
@@ -285,16 +282,22 @@ def apply_move(word: BraidWord, move: RewriteMove) -> BraidWord:
         # commute.
         pos = letters.index(g)
         tail = letters[pos + 1 :] + letters[:pos]
-        low = tuple(x for x in tail if x < g)
-        high = tuple(x - 1 for x in tail if x > g)
-        return BraidWord(word.strands - 1, low + high)
+        letters[:] = [x for x in tail if x < g] + [x - 1 for x in tail if x > g]
+        return strands - 1
     raise IllegalMove(f"unknown move {move!r}")
 
 
 def replay_moves(word: BraidWord, moves: list[RewriteMove]) -> BraidWord:
+    """Apply the moves in order; the closure link type is preserved."""
+    strands, letters = word.strands, list(word.letters)
     for m in moves:
-        word = apply_move(word, m)
-    return word
+        strands = _apply(strands, letters, m)
+    return BraidWord(strands, tuple(letters))
+
+
+def apply_move(word: BraidWord, move: RewriteMove) -> BraidWord:
+    """Apply one legal rewriting move; the closure link type is preserved."""
+    return replay_moves(word, [move])
 
 
 # ---------------------------------------------------------------------------
@@ -351,161 +354,100 @@ class NormalizationResult:
 
 
 def _destabilize_all(word: BraidWord, moves: list[RewriteMove]) -> BraidWord:
-    """Remove every generator occurring exactly once, repeatedly."""
-    changed = True
-    while changed and word.length:
-        changed = False
-        counts = [0] * (word.strands + 1)
-        for x in word.letters:
-            counts[x] += 1
-        for g in range(1, word.strands):
-            if counts[g] == 1:
-                move = Destabilize(g)
-                word = apply_move(word, move)
-                moves.append(move)
-                changed = True
-                break
-    return word
+    """Remove every generator occurring exactly once, repeatedly.
+
+    Destabilizing g keeps the count of every other generator (those above
+    g move down one index), so one count pass serves the whole cascade.
+    """
+    strands, letters = word.strands, list(word.letters)
+    counts = [0] * strands
+    for x in letters:
+        counts[x] += 1
+    while 1 in counts:
+        g = counts.index(1)
+        move = Destabilize(g)
+        strands = _apply(strands, letters, move)
+        moves.append(move)
+        del counts[g]
+    return BraidWord(strands, tuple(letters))
 
 
-def _greedy_front_runs(word: BraidWord, moves: list[RewriteMove]) -> Optional[BraidWord]:
-    """Try to reach the square-prefix form by rotation plus commutations only."""
-    letters = word.letters
-    c = len(letters)
-    for r in range(c):
-        rot = letters[r:] + letters[:r]
-        if rot[0] != rot[1]:
-            continue
-        m = rot[0]
-        trial_moves: list[RewriteMove] = []
-        if r:
-            trial_moves.append(CyclicConjugate(r))
-        cur = list(rot)
-        front = 2
-        ok = True
-        for g in range(m - 1, 0, -1):
-            pulled = 0
-            scan = front
-            while scan < c:
-                if cur[scan] == g:
-                    # Everything between the run front and this letter must commute.
-                    if all(abs(cur[k] - g) >= 2 for k in range(front, scan)):
-                        for k in range(scan, front, -1):
-                            cur[k], cur[k - 1] = cur[k - 1], cur[k]
-                            trial_moves.append(CommutationSwap(k - 1))
-                        front += 1
-                        pulled += 1
-                        scan = front
-                        continue
-                    else:
-                        break
-                scan += 1
-            if pulled == 0:
-                ok = False
-                break
-        if ok:
-            result = tuple(cur)
-            assert square_prefix_generator(result) == m
-            moves.extend(trial_moves)
-            return BraidWord(word.strands, result)
-    return None
-
-
-def _cyclic_neighbors(word: BraidWord):
-    """All words one move away, with moves normalized to act on a rotation."""
-    letters = word.letters
-    c = len(letters)
-    doubled = letters + letters
-    for p in range(c):
-        a, b, a2 = doubled[p], doubled[p + 1], doubled[p + 2]
-        if a == a2 and abs(a - b) == 1:
-            if p + 2 < c:
-                mv: list[RewriteMove] = [BraidRelation(p, 1 if b == a + 1 else -1)]
-                new = letters[:p] + (b, a, b) + letters[p + 3 :]
-            else:
-                rot = letters[p:] + letters[:p]
-                mv = [CyclicConjugate(p), BraidRelation(0, 1 if b == a + 1 else -1)]
-                new = (b, a, b) + rot[3:]
-            yield BraidWord(word.strands, new), mv
-        if abs(a - b) >= 2:
-            if p + 1 < c:
-                mv = [CommutationSwap(p)]
-                new = letters[:p] + (b, a) + letters[p + 2 :]
-            else:
-                rot = letters[p:] + letters[:p]
-                mv = [CyclicConjugate(p), CommutationSwap(0)]
-                new = (b, a) + rot[2:]
-            yield BraidWord(word.strands, new), mv
-    seen_gens = set()
-    for g in letters:
-        if g in seen_gens:
-            continue
-        seen_gens.add(g)
-        if letters.count(g) == 1:
-            yield apply_move(word, Destabilize(g)), [Destabilize(g)]
-
-
-def square_normalization(
-    word: BraidWord, budget: int = DEFAULT_SEARCH_BUDGET
-) -> NormalizationResult:
+def square_normalization(word: BraidWord) -> NormalizationResult:
     """Rewrite to a word starting with s_m^2 s_{m-1}^+ ... s_1^+.
 
-    Existence is guaranteed for non-trivial closures; the search is a
-    breadth-first walk over the closure-preserving moves, deduplicated by
-    the least cyclic rotation, with a node budget against pathologies.
+    Constructive.  After destabilizing, rotate an s_1 to the front and take
+    the next s_1 as the level-1 pair.  At level k the gap between the pair
+    holds only letters >= k+1:
+      - no s_{k+1}: the gap commutes past s_k and leaves the square s_k s_k;
+      - one s_{k+1}: commuting gives s_k s_{k+1} s_k, the braid relation
+        turns it into s_{k+1} s_k s_{k+1}, and the construction restarts;
+      - more: the last two s_{k+1} of the gap are the pair of level k+1.
+    Behind the square s_m s_m the closing letters of levels m-1, ..., 1 are
+    then commuted forward in turn; the level-k one passes only letters
+    >= k+2, since its gap holds no s_{k+1} after the level-(k+1) pair.
+
+    Termination: a braid relation lowers the sum over letters x of
+    (s - 1 - x) by one, and a destabilization never raises it, so the
+    restarts are bounded by its starting value; passing that bound is an
+    engine bug.  No move creates a generator, so a word without s_1 after
+    destabilization (a split closure) has no square-prefix form.
     """
     if is_trivial_closure(word):
         raise TrivialLink("the closure destabilizes to a trivial link")
 
     moves: list[RewriteMove] = []
-    start = _destabilize_all(word, moves)
 
-    m = square_prefix_generator(start.letters)
-    if m is not None:
-        return NormalizationResult(start, m, tuple(moves))
-    fast = _greedy_front_runs(start, moves)
-    if fast is not None:
-        return NormalizationResult(fast, square_prefix_generator(fast.letters), tuple(moves))
+    def play(move):
+        _apply(strands, letters, move)
+        moves.append(move)
 
-    # Full breadth-first search.
-    visited = {(start.strands, start.canonical())}
-    queue = deque([(start, moves)])
-    nodes = 0
-    while queue:
-        cur, path = queue.popleft()
-        nodes += 1
-        if nodes > budget:
-            raise SearchBudgetExceeded(f"no square-prefix form within {budget} nodes")
-        for nxt, mv in _cyclic_neighbors(cur):
-            key = (nxt.strands, nxt.canonical())
-            if key in visited:
-                continue
-            visited.add(key)
-            new_path = path + mv
-            extra: list[RewriteMove] = []
-            candidate = _destabilize_all(nxt, extra)
-            if extra:
-                new_path = new_path + extra
-                ckey = (candidate.strands, candidate.canonical())
-                if ckey in visited:
-                    continue
-                visited.add(ckey)
-            m = square_prefix_generator(candidate.letters)
-            if m is not None:
-                return NormalizationResult(candidate, m, tuple(new_path))
-            fast_moves = list(new_path)
-            fast = _greedy_front_runs(candidate, fast_moves)
-            if fast is not None:
-                return NormalizationResult(
-                    fast, square_prefix_generator(fast.letters), tuple(fast_moves)
-                )
-            queue.append((candidate, new_path))
-    raise SearchBudgetExceeded("move space exhausted without a square-prefix form")
+    def carry(src, dst):
+        """Commute letters[src] to position dst, one swap at a time."""
+        step = 1 if dst > src else -1
+        for p in range(src, dst, step):
+            play(CommutationSwap(p if step > 0 else p - 1))
+
+    word = _destabilize_all(word, moves)
+    for _ in range(sum(word.strands - 1 - x for x in word.letters) + 1):
+        m = square_prefix_generator(word.letters)
+        if m is not None:
+            return NormalizationResult(word, m, tuple(moves))
+        strands, letters = word.strands, list(word.letters)
+        if 1 not in letters:
+            raise DisconnectedWord(
+                f"no s_1 on {strands} strands after destabilization: the closure"
+                " splits and has no square-prefix form"
+            )
+        if letters[0] != 1:
+            play(CyclicConjugate(letters.index(1)))
+        a, b, k = 0, letters.index(1, 1), 1
+        closers: list[int] = []  # closing positions of the enclosing pairs
+        while True:
+            inner = [p for p in range(a + 1, b) if letters[p] == k + 1]
+            if len(inner) < 2:
+                break
+            closers.append(b)
+            a, b, k = inner[-2], inner[-1], k + 1
+        if inner:
+            q = inner[0]
+            carry(a, q - 1)
+            carry(b, q + 1)
+            play(BraidRelation(q - 1, 1))
+            word = _destabilize_all(BraidWord(strands, tuple(letters)), moves)
+            continue
+        carry(b, a + 1)
+        if a:
+            play(CyclicConjugate(a))
+        for front, close in enumerate(reversed(closers), start=2):
+            carry(close - a, front)
+        word = BraidWord(strands, tuple(letters))
+        if square_prefix_generator(word.letters) != k:
+            raise InternalConsistencyError("constructed word lacks the square prefix")
+        return NormalizationResult(word, k, tuple(moves))
+    raise InternalConsistencyError("square-prefix construction passed its restart bound")
 
 
-def normalize_to_square(
-    word: BraidWord, budget: int = DEFAULT_SEARCH_BUDGET
-) -> tuple[BraidWord, int]:
+def normalize_to_square(word: BraidWord) -> tuple[BraidWord, int]:
     """The square-prefix normal form and its squared generator."""
-    res = square_normalization(word, budget)
+    res = square_normalization(word)
     return res.word, res.m

@@ -22,7 +22,7 @@ from math import gcd
 
 from . import curves as cv
 from .alexpoly import burau_alexander, hironaka_max_n, torus_alexander
-from .braidwords import DEFAULT_SEARCH_BUDGET, braid_invariants, parse_braid
+from .braidwords import braid_invariants, parse_braid
 from .errors import DomainError, InternalConsistencyError, InvalidParameter, NotCoprime
 from .fatgraph import build_surface
 from .monodromy import alexander_from_monodromy
@@ -79,9 +79,9 @@ def _analyze_payload(text, strands):
     }
 
 
-def _decompose_payload(text, strands, budget):
+def _decompose_payload(text, strands):
     word = parse_braid(text, strands)
-    return trefoil_decompose(word, budget=budget).to_json()
+    return trefoil_decompose(word).to_json()
 
 
 def _seed_rectangle(surface, index):
@@ -109,7 +109,7 @@ def _batch_worker(task):
         if kind == "analyze":
             payload = _analyze_payload(line, options["strands"])
         elif kind == "decompose":
-            payload = _decompose_payload(line, options["strands"], options["budget"])
+            payload = _decompose_payload(line, options["strands"])
         else:
             payload = _chain_payload(
                 line, options["strands"], options["seed"], options["max_n"]
@@ -125,8 +125,11 @@ def _batch_worker(task):
 def _run_batch(args, kind, options):
     if not args.out_dir:
         raise DomainError("--batch needs --out-dir for the per-input JSON files")
-    with open(args.batch, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+    try:
+        with open(args.batch, "r", encoding="utf-8") as fh:
+            lines = [line.strip() for line in fh if line.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read the --batch file: {exc}") from exc
     os.makedirs(args.out_dir, exist_ok=True)
     tasks = [(i, line, kind, options) for i, line in enumerate(lines)]
     with multiprocessing.Pool() as pool:
@@ -157,10 +160,8 @@ def _cmd_analyze(args):
 def _cmd_decompose(args):
     _require_one_source(args)
     if args.batch:
-        return _run_batch(
-            args, "decompose", {"strands": args.strands, "budget": args.budget}
-        )
-    return _decompose_payload(args.word, args.strands, args.budget)
+        return _run_batch(args, "decompose", {"strands": args.strands})
+    return _decompose_payload(args.word, args.strands)
 
 
 def _cmd_chain(args):
@@ -292,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="iterated trefoil deplumbing certificate")
     add_common(p, batch=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
     p.set_defaults(fn=_cmd_decompose)
 
     p = sub.add_parser("chain", help="iterated-plumbing chain certificate")

@@ -281,9 +281,12 @@ def _events(surface, x: NormalCurve, y: NormalCurve):
     by_vertex = defaultdict(list)
     for j, t in enumerate(ty):
         by_vertex[t[0]].append(j)
+    skip_diagonal = x is y  # a transit never crosses itself
     out = []
     for i, t in enumerate(tx):
         for j in by_vertex.get(t[0], ()):
+            if skip_diagonal and i == j:
+                continue
             ev = _pair_event(surface, wx, Lx, tx, i, wy, Ly, ty, j, bound)
             if ev is not None:
                 out.append((i, j, ev[0], ev[1]))
@@ -302,6 +305,8 @@ def _primitive_root(word):
 
 
 def _same_unoriented_class(a: NormalCurve, b: NormalCurve) -> bool:
+    if len(a.word) != len(b.word):
+        return False
     return a.unoriented_canonical() == b.unoriented_canonical()
 
 
@@ -315,7 +320,7 @@ def self_intersection(x: NormalCurve) -> int:
         x._self_int = power * power * base + (power - 1)
         return x._self_int
     events = _events(x.surface, x, x)
-    crossings = sum(1 for (i, j, _, _) in events if i != j)
+    crossings = len(events)
     if crossings % 2:
         raise InternalConsistencyError("self-crossing events must pair up")
     x._self_int = crossings // 2

@@ -39,7 +39,11 @@ class TrivialLink(DomainError):
 
 
 class SearchBudgetExceeded(DomainError):
-    """The bounded rewriting search ran out of nodes."""
+    """A bounded search ran out of nodes.
+
+    Nothing in the package raises it; the name stays importable for
+    callers that catch it.
+    """
 
 
 class EmptyCurve(DomainError):

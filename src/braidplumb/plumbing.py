@@ -17,13 +17,11 @@ from . import curves as cv
 from .alexpoly import burau_alexander, hironaka_max_n, torus_alexander
 from .braidwords import (
     BraidWord,
-    Destabilize,
     RewriteMove,
-    apply_move,
+    _destabilize_all,
     move_from_json,
     replay_moves,
     square_normalization,
-    DEFAULT_SEARCH_BUDGET,
 )
 from .errors import (
     DisjointnessFailure,
@@ -256,7 +254,7 @@ class TrefoilDecomposition:
         }
 
 
-def trefoil_step(word: BraidWord, budget: int = DEFAULT_SEARCH_BUDGET) -> TrefoilStep:
+def trefoil_step(word: BraidWord) -> TrefoilStep:
     """Normalize to a square prefix, verify the deplumbing disjointness,
     and remove the square.
 
@@ -267,7 +265,7 @@ def trefoil_step(word: BraidWord, budget: int = DEFAULT_SEARCH_BUDGET) -> Trefoi
         raise NotAKnot(f"closure has {word.components} components")
     if word.b1 == 0:
         raise TrivialKnot("genus zero: nothing to deplumb")
-    res = square_normalization(word, budget)
+    res = square_normalization(word)
     norm = res.word
     surface = build_surface(norm)
     rect = surface.rectangles[surface.rect_index[(res.m, 0)]]
@@ -297,22 +295,7 @@ def trefoil_step(word: BraidWord, budget: int = DEFAULT_SEARCH_BUDGET) -> Trefoi
     )
 
 
-def _destabilizes_to_empty(word: BraidWord) -> bool:
-    w = word
-    while w.length:
-        counts = {}
-        for x in w.letters:
-            counts[x] = counts.get(x, 0) + 1
-        lone = next((g for g, k in counts.items() if k == 1), None)
-        if lone is None:
-            return False
-        w = apply_move(w, Destabilize(lone))
-    return True
-
-
-def trefoil_decompose(
-    word: BraidWord, budget: int = DEFAULT_SEARCH_BUDGET
-) -> TrefoilDecomposition:
+def trefoil_decompose(word: BraidWord) -> TrefoilDecomposition:
     """Iterate trefoil_step until genus zero; step count equals the genus.
 
     Every step is re-validated from its stored fields before the
@@ -324,13 +307,13 @@ def trefoil_decompose(
     steps = []
     w = word
     while w.b1 > 0:
-        step = trefoil_step(w, budget)
+        step = trefoil_step(w)
         validate_trefoil_step(step)
         steps.append(step)
         w = step.after
     if len(steps) != genus:
         raise InternalConsistencyError("step count disagrees with the genus")
-    if not _destabilizes_to_empty(w):
+    if _destabilize_all(w, []).length:
         raise InternalConsistencyError("final word does not destabilize to the identity")
     return TrefoilDecomposition(
         word=word,
@@ -373,7 +356,7 @@ def validate_trefoil_decomposition(dec: TrefoilDecomposition) -> bool:
         raise InternalConsistencyError("final word mismatch")
     if dec.ribbon_twist_count != len(dec.steps) or len(dec.steps) != dec.word.b1 // 2:
         raise InternalConsistencyError("ribbon twist count must equal the genus")
-    if not _destabilizes_to_empty(dec.final_word):
+    if _destabilize_all(dec.final_word, []).length:
         raise InternalConsistencyError("final word does not destabilize to the identity")
     return True
 

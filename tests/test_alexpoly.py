@@ -9,7 +9,7 @@ from braidplumb.alexpoly import (
     torus_alexander,
 )
 from braidplumb.braidwords import parse_braid
-from braidplumb.errors import NotCoprime, NotDivisible, ZeroPolynomial
+from braidplumb.errors import InvalidParameter, NotCoprime, NotDivisible, ZeroPolynomial
 
 L = LaurentPolynomial
 
@@ -102,6 +102,11 @@ class TestTorusAlexander:
     def test_noncoprime_rejected(self):
         with pytest.raises(NotCoprime):
             torus_alexander(4, 6)
+
+    def test_nonpositive_parameters_rejected(self):
+        for p, q in ((-3, 5), (0, 1), (3, 0)):
+            with pytest.raises(InvalidParameter):
+                torus_alexander(p, q)
 
     def test_symmetric(self):
         for p, q in ((2, 5), (3, 5), (4, 7)):

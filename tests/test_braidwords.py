@@ -48,6 +48,17 @@ def oracle_components(letters, strands):
     return count
 
 
+@st.composite
+def connected_words(draw):
+    """Connected words on up to 8 strands and 24 letters, links included."""
+    s = draw(st.integers(min_value=2, max_value=8))
+    c = draw(st.integers(min_value=s - 1, max_value=24))
+    base = list(range(1, s)) + [
+        draw(st.integers(min_value=1, max_value=s - 1)) for _ in range(c - s + 1)
+    ]
+    return BraidWord(s, tuple(draw(st.permutations(base))))
+
+
 class TestParse:
     def test_strands_default(self):
         w = parse_braid("1 2 2 3")
@@ -143,6 +154,25 @@ class TestMoves:
         assert out.strands == 4
         assert out.components == w.components == 1
 
+    def test_replay_matches_single_moves(self):
+        w = BraidWord(4, (1, 2, 1, 3, 1))
+        moves = [
+            BraidRelation(0, 1),
+            CommutationSwap(3),
+            CyclicConjugate(-2),
+            Destabilize(3),
+        ]
+        step = w
+        for move in moves:
+            step = apply_move(step, move)
+        assert replay_moves(w, moves) == step == BraidWord(3, (2, 1, 2, 1))
+        assert w.letters == (1, 2, 1, 3, 1)
+
+    def test_replay_stops_at_illegal_move(self):
+        w = BraidWord(4, (1, 3, 2, 2))
+        with pytest.raises(IllegalMove, match="letters 1, 2 do not commute"):
+            replay_moves(w, [CommutationSwap(0), CommutationSwap(1)])
+
     def test_moves_preserve_components_and_b1(self):
         rng = random.Random(3)
         for _ in range(400):
@@ -236,6 +266,25 @@ class TestNormalization:
             assert replayed.strands == res.word.strands
             assert square_prefix_generator(res.word.letters) == res.m
             assert res.word.components == w.components
+
+    def test_split_words_have_no_form(self):
+        # No move creates a generator, and the form needs s_1.
+        for w in (BraidWord(3, (2, 2)), BraidWord(4, (2, 3, 2, 3))):
+            with pytest.raises(DisconnectedWord):
+                square_normalization(w)
+
+    @settings(max_examples=300, deadline=None)
+    @given(connected_words())
+    def test_construction_property(self, w):
+        try:
+            res = square_normalization(w)
+        except TrivialLink:
+            assert is_trivial_closure(w)
+            return
+        assert replay_moves(w, list(res.moves)) == res.word
+        assert square_prefix_generator(res.word.letters) == res.m
+        assert res.word.components == w.components
+        assert res.word.b1 == w.b1
 
     def test_exhaustive_small_words(self):
         # Every connected positive word with c <= 7 and nontrivial closure

@@ -131,6 +131,23 @@ class TestParameterContracts:
         assert code == 2
         assert json.loads(out)["error"]["code"] == "InvalidParameter"
 
+    def test_bound_negative_torus_exit_2(self, capsys):
+        code, out = run(capsys, "bound", "--torus", "-3", "5")
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "InvalidParameter"
+
+    def test_unreadable_batch_file_exit_2(self, capsys, tmp_path):
+        binary = tmp_path / "binary.txt"
+        binary.write_bytes(b"1 1 1\n\xff\xfe\n")
+        out_dir = tmp_path / "d"
+        for batch in (tmp_path / "missing.txt", binary, tmp_path):
+            code, out = run(
+                capsys, "decompose", "--batch", str(batch), "--out-dir", str(out_dir)
+            )
+            assert code == 2
+            assert json.loads(out)["error"]["code"] == "DomainError"
+            assert not out_dir.exists()
+
     def test_orbit_negative_power_exit_2(self, capsys):
         code, out = run(capsys, "orbit", "1 1 1", "--power", "-1")
         assert code == 2

@@ -1,7 +1,10 @@
 import dataclasses
 import json
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidplumb.alexpoly import burau_alexander, hironaka_max_n
 from braidplumb.braidwords import BraidWord, parse_braid
@@ -25,6 +28,28 @@ from braidplumb.plumbing import (
     validate_trefoil_decomposition,
     validate_trefoil_step,
 )
+
+
+@st.composite
+def knot_words(draw):
+    """Connected knot words on up to 8 strands and 24 letters.
+
+    A connected word is drawn, then letters joining two closure components
+    are appended until one is left.
+    """
+    s = draw(st.integers(min_value=2, max_value=8))
+    c = draw(st.integers(min_value=s - 1, max_value=24 - (s - 1)))
+    base = list(range(1, s)) + [
+        draw(st.integers(min_value=1, max_value=s - 1)) for _ in range(c - s + 1)
+    ]
+    letters = tuple(draw(st.permutations(base)))
+    while not BraidWord(s, letters).is_knot:
+        comps = BraidWord(s, letters).components
+        joining = [
+            g for g in range(1, s) if BraidWord(s, letters + (g,)).components < comps
+        ]
+        letters += (draw(st.sampled_from(joining)),)
+    return BraidWord(s, letters)
 
 
 class TestTorusBraid:
@@ -158,6 +183,21 @@ class TestTrefoilDecompose:
         assert validate_trefoil_decomposition(back)
         assert back.word.letters == dec.word.letters
         assert [s.to_json() for s in back.steps] == [s.to_json() for s in dec.steps]
+
+    @settings(max_examples=120, deadline=None)
+    @given(knot_words())
+    def test_random_knots_decompose(self, w):
+        dec = trefoil_decompose(w)
+        assert len(dec.steps) == w.b1 // 2
+        assert validate_trefoil_decomposition(dec)
+
+    @pytest.mark.parametrize("p,q", [(6, 7), (6, 13), (7, 15)])
+    def test_large_torus_knots_decide(self, p, q):
+        start = time.perf_counter()
+        dec = trefoil_decompose(torus_braid(p, q))
+        assert validate_trefoil_decomposition(dec)
+        assert time.perf_counter() - start < 2.0
+        assert len(dec.steps) == (p - 1) * (q - 1) // 2
 
     def test_every_step_disjointness_holds(self):
         dec = trefoil_decompose(torus_braid(4, 5))
