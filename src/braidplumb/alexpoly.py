@@ -165,11 +165,6 @@ class LaurentPolynomial:
             return [0]
         return [p[e] for e in range(0, p.degree + 1)]
 
-    def evaluate(self, value: int) -> int:
-        if any(e < 0 for e in self.coeffs) and value in (0,):
-            raise ZeroDivisionError("negative exponents at 0")
-        return sum(c * value**e for e, c in self.coeffs.items())
-
     def to_json(self) -> dict[str, int]:
         return {str(e): c for e, c in sorted(self.coeffs.items())}
 
@@ -254,41 +249,6 @@ def torus_alexander(p: int, q: int) -> LaurentPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def _reduced_burau_generator(i: int, n: int) -> list[list[LaurentPolynomial]]:
-    """Matrix of the reduced Burau image of the i-th generator in B_n.
-
-    Acts on the basis f_1..f_{n-1} (differences of the unreduced basis) by
-    f_{i-1} -> f_{i-1} + t f_i,  f_i -> -t f_i,  f_{i+1} -> f_i + f_{i+1}.
-    """
-    one = LaurentPolynomial.one()
-    zero = LaurentPolynomial()
-    t = LaurentPolynomial.t()
-    m = [[one if r == c else zero for c in range(n - 1)] for r in range(n - 1)]
-    g = i - 1
-    m[g][g] = -t
-    if g - 1 >= 0:
-        m[g][g - 1] = t
-    if g + 1 <= n - 2:
-        m[g][g + 1] = one
-    return m
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    out = []
-    for r in range(n):
-        row = []
-        ar = a[r]
-        for c in range(n):
-            acc = LaurentPolynomial()
-            for k in range(n):
-                if ar[k].coeffs and b[k][c].coeffs:
-                    acc = acc + ar[k] * b[k][c]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 def _poly_det(matrix) -> LaurentPolynomial:
     """Fraction-free Bareiss determinant over the Laurent ring."""
     n = len(matrix)
@@ -317,13 +277,30 @@ def _poly_det(matrix) -> LaurentPolynomial:
 
 
 def reduced_burau(word) -> list[list[LaurentPolynomial]]:
-    """Reduced Burau matrix of a positive braid word (letters applied in order)."""
-    n = word.strands
+    """Reduced Burau matrix of a positive braid word (letters applied in order).
+
+    The image of s_i acts on the basis f_1..f_{n-1} (differences of the
+    unreduced basis) by f_{i-1} -> f_{i-1} + t f_i, f_i -> -t f_i,
+    f_{i+1} -> f_i + f_{i+1}.  Its matrix differs from the identity in
+    row i only, so right-multiplying by it rewrites columns i-1, i and i+1,
+    each from the old column i.
+    """
+    n = word.strands - 1
     one = LaurentPolynomial.one()
     zero = LaurentPolynomial()
-    acc = [[one if r == c else zero for c in range(n - 1)] for r in range(n - 1)]
+    acc = [[one if r == c else zero for c in range(n)] for r in range(n)]
     for letter in word.letters:
-        acc = _mat_mul(acc, _reduced_burau_generator(letter, n))
+        g = letter - 1
+        for row in acc:
+            x = row[g]
+            if not x.coeffs:
+                continue
+            tx = x.shift(1)
+            row[g] = -tx
+            if g > 0:
+                row[g - 1] = row[g - 1] + tx
+            if g + 1 < n:
+                row[g + 1] = row[g + 1] + x
     return acc
 
 
@@ -428,6 +405,31 @@ def _solve_qcoeffs(q: list[int], n: int, epsilon: int) -> Optional[LaurentPolyno
     return LaurentPolynomial({k: p[k] for k in range(d + 1)})
 
 
+def _q_coefficients(delta: LaurentPolynomial) -> tuple[LaurentPolynomial, list[int]]:
+    """Q = (t+1)*Delta normalized, and its coefficients, constant term first."""
+    if delta.is_zero():
+        raise ZeroPolynomial("the zero polynomial is not an Alexander polynomial")
+    q_poly = (LaurentPolynomial({1: 1, 0: 1}) * delta.normalized()).normalized()
+    return q_poly, [q_poly[e] for e in range(q_poly.degree + 1)]
+
+
+def _solve_q(
+    q_poly: LaurentPolynomial, q: list[int], n: int, epsilon: int
+) -> Optional[HironakaSolution]:
+    """hironaka_solve on a prepared Q; every candidate is re-substituted."""
+    if n >= len(q) or n < 0:
+        return None
+    p = _solve_qcoeffs(q, n, epsilon)
+    if p is None:
+        return None
+    d = len(q) - 1 - n
+    rhs = p.shift(n) + epsilon * p.reciprocal().shift(d)
+    if rhs != q_poly:
+        return None
+    attained = p.degree if not p.is_zero() else 0
+    return HironakaSolution(n=n, epsilon=epsilon, d=d, P=p, attained_degree=attained)
+
+
 def hironaka_solve(
     delta: LaurentPolynomial, n: int, epsilon: int
 ) -> Optional[HironakaSolution]:
@@ -440,24 +442,7 @@ def hironaka_solve(
     """
     if epsilon not in (1, -1):
         raise ValueError("epsilon must be +1 or -1")
-    if delta.is_zero():
-        raise ZeroPolynomial("the zero polynomial is not an Alexander polynomial")
-    base = delta.normalized()
-    tp1 = LaurentPolynomial({1: 1, 0: 1})
-    q_poly = (tp1 * base).normalized()
-    deg_q = q_poly.degree
-    if n > deg_q or n < 0:
-        return None
-    q = [q_poly[e] for e in range(deg_q + 1)]
-    p = _solve_qcoeffs(q, n, epsilon)
-    if p is None:
-        return None
-    d = deg_q - n
-    rhs = p.shift(n) + epsilon * p.reciprocal().shift(d)
-    if rhs != q_poly:
-        return None
-    attained = p.degree if not p.is_zero() else 0
-    return HironakaSolution(n=n, epsilon=epsilon, d=d, P=p, attained_degree=attained)
+    return _solve_q(*_q_coefficients(delta), n, epsilon)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -477,14 +462,12 @@ def hironaka_max_n(
     The published plumbing bound is n_max - 1: an n-chain summand forces
     feasibility at n + 1.
     """
-    if delta.is_zero():
-        raise ZeroPolynomial("the zero polynomial is not an Alexander polynomial")
-    q_deg = ((LaurentPolynomial({1: 1, 0: 1}) * delta).normalized()).degree
+    q_poly, q = _q_coefficients(delta)
     table = []
     n_max = -1
-    for n in range(q_deg + 1):
+    for n in range(len(q)):
         for eps in (1, -1):
-            sol = hironaka_solve(delta, n, eps)
+            sol = _solve_q(q_poly, q, n, eps)
             if sol is None:
                 table.append(FeasibilityRow(n=n, epsilon=eps, feasible=False))
             else:

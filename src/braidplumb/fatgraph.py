@@ -70,7 +70,6 @@ class FatGraphSurface:
         "end_vertex",
         "end_slot",
         "boundary_count",
-        "_rect_words",
         "_twist_cache",
     )
 
@@ -110,7 +109,6 @@ class FatGraphSurface:
             raise InternalConsistencyError(
                 "fatgraph boundary count disagrees with the closure permutation"
             )
-        self._rect_words: dict[int, tuple[int, int]] = {}
         self._twist_cache = None  # filled lazily by the curve engine
 
     # -- basic invariants ---------------------------------------------------
@@ -161,12 +159,7 @@ class FatGraphSurface:
     def rectangle_word(self, rect: RectangleCurve) -> tuple[int, int]:
         """Edge word of the rectangle circle: up through the top crossing,
         back down through the bottom one."""
-        idx = self.rect_index[(rect.column, rect.top)]
-        cached = self._rect_words.get(idx)
-        if cached is None:
-            cached = (rect.top + 1, -(rect.bottom + 1))
-            self._rect_words[idx] = cached
-        return cached
+        return (rect.top + 1, -(rect.bottom + 1))
 
     def top_left_rectangle(self) -> RectangleCurve:
         """Topmost rectangle of the leftmost column that has one.

@@ -7,6 +7,15 @@ x -> x + sign * <x, r> * r.  The ordered product over the plumbing order is
 the homological monodromy; its characteristic polynomial computes the
 Alexander polynomial of the fibred closure.
 
+J is sparse.  Two rectangle circles share a vertex disk only when their
+columns are equal or adjacent, and their transits there are linked only
+when the position intervals share an end or interleave.  Each rectangle
+has at most three such neighbours further right or down, so at most
+3 * b1 pairs can pair nonzero; the curve engine evaluates those pairs and
+no others.  A transvection changes one coordinate, so the
+monodromy is built as one row update per twist, starting from I: row r
+gains sign * J[a][r] * row a for each neighbour a of r.
+
 charpoly is the exact kernel of linalg: Hessenberg reduction and the
 Hessenberg recurrence, O(n^3), modulo the smallest Mersenne prime above
 twice the Hadamard bound of the coefficients.  No coefficient of
@@ -15,6 +24,8 @@ residues are the integer coefficients and the result is exact.
 """
 
 from __future__ import annotations
+
+from bisect import bisect
 
 from .alexpoly import LaurentPolynomial
 from .curves import (
@@ -26,16 +37,41 @@ from .fatgraph import FatGraphSurface
 from .linalg import charpoly
 
 
+def _neighbour_pairs(surface: FatGraphSurface):
+    """Index pairs a < b of rectangles whose circles can pair nonzero.
+
+    Within a column, consecutive rectangles share a crossing.  A rectangle
+    (top, bottom) of column i interleaves two rectangles of column i + 1
+    at most: the one whose bottom is the first column-(i + 1) position
+    inside (top, bottom), and the one whose top is the last.
+    """
+    columns = surface.brick.columns
+    index = surface.rect_index
+    for i, col in enumerate(columns, start=1):
+        nxt = columns[i] if i < len(columns) else ()
+        for top, bottom in zip(col, col[1:]):
+            a = index[(i, top)]
+            if bottom != col[-1]:
+                yield a, index[(i, bottom)]
+            lo = bisect(nxt, top)
+            hi = bisect(nxt, bottom, lo)
+            if lo == hi:
+                continue
+            if lo:
+                yield a, index[(i + 1, nxt[lo - 1])]
+            if hi < len(nxt):
+                yield a, index[(i + 1, nxt[hi - 1])]
+
+
 def intersection_form(surface: FatGraphSurface) -> list[list[int]]:
     """Antisymmetric pairing matrix of the rectangle basis."""
     curves = [curve_from_rectangle(surface, r) for r in surface.rectangles]
     n = len(curves)
     j = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            val = signed_intersection(curves[a], curves[b])
-            j[a][b] = val
-            j[b][a] = -val
+    for a, b in _neighbour_pairs(surface):
+        val = signed_intersection(curves[a], curves[b])
+        j[a][b] = val
+        j[b][a] = -val
     return j
 
 
@@ -43,16 +79,18 @@ def homological_monodromy(surface: FatGraphSurface) -> list[list[int]]:
     """Matrix of the monodromy on the rectangle basis (columns = images)."""
     j = intersection_form(surface)
     n = len(j)
-    cols = []
-    for k in range(n):
-        v = [0] * n
-        v[k] = 1
-        for idx in surface.twist_ordering:
-            pairing = sum(v[a] * j[a][idx] for a in range(n) if v[a])
-            if pairing:
-                v[idx] += RIGHT_HANDED_SIGN * pairing
-        cols.append(v)
-    return [[cols[c][r] for c in range(n)] for r in range(n)]
+    pairing: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for a, b in _neighbour_pairs(surface):
+        if j[a][b]:
+            pairing[b].append((a, RIGHT_HANDED_SIGN * j[a][b]))
+            pairing[a].append((b, RIGHT_HANDED_SIGN * j[b][a]))
+    h = [[int(r == c) for c in range(n)] for r in range(n)]
+    for idx in surface.twist_ordering:
+        row = h[idx]
+        for a, coeff in pairing[idx]:
+            row = [x + coeff * y for x, y in zip(row, h[a])]
+        h[idx] = row
+    return h
 
 
 def alexander_from_monodromy(surface: FatGraphSurface) -> LaurentPolynomial:

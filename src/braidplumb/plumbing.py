@@ -17,6 +17,7 @@ from . import curves as cv
 from .alexpoly import burau_alexander, hironaka_max_n, torus_alexander
 from .braidwords import (
     BraidWord,
+    Destabilize,
     RewriteMove,
     _destabilize_all,
     move_from_json,
@@ -145,6 +146,8 @@ def validate_chain_certificate(cert: ChainCertificate) -> bool:
     n = cert.n
     if len(chain) != n or n < 1:
         raise InternalConsistencyError("certificate length disagrees with n")
+    if cert.seed not in surface.rectangles:
+        raise InternalConsistencyError("seed is not a rectangle of the surface")
     seed_curve = cv.curve_from_rectangle(surface, cert.seed)
     if not chain[0].is_isotopic(seed_curve, oriented=True):
         raise InternalConsistencyError("chain does not start at the seed rectangle")
@@ -368,15 +371,20 @@ def trefoil_decomposition_from_json(data) -> TrefoilDecomposition:
     w = word
     for raw in data["steps"]:
         before = BraidWord(w.strands, tuple(raw["before"]))
-        moves = tuple(move_from_json(m) for m in raw["moves"])
-        norm = replay_moves(before, list(moves))
-        after = BraidWord(norm.strands, tuple(raw["after"]))
+        moves = tuple(move_from_json(mv) for mv in raw["moves"])
+        m = int(raw["m"])
+        # The normalized word is the square plus the after-word, on one
+        # strand fewer per destabilization; validate_trefoil_step replays
+        # the moves and compares.
+        strands = before.strands - sum(isinstance(mv, Destabilize) for mv in moves)
+        norm = BraidWord(strands, (m, m) + tuple(raw["after"]))
+        after = BraidWord(strands, norm.letters[2:])
         steps.append(
             TrefoilStep(
                 before=before,
                 moves=moves,
                 normalized=norm,
-                m=int(raw["m"]),
+                m=m,
                 curve=tuple(raw["R"]),
                 image=tuple(raw["phiR"]),
                 traversals=0,

@@ -1,14 +1,20 @@
+import itertools
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from braidplumb.alexpoly import (
+    FeasibilityRow,
     LaurentPolynomial,
     burau_alexander,
     divide_exact,
     hironaka_max_n,
     hironaka_solve,
+    reduced_burau,
     torus_alexander,
 )
-from braidplumb.braidwords import parse_braid
+from braidplumb.braidwords import BraidWord, parse_braid
 from braidplumb.errors import InvalidParameter, NotCoprime, NotDivisible, ZeroPolynomial
 
 L = LaurentPolynomial
@@ -114,7 +120,59 @@ class TestTorusAlexander:
             assert d.reciprocal().normalized() == d
 
 
+# ---------------------------------------------------------------------------
+# Oracle: the dense product of reduced Burau generator matrices
+# ---------------------------------------------------------------------------
+
+
+def burau_generator(i, n):
+    """Reduced Burau image of s_i in B_n: the identity except in row i."""
+    m = [[L.one() if r == c else L() for c in range(n - 1)] for r in range(n - 1)]
+    g = i - 1
+    m[g][g] = -L.t()
+    if g >= 1:
+        m[g][g - 1] = L.t()
+    if g + 1 <= n - 2:
+        m[g][g + 1] = L.one()
+    return m
+
+
+def dense_burau(word):
+    n = word.strands - 1
+    acc = [[L.one() if r == c else L() for c in range(n)] for r in range(n)]
+    for letter in word.letters:
+        gen = burau_generator(letter, word.strands)
+        acc = [
+            [
+                sum((acc[r][k] * gen[k][c] for k in range(n)), L())
+                for c in range(n)
+            ]
+            for r in range(n)
+        ]
+    return acc
+
+
+@st.composite
+def braid_words(draw):
+    """Any positive word on 2 to 9 strands, links and split words included."""
+    s = draw(st.integers(min_value=2, max_value=9))
+    letters = draw(st.lists(st.integers(min_value=1, max_value=s - 1), max_size=40))
+    return BraidWord(s, tuple(letters))
+
+
 class TestBurau:
+    def test_three_column_update_equals_dense_product_exhaustive(self):
+        for s in range(1, 5):
+            for c in range(7 if s > 1 else 1):
+                for letters in itertools.product(range(1, s), repeat=c):
+                    word = BraidWord(s, letters)
+                    assert reduced_burau(word) == dense_burau(word), letters
+
+    @settings(max_examples=150, deadline=None)
+    @given(braid_words())
+    def test_three_column_update_equals_dense_product(self, word):
+        assert reduced_burau(word) == dense_burau(word)
+
     def test_trefoil_one_by_one(self):
         assert burau_alexander(parse_braid("1 1 1")) == L({0: 1, 1: -1, 2: 1})
 
@@ -186,3 +244,23 @@ class TestHironaka:
     def test_zero_rejected(self):
         with pytest.raises(ZeroPolynomial):
             hironaka_max_n(L())
+
+    @settings(max_examples=150, deadline=None)
+    @given(braid_words())
+    def test_table_equals_single_solves(self, word):
+        assume(word.is_connected)
+        delta = burau_alexander(word)
+        n_max, table = hironaka_max_n(delta)
+        expected = []
+        for n in range((L({1: 1, 0: 1}) * delta).normalized().degree + 1):
+            for eps in (1, -1):
+                sol = hironaka_solve(delta, n, eps)
+                if sol is None:
+                    expected.append(FeasibilityRow(n=n, epsilon=eps, feasible=False))
+                else:
+                    assert sol.verify(delta)
+                    expected.append(
+                        FeasibilityRow(n, eps, True, sol.attained_degree, sol.d)
+                    )
+        assert table == expected
+        assert n_max == max(row.n for row in table if row.feasible)

@@ -1,9 +1,16 @@
+import itertools
 import random
+import time
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidplumb.alexpoly import LaurentPolynomial, burau_alexander, torus_alexander
 from braidplumb.braidwords import BraidWord, parse_braid
+from braidplumb.curves import RIGHT_HANDED_SIGN, curve_from_rectangle, signed_intersection
 from braidplumb.fatgraph import build_surface
 from braidplumb.monodromy import (
+    _neighbour_pairs,
     alexander_from_monodromy,
     charpoly,
     homological_monodromy,
@@ -16,6 +23,70 @@ def random_connected(rng, c, s):
     base = list(range(1, s)) + [rng.randint(1, s - 1) for _ in range(c - s + 1)]
     rng.shuffle(base)
     return BraidWord(s, tuple(base))
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the dense routines the sparse homology layer replaced
+# ---------------------------------------------------------------------------
+
+
+def dense_intersection_form(surface):
+    """signed_intersection on every pair of rectangle circles."""
+    curves = [curve_from_rectangle(surface, r) for r in surface.rectangles]
+    n = len(curves)
+    j = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            val = signed_intersection(curves[a], curves[b])
+            j[a][b] = val
+            j[b][a] = -val
+    return j
+
+
+def column_transvection_monodromy(surface, j):
+    """Each basis vector pushed through every transvection in turn."""
+    n = len(j)
+    cols = []
+    for k in range(n):
+        v = [0] * n
+        v[k] = 1
+        for idx in surface.twist_ordering:
+            pairing = sum(v[a] * j[a][idx] for a in range(n) if v[a])
+            if pairing:
+                v[idx] += RIGHT_HANDED_SIGN * pairing
+        cols.append(v)
+    return [[cols[c][r] for c in range(n)] for r in range(n)]
+
+
+def all_connected_words(max_strands, max_length):
+    for s in range(2, max_strands + 1):
+        for c in range(s - 1, max_length + 1):
+            for letters in itertools.product(range(1, s), repeat=c):
+                word = BraidWord(s, letters)
+                if word.is_connected:
+                    yield word
+
+
+@st.composite
+def connected_words(draw, max_strands=9, max_length=40):
+    """Connected words, links included."""
+    s = draw(st.integers(min_value=2, max_value=max_strands))
+    c = draw(st.integers(min_value=s - 1, max_value=max_length))
+    base = list(range(1, s)) + [
+        draw(st.integers(min_value=1, max_value=s - 1)) for _ in range(c - s + 1)
+    ]
+    return BraidWord(s, tuple(draw(st.permutations(base))))
+
+
+def check_against_oracles(word):
+    surface = build_surface(word)
+    j = intersection_form(surface)
+    assert j == dense_intersection_form(surface)
+    nonzero = sum(1 for row in j for v in row if v) // 2
+    pairs = list(_neighbour_pairs(surface))
+    assert nonzero <= len(pairs) <= 3 * surface.b1
+    assert len(set(pairs)) == len(pairs) and all(a < b for a, b in pairs)
+    assert homological_monodromy(surface) == column_transvection_monodromy(surface, j)
 
 
 class TestIntersectionForm:
@@ -50,6 +121,36 @@ class TestIntersectionForm:
                     assert (abs(j[a][b]) == 1) == interleaved
                 else:
                     assert j[a][b] == 0
+
+
+class TestSparseOracles:
+    def test_exhaustive_small_words(self):
+        count = 0
+        for word in all_connected_words(4, 8):
+            check_against_oracles(word)
+            count += 1
+        assert count > 8000
+
+    @settings(max_examples=150, deadline=None)
+    @given(connected_words())
+    def test_random_words(self, word):
+        check_against_oracles(word)
+
+    def test_large_torus_routes_agree_quickly(self):
+        word = torus_braid(8, 17)
+        start = time.perf_counter()
+        h = homological_monodromy(build_surface(word))
+        monodromy_s = time.perf_counter() - start
+        start = time.perf_counter()
+        burau = burau_alexander(word)
+        burau_s = time.perf_counter() - start
+        assert len(h) == 112
+        assert charpoly(h).unit_equal(burau)
+        assert burau.unit_equal(torus_alexander(8, 17))
+        # On a 2-core x86-64 VM the dense routes took 0.13 s (J and H) and
+        # 0.025 s (Burau), the sparse ones 0.015 s and 0.003 s.  The bound
+        # only guards the order.
+        assert monodromy_s < 1.0 and burau_s < 1.0
 
 
 class TestHomologicalMonodromy:

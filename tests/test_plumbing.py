@@ -15,7 +15,7 @@ from braidplumb.errors import (
     NotAKnot,
     TrivialKnot,
 )
-from braidplumb.fatgraph import build_surface
+from braidplumb.fatgraph import RectangleCurve, build_surface
 from braidplumb.plumbing import (
     ChainCertificate,
     detect_chain,
@@ -119,6 +119,18 @@ class TestDetectChain:
         with pytest.raises(InternalConsistencyError):
             validate_chain_certificate(bad)
 
+    def test_seed_that_is_no_rectangle_rejected(self):
+        # Column 1 of T(3, 5) holds positions 0, 2, 4, ...; (0, 4) spans two
+        # rectangles.  Its circle is still embedded, but it is no seed.
+        s = build_surface(torus_braid(3, 5))
+        seed = RectangleCurve(column=1, top=0, bottom=4)
+        cert = detect_chain(s, s.top_left_rectangle(), 6)
+        bad = dataclasses.replace(
+            cert, seed=seed, curve_words=((1, -5),) + cert.curve_words[1:]
+        )
+        with pytest.raises(InternalConsistencyError, match="seed is not a rectangle"):
+            validate_chain_certificate(bad)
+
     def test_chain_invariants_hold(self):
         s = build_surface(torus_braid(3, 8))
         cert = detect_chain(s, s.top_left_rectangle(), 9)
@@ -183,6 +195,36 @@ class TestTrefoilDecompose:
         assert validate_trefoil_decomposition(back)
         assert back.word.letters == dec.word.letters
         assert [s.to_json() for s in back.steps] == [s.to_json() for s in dec.steps]
+
+    @pytest.mark.parametrize(
+        "tamper", ["drop_move", "change_m", "change_after", "change_phiR"]
+    )
+    def test_tampered_round_trip_rejected(self, tamper):
+        # The loader builds the normalized word from the stored m and
+        # after-word, so the validator's one replay checks the moves
+        # against the certificate, not against a second replay.
+        honest = trefoil_decompose(torus_braid(3, 4)).to_json()
+        data = json.loads(json.dumps(honest))
+        step = data["steps"][0]
+        if tamper == "drop_move":
+            del step["moves"][0]
+        elif tamper == "change_m":
+            step["m"] = 3 - step["m"]
+        elif tamper == "change_after":
+            step["after"] = step["after"][::-1]
+        else:
+            step["phiR"][0] = -step["phiR"][0]
+        assert step != honest["steps"][0]
+        back = trefoil_decomposition_from_json(data)
+        with pytest.raises(InternalConsistencyError):
+            validate_trefoil_decomposition(back)
+
+    def test_loaded_normalized_word_is_square_plus_after(self):
+        dec = trefoil_decompose(parse_braid("1 1 1 2 1 3 2 3 3"))
+        back = trefoil_decomposition_from_json(json.loads(json.dumps(dec.to_json())))
+        for got, made in zip(back.steps, dec.steps):
+            assert got.normalized == made.normalized
+            assert got.after == made.after
 
     @settings(max_examples=120, deadline=None)
     @given(knot_words())
