@@ -21,10 +21,7 @@ from .braidwords import (
     CommutationSwap,
     CyclicConjugate,
     Destabilize,
-    apply_move,
     braid_invariants,
-    closure_components,
-    normalize_to_square,
     parse_braid,
     square_normalization,
 )
@@ -35,10 +32,8 @@ from .curves import (
     curve_from_rectangle,
     dehn_twist,
     geometric_intersection,
-    reduce_curve,
     self_intersection,
     signed_intersection,
-    traverses_band,
 )
 from .errors import (
     BraidPlumbError,

@@ -122,7 +122,7 @@ class LaurentPolynomial:
 
     def __pow__(self, n: int) -> "LaurentPolynomial":
         if n < 0:
-            raise ValueError("negative powers are not Laurent-polynomial valued here")
+            raise InvalidParameter("negative powers are not Laurent-polynomial valued here")
         acc = LaurentPolynomial.one()
         base = self
         while n:
@@ -441,7 +441,7 @@ def hironaka_solve(
     representative at once.  Every returned solution re-substitutes exactly.
     """
     if epsilon not in (1, -1):
-        raise ValueError("epsilon must be +1 or -1")
+        raise InvalidParameter("epsilon must be +1 or -1")
     return _solve_q(*_q_coefficients(delta), n, epsilon)
 
 

@@ -114,15 +114,28 @@ class BraidWord:
 
 
 def min_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
-    c = len(letters)
-    if c == 0:
-        return ()
-    best = letters
-    for r in range(1, c):
-        cand = letters[r:] + letters[:r]
-        if cand < best:
-            best = cand
-    return best
+    """Lexicographically least cyclic rotation, by Booth's O(L) algorithm.
+
+    Booth (1980): a failure function over the doubled sequence, as in
+    Knuth-Morris-Pratt, tracks the start k of the least rotation seen so far.
+    """
+    doubled = letters + letters
+    fail = [-1] * len(doubled)
+    k = 0
+    for j in range(1, len(doubled)):
+        x = doubled[j]
+        i = fail[j - k - 1]
+        while i != -1 and x != doubled[k + i + 1]:
+            if x < doubled[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if x != doubled[k + i + 1]:  # here i == -1
+            if x < doubled[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return letters[k:] + letters[:k]
 
 
 def parse_braid(text: str, strands: Optional[int] = None) -> BraidWord:
@@ -146,12 +159,6 @@ def parse_braid(text: str, strands: Optional[int] = None) -> BraidWord:
         if val >= strands:
             raise InvalidGenerator(f"letter {val} needs more than {strands} strands")
     return BraidWord(strands, tuple(letters))
-
-
-def closure_components(word: BraidWord) -> tuple[int, list[tuple[int, ...]]]:
-    """Component count of the closure, with the strand cycle partition."""
-    cycles = word.cycles()
-    return len(cycles), cycles
 
 
 @dataclasses.dataclass(frozen=True)
@@ -295,11 +302,6 @@ def replay_moves(word: BraidWord, moves: list[RewriteMove]) -> BraidWord:
     return BraidWord(strands, tuple(letters))
 
 
-def apply_move(word: BraidWord, move: RewriteMove) -> BraidWord:
-    """Apply one legal rewriting move; the closure link type is preserved."""
-    return replay_moves(word, [move])
-
-
 # ---------------------------------------------------------------------------
 # Square-prefix normalization
 # ---------------------------------------------------------------------------
@@ -318,32 +320,6 @@ def square_prefix_generator(letters: tuple[int, ...]) -> Optional[int]:
         while i < c and letters[i] == g:
             i += 1
     return m
-
-
-def is_trivial_closure(word: BraidWord) -> bool:
-    """True when the closure is a trivial link (split union of unknots).
-
-    Split the word into blocks of consecutively-present generators; each
-    block closes to an unknot exactly when every generator in it occurs
-    once, i.e. the block fully destabilizes.
-    """
-    counts = [0] * (word.strands + 1)
-    for x in word.letters:
-        counts[x] += 1
-    g = 1
-    while g < word.strands:
-        if counts[g] == 0:
-            g += 1
-            continue
-        block_total = 0
-        block_gens = 0
-        while g < word.strands and counts[g] > 0:
-            block_total += counts[g]
-            block_gens += 1
-            g += 1
-        if block_total != block_gens:
-            return False
-    return True
 
 
 @dataclasses.dataclass(frozen=True)
@@ -372,6 +348,13 @@ def _destabilize_all(word: BraidWord, moves: list[RewriteMove]) -> BraidWord:
     return BraidWord(strands, tuple(letters))
 
 
+def is_trivial_closure(word: BraidWord) -> bool:
+    """True when the closure is a trivial link (split union of unknots):
+    destabilizing every generator that occurs once, repeatedly, leaves no
+    letter."""
+    return not _destabilize_all(word, []).letters
+
+
 def square_normalization(word: BraidWord) -> NormalizationResult:
     """Rewrite to a word starting with s_m^2 s_{m-1}^+ ... s_1^+.
 
@@ -392,9 +375,6 @@ def square_normalization(word: BraidWord) -> NormalizationResult:
     engine bug.  No move creates a generator, so a word without s_1 after
     destabilization (a split closure) has no square-prefix form.
     """
-    if is_trivial_closure(word):
-        raise TrivialLink("the closure destabilizes to a trivial link")
-
     moves: list[RewriteMove] = []
 
     def play(move):
@@ -408,6 +388,8 @@ def square_normalization(word: BraidWord) -> NormalizationResult:
             play(CommutationSwap(p if step > 0 else p - 1))
 
     word = _destabilize_all(word, moves)
+    if not word.letters:
+        raise TrivialLink("the closure destabilizes to a trivial link")
     for _ in range(sum(word.strands - 1 - x for x in word.letters) + 1):
         m = square_prefix_generator(word.letters)
         if m is not None:
@@ -446,8 +428,3 @@ def square_normalization(word: BraidWord) -> NormalizationResult:
         return NormalizationResult(word, k, tuple(moves))
     raise InternalConsistencyError("square-prefix construction passed its restart bound")
 
-
-def normalize_to_square(word: BraidWord) -> tuple[BraidWord, int]:
-    """The square-prefix normal form and its squared generator."""
-    res = square_normalization(word)
-    return res.word, res.m

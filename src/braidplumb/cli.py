@@ -23,7 +23,7 @@ from math import gcd
 from . import curves as cv
 from .alexpoly import burau_alexander, hironaka_max_n, torus_alexander
 from .braidwords import braid_invariants, parse_braid
-from .errors import DomainError, InternalConsistencyError, InvalidParameter, NotCoprime
+from .errors import DomainError, InternalConsistencyError, InvalidParameter
 from .fatgraph import build_surface
 from .monodromy import alexander_from_monodromy
 from .plumbing import (
@@ -188,8 +188,6 @@ def _cmd_bound(args):
         raise DomainError("give exactly one input source: a word or --torus P Q")
     if args.torus:
         p, q = args.torus
-        if gcd(p, q) != 1:
-            raise NotCoprime(f"gcd({p}, {q}) != 1")
         delta = torus_alexander(p, q)
         source = {"torus": [p, q]}
     else:

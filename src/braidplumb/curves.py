@@ -20,7 +20,13 @@ import dataclasses
 import functools
 from collections import defaultdict
 
-from .errors import EmptyCurve, InternalConsistencyError, NonEmbeddedCore
+from .braidwords import min_rotation
+from .errors import (
+    EmptyCurve,
+    InternalConsistencyError,
+    InvalidParameter,
+    NonEmbeddedCore,
+)
 from .fatgraph import FatGraphSurface, RectangleCurve
 
 # Global handedness: with the vertex rings stored in ascending word-position
@@ -80,17 +86,13 @@ class NormalCurve:
 
     def canonical(self) -> tuple[int, ...]:
         """Least rotation of the word; equality of classes keeps orientation."""
-        w = self.word
-        return min(w[r:] + w[:r] for r in range(len(w)))
+        return min_rotation(self.word)
 
     def reversed_word(self) -> tuple[int, ...]:
         return tuple(-t for t in reversed(self.word))
 
     def unoriented_canonical(self) -> tuple[int, ...]:
-        rev = self.reversed_word()
-        return min(
-            self.canonical(), min(rev[r:] + rev[:r] for r in range(len(rev)))
-        )
+        return min(self.canonical(), min_rotation(self.reversed_word()))
 
     def is_isotopic(self, other: "NormalCurve", oriented: bool = False) -> bool:
         if self.surface is not other.surface:
@@ -143,20 +145,11 @@ class NormalCurve:
             self._homology = self.surface.homology_from_edge_counts(counts)
         return self._homology
 
-    @property
-    def is_embedded(self) -> bool:
-        return self_intersection(self) == 0
-
     def to_json(self):
         return list(self.word)
 
     def __repr__(self):
         return f"NormalCurve({list(self.word)})"
-
-
-def reduce_curve(surface: FatGraphSurface, word) -> NormalCurve:
-    """Reduce an arbitrary closed edge word to its canonical curve."""
-    return NormalCurve(surface, word, reduce=True)
 
 
 def curve_from_rectangle(surface: FatGraphSurface, rect: RectangleCurve) -> NormalCurve:
@@ -350,14 +343,6 @@ def signed_intersection(x: NormalCurve, y: NormalCurve) -> int:
     return px * py * total
 
 
-def traverses_band(x: NormalCurve, position: int) -> int:
-    """How often the reduced word runs through the band at a word position.
-
-    Zero certifies disjointness from every transversal arc of that band.
-    """
-    return x.traverses(position)
-
-
 # ---------------------------------------------------------------------------
 # Dehn twists
 # ---------------------------------------------------------------------------
@@ -441,21 +426,9 @@ def _twist_factors(surface: FatGraphSurface):
 def apply_monodromy(surface: FatGraphSurface, x: NormalCurve, power: int = 1) -> NormalCurve:
     """Apply the full ordered product of right-handed rectangle twists."""
     if power < 0:
-        raise ValueError("power must be non-negative; invert via left twists instead")
+        raise InvalidParameter("power must be non-negative; invert via left twists instead")
     factors = _twist_factors(surface)
     for _ in range(power):
         for f in factors:
-            x = dehn_twist(f, x)
-    return x
-
-
-def apply_inverse_monodromy(
-    surface: FatGraphSurface, x: NormalCurve, power: int = 1
-) -> NormalCurve:
-    """Apply the inverse monodromy (left twists in the reverse order)."""
-    factors = _twist_factors(surface)
-    inverse = [TwistFactor(f.core, right=False) for f in reversed(factors)]
-    for _ in range(power):
-        for f in inverse:
             x = dehn_twist(f, x)
     return x

@@ -19,7 +19,7 @@ from .braidwords import (
     BraidWord,
     Destabilize,
     RewriteMove,
-    _destabilize_all,
+    is_trivial_closure,
     move_from_json,
     replay_moves,
     square_normalization,
@@ -114,21 +114,18 @@ def detect_chain(
         chain.append(candidate)
         homologies.append(list(candidate.homology))
         last = candidate
+    # _chain_ok admitted each curve only if it meets the previous one once,
+    # misses the others and raises the rank by one: the table is the chain
+    # pattern and the rank is n.  validate_chain_certificate recomputes both.
     n = len(chain)
-    table = tuple(
-        tuple(
-            0 if a == b else cv.geometric_intersection(chain[a], chain[b])
-            for b in range(n)
-        )
-        for a in range(n)
-    )
+    pattern = tuple(tuple(int(abs(a - b) == 1) for b in range(n)) for a in range(n))
     return ChainCertificate(
         word=surface.word,
         seed=seed,
         n=n,
         curve_words=tuple(c.word for c in chain),
-        intersections=table,
-        rank=rank(homologies),
+        intersections=pattern,
+        rank=n,
     )
 
 
@@ -219,7 +216,6 @@ class TrefoilStep:
     m: int
     curve: tuple[int, ...]
     image: tuple[int, ...]
-    traversals: int
     after: BraidWord
 
     def to_json(self):
@@ -240,7 +236,6 @@ class TrefoilDecomposition:
     word: BraidWord
     steps: tuple[TrefoilStep, ...]
     final_word: BraidWord
-    ribbon_twist_count: int
 
     @property
     def genus(self) -> int:
@@ -252,31 +247,30 @@ class TrefoilDecomposition:
             "strands": self.word.strands,
             "steps": [s.to_json() for s in self.steps],
             "genus": self.genus,
-            "ribbon_twists": self.ribbon_twist_count,
+            "ribbon_twists": len(self.steps),
             "final_word": list(self.final_word.letters),
         }
 
 
-def trefoil_step(word: BraidWord) -> TrefoilStep:
-    """Normalize to a square prefix, verify the deplumbing disjointness,
-    and remove the square.
+def _build_step(
+    before: BraidWord, moves: tuple[RewriteMove, ...], m: int
+) -> TrefoilStep:
+    """Replay the moves and compute every field of the step they define.
 
-    The disjointness of the monodromy image from the top band is a theorem
-    for positive braid knots; its failure is fatal, not recoverable.
+    The one routine behind trefoil_step and validate_trefoil_step.  The
+    disjointness of the monodromy image from the top band is a theorem for
+    positive braid knots; its failure is fatal, not recoverable.
     """
-    if not word.is_knot:
-        raise NotAKnot(f"closure has {word.components} components")
-    if word.b1 == 0:
-        raise TrivialKnot("genus zero: nothing to deplumb")
-    res = square_normalization(word)
-    norm = res.word
+    norm = replay_moves(before, list(moves))
+    if norm.letters[:2] != (m, m):
+        raise InternalConsistencyError("normalized word does not start with the square")
     surface = build_surface(norm)
-    rect = surface.rectangles[surface.rect_index[(res.m, 0)]]
+    rect = surface.rectangles[surface.rect_index[(m, 0)]]
     if rect.bottom != 1:
         raise InternalConsistencyError("square prefix must give the top rectangle (0, 1)")
     r_curve = cv.curve_from_rectangle(surface, rect)
     image = cv.apply_monodromy(surface, r_curve, 1)
-    traversals = cv.traverses_band(image, 0)
+    traversals = image.traverses(0)
     if traversals != 0:
         raise DisjointnessFailure(
             f"monodromy image meets the top band {traversals} times on {norm.text()!r}"
@@ -287,23 +281,36 @@ def trefoil_step(word: BraidWord) -> TrefoilStep:
     if after.b1 != norm.b1 - 2:
         raise InternalConsistencyError("square removal must drop b1 by exactly 2")
     return TrefoilStep(
-        before=word,
-        moves=res.moves,
+        before=before,
+        moves=moves,
         normalized=norm,
-        m=res.m,
+        m=m,
         curve=r_curve.word,
         image=image.word,
-        traversals=traversals,
         after=after,
     )
 
 
-def trefoil_decompose(word: BraidWord) -> TrefoilDecomposition:
-    """Iterate trefoil_step until genus zero; step count equals the genus.
+def trefoil_step(word: BraidWord) -> TrefoilStep:
+    """Normalize to a square prefix, verify the deplumbing disjointness,
+    and remove the square.
 
-    Every step is re-validated from its stored fields before the
-    decomposition is returned.
+    The step is built by the validator's own routine from the moves, so a
+    returned step passes validate_trefoil_step by construction.
     """
+    if not word.is_knot:
+        raise NotAKnot(f"closure has {word.components} components")
+    if word.b1 == 0:
+        raise TrivialKnot("genus zero: nothing to deplumb")
+    res = square_normalization(word)
+    step = _build_step(word, res.moves, res.m)
+    if step.normalized != res.word:
+        raise InternalConsistencyError("move replay does not reach the normalized word")
+    return step
+
+
+def trefoil_decompose(word: BraidWord) -> TrefoilDecomposition:
+    """Iterate trefoil_step until genus zero; step count equals the genus."""
     if not word.is_knot:
         raise NotAKnot(f"closure has {word.components} components")
     genus = word.b1 // 2
@@ -311,39 +318,25 @@ def trefoil_decompose(word: BraidWord) -> TrefoilDecomposition:
     w = word
     while w.b1 > 0:
         step = trefoil_step(w)
-        validate_trefoil_step(step)
         steps.append(step)
         w = step.after
     if len(steps) != genus:
         raise InternalConsistencyError("step count disagrees with the genus")
-    if _destabilize_all(w, []).length:
+    if not is_trivial_closure(w):
         raise InternalConsistencyError("final word does not destabilize to the identity")
-    return TrefoilDecomposition(
-        word=word,
-        steps=tuple(steps),
-        final_word=w,
-        ribbon_twist_count=len(steps),
-    )
+    return TrefoilDecomposition(word=word, steps=tuple(steps), final_word=w)
 
 
 def validate_trefoil_step(step: TrefoilStep) -> bool:
     """Replay the moves and recompute every stored field of a step."""
-    norm = replay_moves(step.before, list(step.moves))
-    if norm.letters != step.normalized.letters or norm.strands != step.normalized.strands:
+    fresh = _build_step(step.before, step.moves, step.m)
+    if fresh.normalized != step.normalized:
         raise InternalConsistencyError("move replay does not reach the normalized word")
-    if norm.letters[0] != step.m or norm.letters[1] != step.m:
-        raise InternalConsistencyError("normalized word does not start with the square")
-    surface = build_surface(norm)
-    rect = surface.rectangles[surface.rect_index[(step.m, 0)]]
-    r_curve = cv.curve_from_rectangle(surface, rect)
-    if r_curve.word != step.curve:
+    if fresh.curve != step.curve:
         raise InternalConsistencyError("stored curve is not the top rectangle")
-    image = cv.apply_monodromy(surface, r_curve, 1)
-    if image.word != step.image:
+    if fresh.image != step.image:
         raise InternalConsistencyError("stored image is not the monodromy image")
-    if cv.traverses_band(image, 0) != 0 or step.traversals != 0:
-        raise DisjointnessFailure("stored step fails the disjointness check")
-    if step.after.letters != norm.letters[2:]:
+    if fresh.after != step.after:
         raise InternalConsistencyError("stored after-word is not the square removal")
     return True
 
@@ -357,9 +350,9 @@ def validate_trefoil_decomposition(dec: TrefoilDecomposition) -> bool:
         w = step.after
     if w.letters != dec.final_word.letters:
         raise InternalConsistencyError("final word mismatch")
-    if dec.ribbon_twist_count != len(dec.steps) or len(dec.steps) != dec.word.b1 // 2:
+    if len(dec.steps) != dec.word.b1 // 2:
         raise InternalConsistencyError("ribbon twist count must equal the genus")
-    if _destabilize_all(dec.final_word, []).length:
+    if not is_trivial_closure(dec.final_word):
         raise InternalConsistencyError("final word does not destabilize to the identity")
     return True
 
@@ -387,16 +380,16 @@ def trefoil_decomposition_from_json(data) -> TrefoilDecomposition:
                 m=m,
                 curve=tuple(raw["R"]),
                 image=tuple(raw["phiR"]),
-                traversals=0,
                 after=after,
             )
         )
         w = after
+    if int(data["genus"]) != len(steps) or int(data["ribbon_twists"]) != len(steps):
+        raise InternalConsistencyError("genus and ribbon twists must equal the step count")
     return TrefoilDecomposition(
         word=word,
         steps=tuple(steps),
         final_word=BraidWord(w.strands, tuple(data["final_word"])),
-        ribbon_twist_count=int(data["ribbon_twists"]),
     )
 
 

@@ -107,17 +107,6 @@ def _compositions(total: int, parts: int, minimum: int):
             yield (first,) + rest
 
 
-def _is_knot_word(letters: tuple[int, ...], strands: int) -> bool:
-    perm = list(range(strands))
-    for x in letters:
-        perm[x - 1], perm[x] = perm[x], perm[x - 1]
-    v, cnt = perm[0], 1
-    while v != 0:
-        v = perm[v]
-        cnt += 1
-    return cnt == strands
-
-
 def reduced_knot_corpus(max_crossings: int):
     """Connected reduced positive knot words up to cyclic rotation.
 
@@ -132,9 +121,9 @@ def reduced_knot_corpus(max_crossings: int):
                 continue
             for content in _compositions(c, k, 2):
                 for neck in necklaces_fixed_content(content):
-                    word = tuple(x + 1 for x in neck)
-                    if _is_knot_word(word, s):
-                        yield BraidWord(s, word)
+                    word = BraidWord(s, tuple(x + 1 for x in neck))
+                    if word.is_knot:
+                        yield word
 
 
 def random_connected_word(rng: random.Random, c: int, s: int) -> BraidWord:
@@ -231,25 +220,21 @@ def proposition2(cert_sink: Optional[list] = None) -> tuple[bool, str]:
 def trefoil_exhaustive(max_crossings: int = 12) -> tuple[bool, str]:
     memo: dict = {}
 
-    def decompose_ok(word: BraidWord) -> tuple[int, bool]:
+    def step_count(word: BraidWord) -> int:
+        """Steps to genus zero; trefoil_step raises on a failed disjointness check."""
         if word.b1 == 0:
-            return 0, True
+            return 0
         key = (word.strands, word.canonical())
         hit = memo.get(key)
-        if hit is not None:
-            return hit
-        step = trefoil_step(word)
-        sub, good = decompose_ok(step.after)
-        res = (sub + 1, good and step.traversals == 0)
-        memo[key] = res
-        return res
+        if hit is None:
+            hit = memo[key] = step_count(trefoil_step(word).after) + 1
+        return hit
 
     total = 0
     bad = 0
     for word in reduced_knot_corpus(max_crossings):
         total += 1
-        steps, good = decompose_ok(word)
-        if not good or steps != word.b1 // 2:
+        if step_count(word) != word.b1 // 2:
             bad += 1
     return bad == 0, f"{total} knot classes (c <= {max_crossings}), {bad} failures"
 

@@ -50,6 +50,10 @@ class TestArithmetic:
         assert p.reciprocal() == L({0: 1, -2: -3})
         assert p.shift(4) == L({4: 1, 6: -3})
 
+    def test_negative_power_rejected(self):
+        with pytest.raises(InvalidParameter):
+            L.t() ** -1
+
 
 class TestDivideExact:
     def test_textbook_quotient(self):
@@ -244,6 +248,11 @@ class TestHironaka:
     def test_zero_rejected(self):
         with pytest.raises(ZeroPolynomial):
             hironaka_max_n(L())
+
+    def test_epsilon_outside_plus_minus_one_rejected(self):
+        for eps in (0, 2, -2):
+            with pytest.raises(InvalidParameter):
+                hironaka_solve(torus_alexander(3, 4), 3, eps)
 
     @settings(max_examples=150, deadline=None)
     @given(braid_words())

@@ -11,12 +11,9 @@ from braidplumb.braidwords import (
     CommutationSwap,
     CyclicConjugate,
     Destabilize,
-    apply_move,
     braid_invariants,
-    closure_components,
     is_trivial_closure,
     min_rotation,
-    normalize_to_square,
     parse_braid,
     replay_moves,
     square_normalization,
@@ -86,16 +83,16 @@ class TestParse:
 
 class TestClosure:
     def test_single_crossing(self):
-        assert closure_components(parse_braid("1"))[0] == 1
+        assert parse_braid("1").components == 1
 
     def test_torus_33(self):
         w = parse_braid("1 2 1 2 1 2")
-        assert closure_components(w)[0] == 3
+        assert w.components == len(w.cycles()) == 3
         assert oracle_components(w.letters, 3) == 3
 
     def test_figure_word_two_components(self):
         w = parse_braid("3 1 2 2 3 1 2 1")
-        assert closure_components(w)[0] == 2
+        assert w.components == len(w.cycles()) == 2
         assert oracle_components(w.letters, 4) == 2
 
     def test_matches_oracle_randomly(self):
@@ -128,29 +125,29 @@ class TestInvariants:
 class TestMoves:
     def test_braid_relation(self):
         w = BraidWord(3, (1, 2, 1))
-        assert apply_move(w, BraidRelation(0, 1)).letters == (2, 1, 2)
-        back = apply_move(BraidWord(3, (2, 1, 2)), BraidRelation(0, -1))
+        assert replay_moves(w, [BraidRelation(0, 1)]).letters == (2, 1, 2)
+        back = replay_moves(BraidWord(3, (2, 1, 2)), [BraidRelation(0, -1)])
         assert back.letters == (1, 2, 1)
 
     def test_cyclic(self):
         w = BraidWord(3, (1, 2, 2))
-        assert apply_move(w, CyclicConjugate(1)).letters == (2, 2, 1)
+        assert replay_moves(w, [CyclicConjugate(1)]).letters == (2, 2, 1)
 
     def test_commutation(self):
         w = BraidWord(4, (1, 3))
-        assert apply_move(w, CommutationSwap(0)).letters == (3, 1)
+        assert replay_moves(w, [CommutationSwap(0)]).letters == (3, 1)
         with pytest.raises(IllegalMove):
-            apply_move(BraidWord(3, (1, 2)), CommutationSwap(0))
+            replay_moves(BraidWord(3, (1, 2)), [CommutationSwap(0)])
 
     def test_destabilize_needs_single_occurrence(self):
         with pytest.raises(IllegalMove):
-            apply_move(BraidWord(4, (3, 3, 1)), Destabilize(3))
+            replay_moves(BraidWord(4, (3, 3, 1)), [Destabilize(3)])
 
     def test_destabilize_merges_blocks(self):
         # lone s_2 between interleaved blocks: sorting before renumbering
         # is what keeps the closure intact.
         w = BraidWord(5, (2, 1, 4, 2, 1, 2, 4, 2, 3, 4))
-        out = apply_move(w, Destabilize(3))
+        out = replay_moves(w, [Destabilize(3)])
         assert out.strands == 4
         assert out.components == w.components == 1
 
@@ -164,7 +161,7 @@ class TestMoves:
         ]
         step = w
         for move in moves:
-            step = apply_move(step, move)
+            step = replay_moves(step, [move])
         assert replay_moves(w, moves) == step == BraidWord(3, (2, 1, 2, 1))
         assert w.letters == (1, 2, 1, 3, 1)
 
@@ -195,10 +192,38 @@ class TestMoves:
                 if w.letters.count(g) == 1:
                     candidates.append(Destabilize(g))
             for move in candidates:
-                w2 = apply_move(w, move)
+                w2 = replay_moves(w, [move])
                 assert w2.components == w.components
                 if w.is_connected and w2.is_connected:
                     assert w2.b1 == w.b1
+
+
+def all_rotations_minimum(letters):
+    """Reference least rotation: the minimum over every rotation."""
+    return min((letters[r:] + letters[:r] for r in range(len(letters))), default=())
+
+
+def block_scan_trivial(word):
+    """Reference triviality test: split the word into blocks of consecutive
+    present generators; each block closes to an unknot exactly when every
+    generator in it occurs once."""
+    counts = [0] * (word.strands + 1)
+    for x in word.letters:
+        counts[x] += 1
+    g = 1
+    while g < word.strands:
+        if counts[g] == 0:
+            g += 1
+            continue
+        block_total = 0
+        block_gens = 0
+        while g < word.strands and counts[g] > 0:
+            block_total += counts[g]
+            block_gens += 1
+            g += 1
+        if block_total != block_gens:
+            return False
+    return True
 
 
 @settings(max_examples=200, deadline=None)
@@ -209,6 +234,31 @@ def test_min_rotation_is_rotation_invariant(letters):
     for r in range(len(t)):
         assert min_rotation(t[r:] + t[:r]) == base
     assert sorted(base) == sorted(t)
+
+
+class TestMinRotation:
+    def test_edge_cases(self):
+        assert min_rotation(()) == ()
+        assert min_rotation((5,)) == (5,)
+        assert min_rotation((2, 1, 2, 1)) == (1, 2, 1, 2)
+        assert min_rotation((1, 2, 1, 2)) == (1, 2, 1, 2)
+        assert min_rotation((3, 3, 3)) == (3, 3, 3)
+        assert min_rotation((2, -1, 2, -1, 2, -1)) == (-1, 2, -1, 2, -1, 2)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=-3, max_value=3), max_size=14),
+        st.integers(min_value=1, max_value=4),
+    )
+    def test_equals_all_rotations_oracle(self, letters, power):
+        # Powers of a word make the periodic cases, e.g. (1, 2, 1, 2).
+        t = tuple(letters) * power
+        assert min_rotation(t) == all_rotations_minimum(t)
+
+    def test_exhaustive_small_alphabet(self):
+        for c in range(0, 9):
+            for t in itertools.product((1, 2, 3), repeat=c):
+                assert min_rotation(t) == all_rotations_minimum(t)
 
 
 class TestTrivialClosure:
@@ -225,11 +275,26 @@ class TestTrivialClosure:
         # Hopf link plus a free strand: nontrivial split link.
         assert not is_trivial_closure(BraidWord(3, (2, 2)))
 
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_equals_block_scan_oracle(self, data):
+        s = data.draw(st.integers(min_value=2, max_value=9))
+        letters = data.draw(st.lists(st.integers(min_value=1, max_value=s - 1), max_size=16))
+        w = BraidWord(s, tuple(letters))
+        assert is_trivial_closure(w) == block_scan_trivial(w)
+
+    def test_equals_block_scan_oracle_exhaustive(self):
+        for s in range(1, 6):
+            for c in range(0, 7):
+                for letters in itertools.product(range(1, s), repeat=c):
+                    w = BraidWord(s, letters)
+                    assert is_trivial_closure(w) == block_scan_trivial(w), w
+
 
 class TestNormalization:
     def test_already_square(self):
-        w, m = normalize_to_square(parse_braid("1 1"))
-        assert m == 1 and w.letters == (1, 1)
+        res = square_normalization(parse_braid("1 1"))
+        assert res.m == 1 and res.word.letters == (1, 1) and res.moves == ()
 
     def test_prefix_shape_predicate(self):
         assert square_prefix_generator((2, 2, 1, 1, 2)) == 2
@@ -238,13 +303,13 @@ class TestNormalization:
         assert square_prefix_generator((1, 2, 1)) is None
 
     def test_torus_33(self):
-        w, m = normalize_to_square(parse_braid("1 2 1 2 1 2"))
-        assert square_prefix_generator(w.letters) == m
-        assert w.components == 3 and w.b1 == 4
+        res = square_normalization(parse_braid("1 2 1 2 1 2"))
+        assert square_prefix_generator(res.word.letters) == res.m
+        assert res.word.components == 3 and res.word.b1 == 4
 
     def test_trivial_raises(self):
         with pytest.raises(TrivialLink):
-            normalize_to_square(parse_braid("1 2"))
+            square_normalization(parse_braid("1 2"))
 
     def test_moves_replay(self):
         rng = random.Random(77)

@@ -136,6 +136,13 @@ class TestParameterContracts:
         assert code == 2
         assert json.loads(out)["error"]["code"] == "InvalidParameter"
 
+    def test_bound_torus_errors_come_from_the_formula(self, capsys):
+        # Invalid parameters are reported before the coprimality check.
+        for p, q, code_name in (("0", "5", "InvalidParameter"), ("4", "6", "NotCoprime")):
+            code, out = run(capsys, "bound", "--torus", p, q)
+            assert code == 2
+            assert json.loads(out)["error"]["code"] == code_name
+
     def test_unreadable_batch_file_exit_2(self, capsys, tmp_path):
         binary = tmp_path / "binary.txt"
         binary.write_bytes(b"1 1 1\n\xff\xfe\n")

@@ -13,13 +13,11 @@ from braidplumb.curves import (
     curve_from_rectangle,
     dehn_twist,
     geometric_intersection,
-    reduce_curve,
     reduce_cyclic,
     self_intersection,
     signed_intersection,
-    traverses_band,
 )
-from braidplumb.errors import EmptyCurve, NonEmbeddedCore
+from braidplumb.errors import EmptyCurve, InvalidParameter, NonEmbeddedCore
 from braidplumb.fatgraph import build_surface
 from braidplumb.monodromy import intersection_form
 from braidplumb.plumbing import torus_braid
@@ -39,7 +37,7 @@ def random_curve(s, rng):
 class TestReduce:
     def test_cancellation(self):
         s = surface("1 1 1")
-        x = reduce_curve(s, (1, -1, 2, -3))
+        x = NormalCurve(s, (1, -1, 2, -3))
         assert x.word == (2, -3)
 
     def test_wraparound_cancellation(self):
@@ -47,13 +45,13 @@ class TestReduce:
 
     def test_idempotent(self):
         s = surface("1 1 1")
-        x = reduce_curve(s, (1, -2))
-        assert reduce_curve(s, x.word).word == x.word
+        x = NormalCurve(s, (1, -2))
+        assert NormalCurve(s, x.word).word == x.word
 
     def test_null_homotopic_raises(self):
         s = surface("1 1 1")
         with pytest.raises(EmptyCurve):
-            reduce_curve(s, (1, -1))
+            NormalCurve(s, (1, -1))
 
     def test_homology_preserved_by_reduction(self):
         s = surface("1 1 1")
@@ -264,21 +262,31 @@ class TestMonodromyOrbits:
         rng = random.Random(35)
         for _ in range(20):
             x = random_curve(s, rng)
-            y = cv.apply_inverse_monodromy(s, apply_monodromy(s, x, 1), 1)
+            # The inverse monodromy: left twists in the reverse order.
+            y = apply_monodromy(s, x, 1)
+            for idx in reversed(s.twist_ordering):
+                core = curve_from_rectangle(s, s.rectangles[idx])
+                y = dehn_twist(TwistFactor(core, right=False), y)
             assert y.is_isotopic(x, oriented=True)
+
+    def test_negative_power_rejected(self):
+        s = build_surface(torus_braid(3, 4))
+        r = curve_from_rectangle(s, s.top_left_rectangle())
+        with pytest.raises(InvalidParameter):
+            apply_monodromy(s, r, -1)
 
 
 class TestTraversesBand:
     def test_rectangle_traverses_own_bands_once(self):
         s = surface("1 1 1")
         r = curve_from_rectangle(s, s.rectangles[0])
-        assert traverses_band(r, 0) == 1
-        assert traverses_band(r, 1) == 1
-        assert traverses_band(r, 2) == 0
+        assert r.traverses(0) == 1
+        assert r.traverses(1) == 1
+        assert r.traverses(2) == 0
 
     def test_figure_braid_image_avoids_top_band(self):
         s = build_surface(FIGURE_BRAID)
         assert FIGURE_BRAID.letters[0] == FIGURE_BRAID.letters[1] == 4
         r = curve_from_rectangle(s, s.rectangles[s.rect_index[(4, 0)]])
         image = apply_monodromy(s, r, 1)
-        assert traverses_band(image, 0) == 0
+        assert image.traverses(0) == 0

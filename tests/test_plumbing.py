@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import braidplumb.curves as cv
+import braidplumb.plumbing as plumbing
 from braidplumb.alexpoly import burau_alexander, hironaka_max_n
 from braidplumb.braidwords import BraidWord, parse_braid
 from braidplumb.errors import (
@@ -16,6 +18,7 @@ from braidplumb.errors import (
     TrivialKnot,
 )
 from braidplumb.fatgraph import RectangleCurve, build_surface
+from braidplumb.linalg import rank
 from braidplumb.plumbing import (
     ChainCertificate,
     detect_chain,
@@ -142,13 +145,35 @@ class TestDetectChain:
                     assert cert.intersections[a][b] == expect
         assert cert.rank == cert.n
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_stored_table_equals_recomputed(self, data):
+        # detect_chain writes the chain pattern and rank n without
+        # recomputing them; every intersection and the rank agree with the
+        # curve engine and the exact rank.
+        s = data.draw(st.integers(min_value=2, max_value=6))
+        c = data.draw(st.integers(min_value=s, max_value=14))
+        base = list(range(1, s)) + [
+            data.draw(st.integers(min_value=1, max_value=s - 1)) for _ in range(c - s + 1)
+        ]
+        surface = build_surface(BraidWord(s, tuple(data.draw(st.permutations(base)))))
+        seed = data.draw(st.sampled_from(surface.rectangles))
+        cert = detect_chain(surface, seed, surface.b1 + 1)
+        chain = [cv.NormalCurve(surface, w, reduce=False) for w in cert.curve_words]
+        n = cert.n
+        for a in range(n):
+            for b in range(n):
+                got = 0 if a == b else cv.geometric_intersection(chain[a], chain[b])
+                assert cert.intersections[a][b] == got
+        assert cert.rank == rank([list(x.homology) for x in chain]) == n
+
 
 class TestTrefoilStep:
     def test_trefoil(self):
         step = trefoil_step(parse_braid("1 1 1"))
         assert step.m == 1
         assert step.after.letters == (1,)
-        assert step.traversals == 0
+        assert 1 not in map(abs, step.image)  # the image avoids the top band
         assert validate_trefoil_step(step)
 
     def test_genus_drops(self):
@@ -165,18 +190,53 @@ class TestTrefoilStep:
         with pytest.raises(TrivialKnot):
             trefoil_step(parse_braid("1 2"))
 
+    def test_replay_must_reach_normalized_word(self, monkeypatch):
+        honest = plumbing.square_normalization
+
+        def lying(word):
+            res = honest(word)
+            swapped = res.word.letters[:2] + res.word.letters[2:][::-1]
+            assert swapped != res.word.letters
+            return dataclasses.replace(res, word=BraidWord(res.word.strands, swapped))
+
+        monkeypatch.setattr(plumbing, "square_normalization", lying)
+        with pytest.raises(
+            InternalConsistencyError, match="move replay does not reach the normalized word"
+        ):
+            trefoil_step(torus_braid(3, 4))
+
+    @pytest.mark.parametrize(
+        "field,message",
+        [
+            ("normalized", "move replay does not reach the normalized word"),
+            ("curve", "stored curve is not the top rectangle"),
+            ("image", "stored image is not the monodromy image"),
+            ("after", "stored after-word is not the square removal"),
+        ],
+    )
+    def test_validator_compares_every_field(self, field, message):
+        step = trefoil_step(torus_braid(3, 4))
+        value = getattr(step, field)
+        if isinstance(value, BraidWord):
+            bad = BraidWord(value.strands, value.letters[::-1])
+        else:
+            bad = tuple(-t for t in value)
+        assert bad != value
+        with pytest.raises(InternalConsistencyError, match=message):
+            validate_trefoil_step(dataclasses.replace(step, **{field: bad}))
+
 
 class TestTrefoilDecompose:
     def test_trefoil_single_step(self):
         dec = trefoil_decompose(parse_braid("1 1 1"))
         assert len(dec.steps) == 1
-        assert dec.ribbon_twist_count == 1
+        assert dec.to_json()["ribbon_twists"] == 1
         assert validate_trefoil_decomposition(dec)
 
     def test_torus34_three_steps(self):
         dec = trefoil_decompose(torus_braid(3, 4))
         assert len(dec.steps) == 3
-        assert dec.ribbon_twist_count == 3
+        assert dec.to_json()["ribbon_twists"] == 3
         assert validate_trefoil_decomposition(dec)
 
     def test_two_component_rejected(self):
@@ -186,7 +246,7 @@ class TestTrefoilDecompose:
     def test_unknot_empty_decomposition(self):
         dec = trefoil_decompose(parse_braid("1 2"))
         assert dec.steps == ()
-        assert dec.ribbon_twist_count == 0
+        assert dec.to_json()["ribbon_twists"] == 0
 
     def test_json_round_trip(self):
         dec = trefoil_decompose(torus_braid(3, 4))
@@ -197,12 +257,21 @@ class TestTrefoilDecompose:
         assert [s.to_json() for s in back.steps] == [s.to_json() for s in dec.steps]
 
     @pytest.mark.parametrize(
-        "tamper", ["drop_move", "change_m", "change_after", "change_phiR"]
+        "tamper",
+        [
+            "drop_move",
+            "change_m",
+            "change_after",
+            "change_phiR",
+            "change_genus",
+            "change_ribbon_twists",
+        ],
     )
     def test_tampered_round_trip_rejected(self, tamper):
         # The loader builds the normalized word from the stored m and
         # after-word, so the validator's one replay checks the moves
-        # against the certificate, not against a second replay.
+        # against the certificate, not against a second replay.  The
+        # loader itself checks genus and ribbon_twists against the steps.
         honest = trefoil_decompose(torus_braid(3, 4)).to_json()
         data = json.loads(json.dumps(honest))
         step = data["steps"][0]
@@ -212,12 +281,15 @@ class TestTrefoilDecompose:
             step["m"] = 3 - step["m"]
         elif tamper == "change_after":
             step["after"] = step["after"][::-1]
-        else:
+        elif tamper == "change_phiR":
             step["phiR"][0] = -step["phiR"][0]
-        assert step != honest["steps"][0]
-        back = trefoil_decomposition_from_json(data)
+        elif tamper == "change_genus":
+            data["genus"] = 99
+        else:
+            data["ribbon_twists"] = data["ribbon_twists"] + 1
+        assert data != honest
         with pytest.raises(InternalConsistencyError):
-            validate_trefoil_decomposition(back)
+            validate_trefoil_decomposition(trefoil_decomposition_from_json(data))
 
     def test_loaded_normalized_word_is_square_plus_after(self):
         dec = trefoil_decompose(parse_braid("1 1 1 2 1 3 2 3 3"))
@@ -244,7 +316,7 @@ class TestTrefoilDecompose:
     def test_every_step_disjointness_holds(self):
         dec = trefoil_decompose(torus_braid(4, 5))
         assert len(dec.steps) == 6
-        assert all(s.traversals == 0 for s in dec.steps)
+        assert all(1 not in map(abs, s.image) for s in dec.steps)
 
 
 class TestTorusSummandReport:
