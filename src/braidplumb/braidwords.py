@@ -93,7 +93,13 @@ class BraidWord:
 
     @property
     def is_knot(self) -> bool:
-        return self.components == 1
+        """True when the cycle through strand 0 visits every strand."""
+        perm = self.permutation()
+        v, size = perm[0], 1
+        while v != 0:
+            v = perm[v]
+            size += 1
+        return size == self.strands
 
     def canonical(self) -> tuple[int, ...]:
         """Lexicographically least cyclic rotation of the letter sequence."""
@@ -114,28 +120,13 @@ class BraidWord:
 
 
 def min_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
-    """Lexicographically least cyclic rotation, by Booth's O(L) algorithm.
-
-    Booth (1980): a failure function over the doubled sequence, as in
-    Knuth-Morris-Pratt, tracks the start k of the least rotation seen so far.
-    """
-    doubled = letters + letters
-    fail = [-1] * len(doubled)
-    k = 0
-    for j in range(1, len(doubled)):
-        x = doubled[j]
-        i = fail[j - k - 1]
-        while i != -1 and x != doubled[k + i + 1]:
-            if x < doubled[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if x != doubled[k + i + 1]:  # here i == -1
-            if x < doubled[k]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return letters[k:] + letters[:k]
+    """Lexicographically least cyclic rotation of a letter sequence."""
+    best = letters
+    for r in range(1, len(letters)):
+        cand = letters[r:] + letters[:r]
+        if cand < best:
+            best = cand
+    return best
 
 
 def parse_braid(text: str, strands: Optional[int] = None) -> BraidWord:

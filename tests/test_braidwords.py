@@ -102,6 +102,7 @@ class TestClosure:
             letters = tuple(rng.randint(1, s - 1) for _ in range(rng.randint(0, 12)))
             w = BraidWord(s, letters)
             assert w.components == oracle_components(letters, s)
+            assert w.is_knot == (oracle_components(letters, s) == 1)
 
 
 class TestInvariants:

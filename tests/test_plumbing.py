@@ -287,9 +287,15 @@ class TestTrefoilDecompose:
             data["genus"] = 99
         else:
             data["ribbon_twists"] = data["ribbon_twists"] + 1
-        assert data != honest
+        if tamper in ("change_genus", "change_ribbon_twists"):
+            assert data != honest
+            with pytest.raises(InternalConsistencyError):
+                trefoil_decomposition_from_json(data)
+            return
+        assert step != honest["steps"][0]
+        back = trefoil_decomposition_from_json(data)
         with pytest.raises(InternalConsistencyError):
-            validate_trefoil_decomposition(trefoil_decomposition_from_json(data))
+            validate_trefoil_decomposition(back)
 
     def test_loaded_normalized_word_is_square_plus_after(self):
         dec = trefoil_decompose(parse_braid("1 1 1 2 1 3 2 3 3"))
