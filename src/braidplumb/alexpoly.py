@@ -4,6 +4,18 @@ Everything here is exact: integer coefficients, Fraction-free solving,
 no floating point.  Alexander polynomials are only ever defined up to a
 unit +-t^k, so most comparisons go through ``normalized()``, which picks
 the representative with lowest exponent 0 and positive constant term.
+
+The reduced-Burau route evaluates at one integer instead of computing over
+the Laurent ring (Kronecker substitution).  For a positive word every entry
+of rho(w) is a polynomial in t, and so is det(rho(w) - I).  The three-column
+Burau update runs on Python integers at t = 2^K, linalg.det takes one
+integer determinant, and its balanced base-2^K digits are the coefficients,
+provided each is below 2^(K-1) in absolute value.  The coefficient 1-norm of
+the determinant is at most prod_j sum_i |m_ij|_1, and a second pass of the
+same update on nonnegative integers at t = 1 gives those entry norms, so
+K = bitlength(bound) + 1 makes the decoding exact.  On the alexander
+benchmark words K is about 70 bits at the median and 170 at most, against
+6 and 18 bits for the largest true coefficient.
 """
 
 from __future__ import annotations
@@ -19,6 +31,7 @@ from .errors import (
     NotDivisible,
     ZeroPolynomial,
 )
+from .linalg import det
 
 
 class LaurentPolynomial:
@@ -249,59 +262,77 @@ def torus_alexander(p: int, q: int) -> LaurentPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def _poly_det(matrix) -> LaurentPolynomial:
-    """Fraction-free Bareiss determinant over the Laurent ring."""
-    n = len(matrix)
-    if n == 0:
-        return LaurentPolynomial.one()
-    m = [row[:] for row in matrix]
-    sign = 1
-    prev = LaurentPolynomial.one()
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not m[r][k].is_zero():
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return LaurentPolynomial()
-        for r in range(k + 1, n):
-            for c in range(k + 1, n):
-                num = m[k][k] * m[r][c] - m[r][k] * m[k][c]
-                m[r][c] = divide_exact(num, prev)
-            m[r][k] = LaurentPolynomial()
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
-def reduced_burau(word) -> list[list[LaurentPolynomial]]:
-    """Reduced Burau matrix of a positive braid word (letters applied in order).
+def _burau_product(word, t: int, sign: int = -1) -> list[list[int]]:
+    """Reduced Burau matrix of a positive braid word at the integer t.
 
     The image of s_i acts on the basis f_1..f_{n-1} (differences of the
     unreduced basis) by f_{i-1} -> f_{i-1} + t f_i, f_i -> -t f_i,
     f_{i+1} -> f_i + f_{i+1}.  Its matrix differs from the identity in
     row i only, so right-multiplying by it rewrites columns i-1, i and i+1,
-    each from the old column i.
+    each from the old column i.  Every entry of the product is a polynomial
+    in t, so one integer t = 2^K carries all of its coefficients.
+
+    With t = 1 and sign = +1 the same update runs on nonnegative integers
+    and bounds each entry's coefficient 1-norm: |t x| = |x|, and the norm
+    of a sum is at most the sum of the norms.
     """
     n = word.strands - 1
-    one = LaurentPolynomial.one()
-    zero = LaurentPolynomial()
-    acc = [[one if r == c else zero for c in range(n)] for r in range(n)]
+    acc = [[int(r == c) for c in range(n)] for r in range(n)]
     for letter in word.letters:
         g = letter - 1
         for row in acc:
             x = row[g]
-            if not x.coeffs:
+            if not x:
                 continue
-            tx = x.shift(1)
-            row[g] = -tx
+            tx = x * t
+            row[g] = sign * tx
             if g > 0:
-                row[g - 1] = row[g - 1] + tx
+                row[g - 1] += tx
             if g + 1 < n:
-                row[g + 1] = row[g + 1] + x
+                row[g + 1] += x
     return acc
+
+
+def _det_norm_bound(word) -> int:
+    """Bound on the coefficient 1-norm of det(rho(word) - I).
+
+    |det M|_1 <= prod_j sum_i |m_ij|_1: expanding the product gives every
+    term of the Leibniz sum, and more, with nonnegative weights.
+    """
+    norms = _burau_product(word, 1, 1)
+    bound = 1
+    for col in zip(*norms):
+        bound *= sum(col) + 1  # the -I adds 1 to the diagonal entry
+    return bound
+
+
+def _balanced_digits(value: int, k: int) -> list[int]:
+    """The digits c_i, |c_i| < 2^(k-1), of value = sum_i c_i 2^(k i), lowest first."""
+    mask = (1 << k) - 1
+    half = 1 << (k - 1)
+    digits = []
+    while value:
+        c = value & mask
+        if c >= half:
+            c -= 1 << k
+        digits.append(c)
+        value = (value - c) >> k
+    return digits
+
+
+def _burau_det(word) -> LaurentPolynomial:
+    """det(rho(word) - I) by Kronecker substitution t = 2^K.
+
+    Every coefficient of the determinant is below the 1-norm bound B in
+    absolute value, so with K = bitlength(B) + 1 each is below 2^(K-1) and
+    the balanced base-2^K digits of the integer determinant are exactly the
+    coefficients.
+    """
+    k = _det_norm_bound(word).bit_length() + 1
+    m = _burau_product(word, 1 << k)
+    for i, row in enumerate(m):
+        row[i] -= 1
+    return LaurentPolynomial.from_dense(_balanced_digits(det(m), k))
 
 
 def burau_alexander(word) -> LaurentPolynomial:
@@ -316,16 +347,10 @@ def burau_alexander(word) -> LaurentPolynomial:
     s = word.strands
     if s == 1:
         return LaurentPolynomial.one()
-    m = reduced_burau(word)
-    one = LaurentPolynomial.one()
-    for i in range(s - 1):
-        m[i][i] = m[i][i] - one
-    det = _poly_det(m)
-    if det.is_zero():
-        # Unknots on >=2 strands: det vanishes only when Delta is a unit.
-        return LaurentPolynomial.one()
+    # The closure of a positive braid is fibred, so Delta is monic and the
+    # determinant never vanishes; an unknot's is a unit times the divisor.
     denom = LaurentPolynomial({e: 1 for e in range(s)})
-    return divide_exact(det, denom).normalized()
+    return divide_exact(_burau_det(word), denom).normalized()
 
 
 # ---------------------------------------------------------------------------

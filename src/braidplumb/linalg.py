@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: characteristic polynomial and rank.
+"""Exact integer linear algebra: characteristic polynomial, rank, determinant.
 
 charpoly reduces the matrix to upper Hessenberg form by similarity and runs
 the Hessenberg recurrence (Cohen, A Course in Computational Algebraic
@@ -9,15 +9,21 @@ bounds each of them; with p > 2B the symmetric residues are the integer
 coefficients themselves.  The result is exact and deterministic, and the
 arithmetic stays O(n^3) on numbers of one fixed size.
 
-rank is fraction-free Gaussian elimination (Bareiss): every division is
-exact, so the entries stay integers bounded by minors of the input.
+rank and det share one fraction-free Gaussian elimination (Bareiss): every
+division is exact, so the entries stay integers bounded by minors of the
+input, and the last pivot of a square matrix of full rank is its
+determinant up to the sign of the row swaps.  det is the kernel of the
+Burau route in alexpoly, which evaluates a polynomial matrix at t = 2^K.
+
+This module depends on no other part of the package at import time;
+charpoly imports LaurentPolynomial when it is called, because alexpoly
+imports det from here.
 """
 
 from __future__ import annotations
 
 from math import isqrt
 
-from .alexpoly import LaurentPolynomial
 from .errors import DomainError
 
 # Exponents e of the Mersenne primes 2^e - 1 from 2^61 - 1 to 2^4423 - 1.
@@ -45,8 +51,10 @@ def mersenne_modulus(bound: int) -> int:
     )
 
 
-def charpoly(matrix: list[list[int]]) -> LaurentPolynomial:
-    """det(tI - M) of a square integer matrix, exact."""
+def charpoly(matrix: list[list[int]]):
+    """det(tI - M) of a square integer matrix, exact, as a LaurentPolynomial."""
+    from .alexpoly import LaurentPolynomial
+
     p = mersenne_modulus(hadamard_bound(matrix))
     h = [[x % p for x in row] for row in matrix]
     _hessenberg(h, p)
@@ -106,18 +114,23 @@ def _hessenberg_charpoly(h: list[list[int]], p: int) -> list[int]:
     return polys[-1]
 
 
-def rank(rows) -> int:
-    """Rank over Q of integer row vectors, by fraction-free elimination."""
-    m = [list(r) for r in rows]
+def _bareiss(m: list[list[int]]) -> tuple[int, int, int]:
+    """Fraction-free elimination of the rows m, in place.
+
+    Returns the rank, the sign of the row permutation and the last pivot.
+    The pivot of step k is a minor of order k + 1, so every division is
+    exact; for a square matrix of full rank, sign * last pivot is det.
+    """
+    r, sign, prev = 0, 1, 1
     if not m:
-        return 0
-    r = 0
-    prev = 1
+        return r, sign, prev
     for c in range(len(m[0])):
         piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
         pivot_row = m[r]
         d = pivot_row[c]
         for i in range(r + 1, len(m)):
@@ -127,4 +140,16 @@ def rank(rows) -> int:
         r += 1
         if r == len(m):
             break
-    return r
+    return r, sign, prev
+
+
+def rank(rows) -> int:
+    """Rank over Q of integer row vectors, by fraction-free elimination."""
+    return _bareiss([list(r) for r in rows])[0]
+
+
+def det(matrix: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, by fraction-free elimination."""
+    n = len(matrix)
+    r, sign, last = _bareiss([list(row) for row in matrix])
+    return sign * last if r == n else 0

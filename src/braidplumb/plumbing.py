@@ -435,7 +435,7 @@ def torus_summand_report(
     the answer is exact; otherwise the detector value is a lower bound.
     """
     word = torus_braid(p, q)
-    if hironaka_bound is None and q >= 1 and p >= 2:
+    if hironaka_bound is None and q >= 1:
         if gcd(p, q) == 1:
             delta = torus_alexander(p, q)
         else:

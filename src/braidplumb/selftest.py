@@ -8,6 +8,7 @@ final obstruction-consistency check.  All expectations are exact.
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 import time
 from math import gcd
@@ -22,6 +23,7 @@ from .alexpoly import (
     torus_alexander,
 )
 from .braidwords import BraidWord
+from .errors import InternalConsistencyError
 from .fatgraph import build_surface
 from .monodromy import alexander_from_monodromy, intersection_form
 from .plumbing import (
@@ -30,6 +32,7 @@ from .plumbing import (
     torus_braid,
     torus_summand_report,
     trefoil_step,
+    validate_chain_certificate,
 )
 
 
@@ -348,6 +351,7 @@ def curve_property_suite() -> tuple[bool, str]:
 @_timed(120.0)
 def obstruction_consistency(certs: list[ChainCertificate]) -> tuple[bool, str]:
     ok = True
+    rejected = 0
     cache: dict = {}
     for cert in certs:
         key = (cert.word.strands, cert.word.letters)
@@ -358,7 +362,16 @@ def obstruction_consistency(certs: list[ChainCertificate]) -> tuple[bool, str]:
             cache[key] = n_max
         if n_max < cert.n + 1:
             ok = False
-    return ok, f"{len(certs)} certificates against their Alexander bounds"
+        back = ChainCertificate.from_json(json.loads(json.dumps(cert.to_json())))
+        try:
+            valid = back == cert and validate_chain_certificate(back)
+        except InternalConsistencyError:
+            valid = False
+        rejected += not valid
+    return ok and not rejected, (
+        f"{len(certs)} certificates against their Alexander bounds; "
+        f"{rejected} rejected after a JSON round trip"
+    )
 
 
 def run_all(quick: bool = False) -> list[CriterionResult]:

@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 from braidplumb.alexpoly import (
     FeasibilityRow,
     LaurentPolynomial,
+    _balanced_digits,
+    _burau_det,
+    _burau_product,
+    _det_norm_bound,
     burau_alexander,
     divide_exact,
     hironaka_max_n,
     hironaka_solve,
-    reduced_burau,
     torus_alexander,
 )
 from braidplumb.braidwords import BraidWord, parse_braid
@@ -125,7 +128,8 @@ class TestTorusAlexander:
 
 
 # ---------------------------------------------------------------------------
-# Oracle: the dense product of reduced Burau generator matrices
+# Oracles: the dense product of reduced Burau generator matrices, and the
+# Laurent-ring route the integer route replaced
 # ---------------------------------------------------------------------------
 
 
@@ -156,6 +160,76 @@ def dense_burau(word):
     return acc
 
 
+def reduced_burau(word):
+    """The Laurent product by the three-column update, letters in order."""
+    n = word.strands - 1
+    acc = [[L.one() if r == c else L() for c in range(n)] for r in range(n)]
+    for letter in word.letters:
+        g = letter - 1
+        for row in acc:
+            x = row[g]
+            if not x.coeffs:
+                continue
+            tx = x.shift(1)
+            row[g] = -tx
+            if g > 0:
+                row[g - 1] = row[g - 1] + tx
+            if g + 1 < n:
+                row[g + 1] = row[g + 1] + x
+    return acc
+
+
+def _poly_det(matrix):
+    """Fraction-free Bareiss determinant over the Laurent ring."""
+    n = len(matrix)
+    if n == 0:
+        return L.one()
+    m = [row[:] for row in matrix]
+    sign = 1
+    prev = L.one()
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            for r in range(k + 1, n):
+                if not m[r][k].is_zero():
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return L()
+        for r in range(k + 1, n):
+            for c in range(k + 1, n):
+                num = m[k][k] * m[r][c] - m[r][k] * m[k][c]
+                m[r][c] = divide_exact(num, prev)
+            m[r][k] = L()
+        prev = m[k][k]
+    det = m[n - 1][n - 1]
+    return det if sign == 1 else -det
+
+
+def oracle_det(word):
+    """det(rho(word) - I) by the Laurent-ring Bareiss."""
+    m = reduced_burau(word)
+    for i in range(word.strands - 1):
+        m[i][i] = m[i][i] - L.one()
+    return _poly_det(m)
+
+
+def oracle_alexander(word):
+    if word.strands == 1:
+        return L.one()
+    denom = L({e: 1 for e in range(word.strands)})
+    return divide_exact(oracle_det(word), denom).normalized()
+
+
+def evaluate(p, t):
+    """p(t) for a polynomial p with no negative exponents."""
+    return sum(c * t**e for e, c in p.coeffs.items())
+
+
+def norm1(p):
+    return sum(abs(c) for c in p.coeffs.values())
+
+
 @st.composite
 def braid_words(draw):
     """Any positive word on 2 to 9 strands, links and split words included."""
@@ -164,28 +238,92 @@ def braid_words(draw):
     return BraidWord(s, tuple(letters))
 
 
+@st.composite
+def connected_words(draw):
+    """Connected positive words with s <= 12 and c <= 120."""
+    s = draw(st.integers(min_value=2, max_value=12))
+    extra = draw(st.lists(st.integers(min_value=1, max_value=s - 1), max_size=121 - s))
+    letters = draw(st.permutations(list(range(1, s)) + extra))
+    return BraidWord(s, tuple(letters))
+
+
+def _words(max_strands, max_length):
+    for s in range(1, max_strands + 1):
+        for c in range(max_length + 1 if s > 1 else 1):
+            for letters in itertools.product(range(1, s), repeat=c):
+                yield BraidWord(s, letters)
+
+
+def _route_k(word):
+    return _det_norm_bound(word).bit_length() + 1
+
+
 class TestBurau:
+    def _check_integer_image(self, word):
+        k = _route_k(word)
+        dense = dense_burau(word)
+        image = _burau_product(word, 1 << k)
+        assert image == [[evaluate(p, 1 << k) for p in row] for row in dense]
+        norms = _burau_product(word, 1, 1)
+        for norm_row, row in zip(norms, dense):
+            assert all(n >= norm1(p) for n, p in zip(norm_row, row))
+
     def test_three_column_update_equals_dense_product_exhaustive(self):
-        for s in range(1, 5):
-            for c in range(7 if s > 1 else 1):
-                for letters in itertools.product(range(1, s), repeat=c):
-                    word = BraidWord(s, letters)
-                    assert reduced_burau(word) == dense_burau(word), letters
+        for word in _words(4, 6):
+            self._check_integer_image(word)
 
     @settings(max_examples=150, deadline=None)
     @given(braid_words())
     def test_three_column_update_equals_dense_product(self, word):
-        assert reduced_burau(word) == dense_burau(word)
+        self._check_integer_image(word)
+
+    def _check_against_oracle(self, word):
+        expected = oracle_det(word)
+        assert _burau_det(word) == expected
+        assert not expected.is_zero()
+        assert _det_norm_bound(word) >= norm1(expected)
+        assert burau_alexander(word) == oracle_alexander(word)
+
+    def test_route_equals_laurent_oracle_exhaustive(self):
+        for word in _words(4, 8):
+            if word.is_connected and word.strands > 1:
+                self._check_against_oracle(word)
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_words())
+    def test_route_equals_laurent_oracle(self, word):
+        self._check_against_oracle(word)
+
+    def test_balanced_digits_at_the_extremes(self):
+        for k in (2, 3, 8, 61, 171):
+            top = (1 << (k - 1)) - 1
+            for digits in (
+                [top],
+                [-top],
+                [top, -top, top],
+                [-top, 0, 0, top],
+                [0, -top, top, -top, -top],
+                [1, -1, top],
+            ):
+                value = sum(c << (k * i) for i, c in enumerate(digits))
+                assert _balanced_digits(value, k) == digits
+        assert _balanced_digits(0, 5) == []
+
+    def test_unknot_words(self):
+        assert burau_alexander(parse_braid("1")) == L.one()
+        assert burau_alexander(parse_braid("1 2")) == L.one()
+        assert burau_alexander(BraidWord(1, ())) == L.one()
+        # The determinant of an unknot word is the unit multiple
+        # +-t^k (1 + ... + t^{s-1}) of the divisor, never zero.
+        for word in (parse_braid("1"), parse_braid("1 2"), parse_braid("3 2 1")):
+            denom = L({e: 1 for e in range(word.strands)})
+            assert _burau_det(word).unit_equal(denom)
 
     def test_trefoil_one_by_one(self):
         assert burau_alexander(parse_braid("1 1 1")) == L({0: 1, 1: -1, 2: 1})
 
     def test_hopf_link(self):
         assert burau_alexander(parse_braid("1 1")).unit_equal(L({1: 1, 0: -1}))
-
-    def test_unknot_words(self):
-        assert burau_alexander(parse_braid("1")) == L.one()
-        assert burau_alexander(parse_braid("1 2")) == L.one()
 
     def test_torus_words_match_formula(self):
         from math import gcd

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from braidplumb.cli import main
 from braidplumb.fatgraph import build_surface
@@ -223,3 +227,26 @@ class TestSvg:
         image_support = data["orbit"][1]["support"]
         assert 0 not in image_support  # avoids the top band entirely
         assert len(path.read_text().split("<rect x=")) > 2
+
+
+class TestModuleEntryPoint:
+    def _run_module(self, *argv):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        return subprocess.run(
+            [sys.executable, "-m", "braidplumb", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=root,
+        )
+
+    def test_analyze_exits_0(self):
+        proc = self._run_module("analyze", "1 1 1")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["word"]
+
+    def test_domain_error_exits_2_with_json(self):
+        proc = self._run_module("analyze", "0 1")
+        assert proc.returncode == 2, proc.stderr
+        assert "error" in json.loads(proc.stdout)

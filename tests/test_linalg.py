@@ -1,5 +1,6 @@
 """The exact linear-algebra kernel against Fraction and Faddeev-LeVerrier oracles."""
 
+import itertools
 import time
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from braidplumb.fatgraph import build_surface
 from braidplumb.linalg import (
     MERSENNE_EXPONENTS,
     charpoly,
+    det,
     hadamard_bound,
     mersenne_modulus,
     rank,
@@ -105,6 +107,19 @@ def inverse_arc_rank_ok(surface, seed, n):
     return fraction_rank(rows) == n
 
 
+def leibniz_det(matrix):
+    """Sum over permutations of sign * product, sign from the inversion count."""
+    n = len(matrix)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for r, c in enumerate(perm):
+            term *= matrix[r][c]
+        total += term
+    return total
+
+
 def lucas_lehmer(e):
     m = (1 << e) - 1
     s = 4
@@ -166,6 +181,27 @@ def dependent_rows(draw):
         rows.append([sum(c * x for c, x in zip(coeffs, col)) for col in zip(*rows)])
     order = draw(st.permutations(range(len(rows))))
     return [rows[i] for i in order]
+
+
+@st.composite
+def det_matrices(draw):
+    """Square matrices, n 0-7, some singular, some with zero leading pivots.
+
+    A singular one has a row that is an integer combination of the others;
+    zeroing the top of the first columns forces row swaps in elimination.
+    """
+    n = draw(st.integers(min_value=0, max_value=7))
+    m = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        target = draw(st.integers(min_value=0, max_value=n - 1))
+        coeffs = [draw(st.integers(min_value=-3, max_value=3)) for _ in range(n)]
+        coeffs[target] = 0
+        m[target] = [sum(c * row[j] for c, row in zip(coeffs, m)) for j in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        for j in range(draw(st.integers(min_value=1, max_value=n - 1))):
+            for i in range(draw(st.integers(min_value=j + 1, max_value=n))):
+                m[i][j] = 0
+    return m
 
 
 @st.composite
@@ -262,6 +298,31 @@ class TestRank:
         assert rank([[0, 0, 0]]) == 0
         assert rank([[2, 4], [3, 6]]) == 1
         assert rank([[0, 1], [1, 0], [1, 1]]) == 2
+
+
+# ---------------------------------------------------------------------------
+# det
+# ---------------------------------------------------------------------------
+
+
+class TestDet:
+    @settings(max_examples=300, deadline=None)
+    @given(det_matrices())
+    def test_matches_leibniz_oracle(self, m):
+        before = [row[:] for row in m]
+        assert det(m) == leibniz_det(m)
+        assert m == before
+
+    def test_edge_cases(self):
+        assert det([]) == 1
+        assert det([[-7]]) == -7
+        assert det([[0]]) == 0
+        assert det([[0, 1], [1, 0]]) == -1
+        assert det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+        assert det([[2, 4], [3, 6]]) == 0
+        # The second pivot vanishes after the first step and forces a swap.
+        assert det([[1, 2, 3], [2, 4, 5], [3, 7, 9]]) == 1
+        assert det([[0, 0], [0, 5]]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -343,6 +343,13 @@ class TestTorusSummandReport:
         assert rep.certificate is not None
         assert validate_chain_certificate(rep.certificate)
 
+    @pytest.mark.parametrize("p, q", [(1, 1), (1, 2), (1, 5), (2, 1), (5, 1)])
+    def test_unknot_parameters_get_the_bound(self, p, q):
+        # Every T(1, q) and T(p, 1) is an unknot: Delta = 1, bound 0.
+        rep = torus_summand_report(p, q)
+        assert rep.hironaka_max_plumbing == 0
+        assert (rep.detector_n, rep.verdict) == (0, "degenerate")
+
     def test_torus_link_bound_via_burau(self):
         rep = torus_summand_report(2, 4)  # T(2,4) is a link
         assert rep.detector_n == 3

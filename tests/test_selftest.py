@@ -1,8 +1,11 @@
+import dataclasses
 import itertools
 
 from braidplumb.braidwords import BraidWord, min_rotation
+from braidplumb.plumbing import torus_summand_report
 from braidplumb.selftest import (
     necklaces_fixed_content,
+    obstruction_consistency,
     reduced_knot_corpus,
     run_all,
 )
@@ -69,3 +72,19 @@ def test_run_all_quick_passes():
     assert len(results) == 8
     for res in results:
         assert res.passed, res.line()
+
+
+class TestObstructionConsistency:
+    def test_validates_every_pooled_certificate(self):
+        cert = torus_summand_report(3, 5).certificate
+        assert obstruction_consistency([cert]).passed
+        # The bound still holds, but the stored table no longer matches
+        # the curves, so only the validator can reject it.
+        table = [list(row) for row in cert.intersections]
+        table[0][1] = 0
+        tampered = dataclasses.replace(
+            cert, intersections=tuple(tuple(row) for row in table)
+        )
+        result = obstruction_consistency([cert, tampered])
+        assert not result.passed
+        assert "1 rejected" in result.detail
