@@ -1,9 +1,11 @@
 """Exact integer Laurent polynomials and Alexander polynomial machinery.
 
-Everything here is exact: integer coefficients, Fraction-free solving,
-no floating point.  Alexander polynomials are only ever defined up to a
-unit +-t^k, so most comparisons go through ``normalized()``, which picks
-the representative with lowest exponent 0 and positive constant term.
+Everything here is exact: integer coefficients, no floating point.  The
+obstruction solver builds one integral candidate per (n, eps) and decides
+feasibility by re-substituting it, with no rational arithmetic.  Alexander
+polynomials are only ever defined up to a unit +-t^k, so most comparisons
+go through ``normalized()``, which picks the representative with lowest
+exponent 0 and positive constant term.
 
 The reduced-Burau route evaluates at one integer instead of computing over
 the Laurent ring (Kronecker substitution).  For a positive word every entry
@@ -374,85 +376,49 @@ class HironakaSolution:
         return q == rhs
 
 
-def _solve_qcoeffs(q: list[int], n: int, epsilon: int) -> Optional[LaurentPolynomial]:
-    """Solve q_j = p_{j-n}[n<=j<=n+d] + eps p_{d-j}[0<=j<=d], d = deg q - n.
-
-    Returns an integral P of degree <= d, or None.  The system decouples into
-    directly determined coefficients plus singular 2x2 pairs in the overlap,
-    so feasibility reduces to coefficient conditions.
-    """
-    big_n = len(q) - 1
-    d = big_n - n
-    if d < 0:
-        return None
-    p = [0] * (d + 1)
-    if n > d:
-        # Disjoint supports: both windows determine P outright.
-        for k in range(d + 1):
-            p[k] = q[n + k]
-        for j in range(d + 1):
-            if epsilon * p[d - j] != q[j]:
-                return None
-        for j in range(d + 1, n):
-            if q[j] != 0:
-                return None
-        return LaurentPolynomial({k: p[k] for k in range(d + 1)})
-    # Overlapping windows: pairs (k, m-k) with m = d - n are coupled by a
-    # singular block, solvable iff q is eps-symmetric across the overlap.
-    m = d - n
-    for k in range(m + 1, d + 1):
-        p[k] = q[n + k]
-        if epsilon * q[d - k] != p[k]:
-            return None
-    for k in range(0, m + 1):
-        kk = m - k
-        if q[n + k] != epsilon * q[n + kk]:
-            return None
-    done = [False] * (m + 1)
-    for k in range(0, m + 1):
-        if done[k]:
-            continue
-        kk = m - k
-        if k == kk:
-            val = q[n + k]
-            if epsilon == 1:
-                if val % 2:
-                    return None
-                p[k] = val // 2
-            else:
-                if val != 0:
-                    return None
-                p[k] = 0
-        else:
-            p[k] = q[n + k]
-            p[kk] = 0
-        done[k] = done[kk] = True
-    return LaurentPolynomial({k: p[k] for k in range(d + 1)})
-
-
-def _q_coefficients(delta: LaurentPolynomial) -> tuple[LaurentPolynomial, list[int]]:
-    """Q = (t+1)*Delta normalized, and its coefficients, constant term first."""
+def _q_coefficients(delta: LaurentPolynomial) -> list[int]:
+    """Coefficients of Q = (t+1)*Delta normalized, constant term first."""
     if delta.is_zero():
         raise ZeroPolynomial("the zero polynomial is not an Alexander polynomial")
     q_poly = (LaurentPolynomial({1: 1, 0: 1}) * delta.normalized()).normalized()
-    return q_poly, [q_poly[e] for e in range(q_poly.degree + 1)]
+    return [q_poly[e] for e in range(q_poly.degree + 1)]
 
 
-def _solve_q(
-    q_poly: LaurentPolynomial, q: list[int], n: int, epsilon: int
-) -> Optional[HironakaSolution]:
-    """hironaka_solve on a prepared Q; every candidate is re-substituted."""
-    if n >= len(q) or n < 0:
-        return None
-    p = _solve_qcoeffs(q, n, epsilon)
-    if p is None:
-        return None
+def _solve_q(q: list[int], n: int, epsilon: int) -> Optional[HironakaSolution]:
+    """hironaka_solve on prepared coefficients: one candidate, re-substituted.
+
+    The equation reads q_j = p_{j-n} + eps p_{d-j} with d = deg Q - n, each
+    term present when its index lies in 0..d.  Writing j = n + k and
+    m = d - n, coefficient n + k of Q involves p_k and p_{m-k}.  For k > m
+    only p_k occurs, so it is forced to q_{n+k}.  For 0 <= k <= m the pair
+    (k, m - k) enters two equations, q_{n+k} = p_k + eps p_{m-k} and
+    q_{n+m-k} = p_{m-k} + eps p_k; every solution has the same value of
+    p_k + eps p_{m-k}, so the lower index can carry it whole (p_k = q_{n+k},
+    p_{m-k} = 0).  At 2k = m the equation is (1 + eps) p_k = q_{n+k}: its
+    only possible root is q_{n+k} // 2 for eps = +1, and for eps = -1 any
+    p_k will do, so 0 is taken.  Every other equation involves only forced
+    coefficients.  So a solution exists iff this candidate solves the
+    system, and re-substituting it is the complete feasibility test.
+    """
     d = len(q) - 1 - n
-    rhs = p.shift(n) + epsilon * p.reciprocal().shift(d)
-    if rhs != q_poly:
+    if d < 0 or n < 0:
         return None
-    attained = p.degree if not p.is_zero() else 0
-    return HironakaSolution(n=n, epsilon=epsilon, d=d, P=p, attained_degree=attained)
+    m = d - n
+    p = [0] * (d + 1)
+    for k in range(d + 1):
+        if k > m or 2 * k < m:
+            p[k] = q[n + k]
+        elif 2 * k == m and epsilon == 1:
+            p[k] = q[n + k] // 2
+    for j, qj in enumerate(q):
+        rhs = p[j - n] if j >= n else 0
+        if j <= d:
+            rhs += epsilon * p[d - j]
+        if rhs != qj:
+            return None
+    poly = LaurentPolynomial.from_dense(p)
+    attained = poly.degree if not poly.is_zero() else 0
+    return HironakaSolution(n=n, epsilon=epsilon, d=d, P=poly, attained_degree=attained)
 
 
 def hironaka_solve(
@@ -467,7 +433,7 @@ def hironaka_solve(
     """
     if epsilon not in (1, -1):
         raise InvalidParameter("epsilon must be +1 or -1")
-    return _solve_q(*_q_coefficients(delta), n, epsilon)
+    return _solve_q(_q_coefficients(delta), n, epsilon)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -487,12 +453,12 @@ def hironaka_max_n(
     The published plumbing bound is n_max - 1: an n-chain summand forces
     feasibility at n + 1.
     """
-    q_poly, q = _q_coefficients(delta)
+    q = _q_coefficients(delta)
     table = []
     n_max = -1
     for n in range(len(q)):
         for eps in (1, -1):
-            sol = _solve_q(q_poly, q, n, eps)
+            sol = _solve_q(q, n, eps)
             if sol is None:
                 table.append(FeasibilityRow(n=n, epsilon=eps, feasible=False))
             else:

@@ -33,7 +33,30 @@ from .plumbing import (
     trefoil_decompose,
 )
 from .selftest import run_all
-from .svg import emit_svg
+from .svg import render_svg
+
+
+def _emit(text):
+    """Print; once the reader has closed stdout, send the rest to the null
+    device, so the command ends without a traceback and keeps its exit code."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+def _write_file(path, text, what):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write the {what} file: {exc}") from exc
+
+
+def _svg(surface, curves, path):
+    _write_file(path, render_svg(surface, curves), "--svg")
 
 
 def _detect_torus_parameters(word):
@@ -130,15 +153,18 @@ def _run_batch(args, kind, options):
             lines = [line.strip() for line in fh if line.strip()]
     except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read the --batch file: {exc}") from exc
-    os.makedirs(args.out_dir, exist_ok=True)
     tasks = [(i, line, kind, options) for i, line in enumerate(lines)]
     with multiprocessing.Pool() as pool:
-        for index, payload in pool.imap_unordered(_batch_worker, tasks):
-            target = os.path.join(args.out_dir, f"{index:05d}.json")
-            fd, tmp = tempfile.mkstemp(dir=args.out_dir, suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as out:
-                out.write(json.dumps(payload, indent=2) + "\n")
-            os.replace(tmp, target)
+        try:
+            os.makedirs(args.out_dir, exist_ok=True)
+            for index, payload in pool.imap_unordered(_batch_worker, tasks):
+                target = os.path.join(args.out_dir, f"{index:05d}.json")
+                fd, tmp = tempfile.mkstemp(dir=args.out_dir, suffix=".tmp")
+                with os.fdopen(fd, "w", encoding="utf-8") as out:
+                    out.write(json.dumps(payload, indent=2) + "\n")
+                os.replace(tmp, target)
+        except OSError as exc:
+            raise DomainError(f"cannot write into the --out-dir directory: {exc}") from exc
     return {"inputs": len(lines), "out_dir": args.out_dir}
 
 
@@ -153,7 +179,7 @@ def _cmd_analyze(args):
         return _run_batch(args, "analyze", {"strands": args.strands})
     payload = _analyze_payload(args.word, args.strands)
     if args.svg:
-        emit_svg(build_surface(parse_braid(args.word, args.strands)), [], args.svg)
+        _svg(build_surface(parse_braid(args.word, args.strands)), [], args.svg)
     return payload
 
 
@@ -179,7 +205,7 @@ def _cmd_chain(args):
         curves = [
             cv.NormalCurve(surface, tuple(w), reduce=False) for w in payload["curves"]
         ]
-        emit_svg(surface, curves, args.svg)
+        _svg(surface, curves, args.svg)
     return payload
 
 
@@ -221,7 +247,7 @@ def _cmd_torus(args):
         curves = [
             cv.NormalCurve(surface, w, reduce=False) for w in rep.certificate.curve_words
         ]
-        emit_svg(surface, curves, args.svg)
+        _svg(surface, curves, args.svg)
     return rep.to_json()
 
 
@@ -241,7 +267,7 @@ def _cmd_orbit(args):
     for _ in range(args.power):
         orbit.append(cv.apply_monodromy(surface, orbit[-1], 1))
     if args.svg:
-        emit_svg(surface, orbit, args.svg)
+        _svg(surface, orbit, args.svg)
     return {
         "word": list(word.letters),
         "strands": word.strands,
@@ -261,7 +287,7 @@ def _cmd_orbit(args):
 def _cmd_selftest(args):
     results = run_all(quick=args.quick)
     for res in results:
-        print(res.line())
+        _emit(res.line())
     if all(r.passed for r in results):
         return None
     raise InternalConsistencyError("acceptance criteria failed")
@@ -330,23 +356,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         payload = args.fn(args)
-    except DomainError as exc:
-        print(json.dumps({"error": {"code": type(exc).__name__, "message": str(exc)}}))
-        return 2
-    except InternalConsistencyError as exc:
-        print(json.dumps({"error": {"code": type(exc).__name__, "message": str(exc)}}))
-        return 3
-    if payload is not None:
+        if payload is None:
+            return 0
         text = json.dumps(payload, indent=2)
-        print(text)
+        # Written before anything is printed: a failed write prints only
+        # the error object.
         if getattr(args, "json_path", None):
-            with open(args.json_path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-    return 0
+            _write_file(args.json_path, text + "\n", "--json")
+        code = 0
+    except (DomainError, InternalConsistencyError) as exc:
+        text = json.dumps({"error": {"code": type(exc).__name__, "message": str(exc)}})
+        code = 3 if isinstance(exc, InternalConsistencyError) else 2
+    _emit(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from .braidwords import (
     Destabilize,
     RewriteMove,
     is_trivial_closure,
+    min_rotation,
     move_from_json,
     replay_moves,
     square_normalization,
@@ -116,7 +117,8 @@ def detect_chain(
         last = candidate
     # _chain_ok admitted each curve only if it meets the previous one once,
     # misses the others and raises the rank by one: the table is the chain
-    # pattern and the rank is n.  validate_chain_certificate recomputes both.
+    # pattern and the rank is n.  validate_chain_certificate regrows the
+    # chain through this function and compares.
     n = len(chain)
     pattern = tuple(tuple(int(abs(a - b) == 1) for b in range(n)) for a in range(n))
     return ChainCertificate(
@@ -130,13 +132,17 @@ def detect_chain(
 
 
 def validate_chain_certificate(cert: ChainCertificate) -> bool:
-    """Recompute every invariant of a (possibly deserialized) certificate.
+    """Regrow the chain of a (possibly deserialized) certificate and compare.
 
-    Checks the iterate property C_k = phi^k(C_0), embeddedness, the chain
-    intersection pattern, the stored table, rank over Q, and the cut
-    independence of the transversal-arc functionals u H^{-k} (u pairs
-    cycles with the seed's top band); the latter certifies that cutting
-    the surface along the chain's arcs leaves it connected.
+    After checking that the stored words are paths and the seed is a
+    rectangle, detect_chain regrows the chain from the seed, so the iterate
+    property C_k = phi^k(C_0), embeddedness, the intersection pattern and
+    the rank over Q are decided by the test that certifies them.  Every
+    stored curve must be isotopic to the regrown one, and the stored table
+    and rank must equal the regrown ones.  Only the validator tests the cut
+    independence of the transversal-arc functionals u H^{-k} (u pairs cycles
+    with the seed's top band), which certifies that cutting the surface
+    along the chain's arcs leaves it connected.
     """
     surface = build_surface(cert.word)
     chain = [cv.NormalCurve(surface, w, reduce=False) for w in cert.curve_words]
@@ -145,29 +151,19 @@ def validate_chain_certificate(cert: ChainCertificate) -> bool:
         raise InternalConsistencyError("certificate length disagrees with n")
     if cert.seed not in surface.rectangles:
         raise InternalConsistencyError("seed is not a rectangle of the surface")
-    seed_curve = cv.curve_from_rectangle(surface, cert.seed)
-    if not chain[0].is_isotopic(seed_curve, oriented=True):
-        raise InternalConsistencyError("chain does not start at the seed rectangle")
-    for k in range(1, n):
-        expected = cv.apply_monodromy(surface, chain[k - 1], 1)
-        if expected.word != chain[k].word and not expected.is_isotopic(
-            chain[k], oriented=True
-        ):
-            raise InternalConsistencyError(f"C_{k} is not the monodromy image of C_{k-1}")
-    for a in range(n):
-        if cv.self_intersection(chain[a]) != 0:
-            raise InternalConsistencyError(f"C_{a} is not embedded")
-        for b in range(n):
-            expect = 0
-            if abs(a - b) == 1:
-                expect = 1
-            got = 0 if a == b else cv.geometric_intersection(chain[a], chain[b])
-            if got != expect or cert.intersections[a][b] != got:
-                raise InternalConsistencyError(
-                    f"intersection table mismatch at ({a}, {b}): {got}"
-                )
-    homologies = [list(c.homology) for c in chain]
-    if rank(homologies) != n or cert.rank != n:
+    fresh = detect_chain(surface, cert.seed, n)
+    if fresh.n < n:
+        raise InternalConsistencyError(f"the chain from the seed stops at n = {fresh.n}")
+    for k, word in enumerate(fresh.curve_words):
+        if chain[k].canonical() != min_rotation(word):
+            raise InternalConsistencyError(
+                f"C_{k} is not the monodromy image of C_{k-1}"
+                if k
+                else "chain does not start at the seed rectangle"
+            )
+    if cert.intersections != fresh.intersections:
+        raise InternalConsistencyError("intersection table is not the chain pattern")
+    if cert.rank != fresh.rank:
         raise InternalConsistencyError("chain classes are not independent over Q")
     if not _arc_functionals_independent(surface, cert.seed, n):
         raise InternalConsistencyError("cut surface would disconnect: arc rank too low")

@@ -208,15 +208,10 @@ def general_lower_bound(cert_sink: Optional[list] = None) -> tuple[bool, str]:
 
 @_timed(60.0)
 def proposition2(cert_sink: Optional[list] = None) -> tuple[bool, str]:
-    surface = build_surface(torus_braid(5, 7))
-    best = None
-    for seed in surface.column_rectangles(1):
-        cert = detect_chain(surface, seed, 14)
-        if best is None or cert.n > best.n:
-            best = cert
+    rep = torus_summand_report(5, 7)
     if cert_sink is not None:
-        cert_sink.append(best)
-    return best.n >= 14, f"T(5,7) chain n={best.n} (need >= 14)"
+        cert_sink.append(rep.certificate)
+    return rep.detector_n >= 14, f"T(5,7) chain n={rep.detector_n} (need >= 14)"
 
 
 @_timed(600.0)

@@ -67,8 +67,3 @@ def render_svg(surface: FatGraphSurface, highlight: Iterable[NormalCurve] = ()) 
                 )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def emit_svg(surface: FatGraphSurface, highlight: Iterable[NormalCurve], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_svg(surface, highlight))

@@ -11,6 +11,8 @@ from braidplumb.alexpoly import (
     _burau_det,
     _burau_product,
     _det_norm_bound,
+    _q_coefficients,
+    _solve_q,
     burau_alexander,
     divide_exact,
     hironaka_max_n,
@@ -221,6 +223,71 @@ def oracle_alexander(word):
     return divide_exact(oracle_det(word), denom).normalized()
 
 
+# ---------------------------------------------------------------------------
+# Oracle: the case-by-case obstruction solver that the single re-substituted
+# candidate replaced
+# ---------------------------------------------------------------------------
+
+
+def case_solve_qcoeffs(q, n, epsilon):
+    big_n = len(q) - 1
+    d = big_n - n
+    if d < 0:
+        return None
+    p = [0] * (d + 1)
+    if n > d:
+        for k in range(d + 1):
+            p[k] = q[n + k]
+        for j in range(d + 1):
+            if epsilon * p[d - j] != q[j]:
+                return None
+        for j in range(d + 1, n):
+            if q[j] != 0:
+                return None
+        return L({k: p[k] for k in range(d + 1)})
+    m = d - n
+    for k in range(m + 1, d + 1):
+        p[k] = q[n + k]
+        if epsilon * q[d - k] != p[k]:
+            return None
+    for k in range(0, m + 1):
+        if q[n + k] != epsilon * q[n + m - k]:
+            return None
+    done = [False] * (m + 1)
+    for k in range(0, m + 1):
+        if done[k]:
+            continue
+        kk = m - k
+        if k == kk:
+            val = q[n + k]
+            if epsilon == 1:
+                if val % 2:
+                    return None
+                p[k] = val // 2
+            else:
+                if val != 0:
+                    return None
+                p[k] = 0
+        else:
+            p[k] = q[n + k]
+            p[kk] = 0
+        done[k] = done[kk] = True
+    return L({k: p[k] for k in range(d + 1)})
+
+
+def case_solve_q(q, n, epsilon):
+    """(P, d, attained degree) of the case-by-case solver, or None."""
+    if n >= len(q) or n < 0:
+        return None
+    p = case_solve_qcoeffs(q, n, epsilon)
+    if p is None:
+        return None
+    d = len(q) - 1 - n
+    if p.shift(n) + epsilon * p.reciprocal().shift(d) != L.from_dense(q):
+        return None
+    return p, d, p.degree if not p.is_zero() else 0
+
+
 def evaluate(p, t):
     """p(t) for a polynomial p with no negative exponents."""
     return sum(c * t**e for e, c in p.coeffs.items())
@@ -411,3 +478,41 @@ class TestHironaka:
                     )
         assert table == expected
         assert n_max == max(row.n for row in table if row.feasible)
+
+    def _check_against_case_solver(self, delta):
+        q = _q_coefficients(delta)
+        for n in range(-1, len(q) + 1):
+            for eps in (1, -1):
+                sol = _solve_q(q, n, eps)
+                expected = case_solve_q(q, n, eps)
+                if expected is None:
+                    assert sol is None
+                else:
+                    assert (sol.P, sol.d, sol.attained_degree) == expected
+                    assert sol.verify(delta)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=14))
+    def test_candidate_equals_case_solver_on_any_polynomial(self, coeffs):
+        assume(any(coeffs))
+        self._check_against_case_solver(L.from_dense(coeffs))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=10),
+        st.booleans(),
+    )
+    def test_candidate_equals_case_solver_on_palindromes(self, half, odd):
+        assume(any(half))
+        mirror = half[::-1][1:] if odd else half[::-1]
+        self._check_against_case_solver(L.from_dense(half + mirror))
+
+    @settings(max_examples=100, deadline=None)
+    @given(braid_words())
+    def test_candidate_equals_case_solver_on_burau(self, word):
+        assume(word.is_connected)
+        self._check_against_case_solver(burau_alexander(word))
+
+    def test_candidate_equals_case_solver_on_torus_knots(self):
+        for p, q in ((2, 9), (3, 7), (3, 8), (4, 5), (5, 7), (5, 9)):
+            self._check_against_case_solver(torus_alexander(p, q))

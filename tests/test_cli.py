@@ -250,3 +250,59 @@ class TestModuleEntryPoint:
         proc = self._run_module("analyze", "0 1")
         assert proc.returncode == 2, proc.stderr
         assert "error" in json.loads(proc.stdout)
+
+
+class TestOutputFailures:
+    def _single_error(self, out):
+        data = json.loads(out)  # one object, no payload before it
+        assert set(data) == {"error"}
+        return data["error"]
+
+    def test_unwritable_json_path_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code, out = run(capsys, "analyze", "1 1 1", "--json", str(path))
+        assert code == 2
+        assert self._single_error(out)["code"] == "DomainError"
+        assert not path.exists()
+
+    def test_svg_path_is_a_directory_exit_2(self, capsys, tmp_path):
+        for argv in (
+            ("analyze", "1 1 1"),
+            ("chain", "1 1 1 1"),
+            ("orbit", "1 1 1"),
+            ("torus", "3", "4"),
+        ):
+            code, out = run(capsys, *argv, "--svg", str(tmp_path))
+            assert code == 2
+            assert self._single_error(out)["code"] == "DomainError"
+
+    def test_out_dir_is_a_file_exit_2(self, capsys, tmp_path):
+        batch = tmp_path / "words.txt"
+        batch.write_text("1 1 1\n")
+        code, out = run(capsys, "chain", "--batch", str(batch), "--out-dir", str(batch))
+        assert code == 2
+        assert self._single_error(out)["code"] == "DomainError"
+
+    def _run_into_closed_pipe(self, *argv):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write the child makes meets a closed pipe
+        try:
+            return subprocess.run(
+                [sys.executable, "-m", "braidplumb", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+                cwd=root,
+            )
+        finally:
+            os.close(write_end)
+
+    def test_closed_stdout_keeps_the_exit_code(self):
+        word = " ".join(map(str, torus_braid(6, 13).letters))
+        for argv, expect in ((("decompose", word), 0), (("analyze", "0 1"), 2)):
+            proc = self._run_into_closed_pipe(*argv)
+            assert proc.returncode == expect
+            assert proc.stderr == ""

@@ -134,6 +134,20 @@ class TestDetectChain:
         with pytest.raises(InternalConsistencyError, match="seed is not a rectangle"):
             validate_chain_certificate(bad)
 
+    def test_curve_beyond_the_regrown_chain_rejected(self):
+        # The appended image breaks the chain; the table and rank are left
+        # as the detector wrote them for the shorter chain, so only the
+        # length of the regrown chain tells the two apart.
+        s = build_surface(torus_braid(3, 5))
+        cert = detect_chain(s, s.top_left_rectangle(), 9)
+        last = cv.NormalCurve(s, cert.curve_words[-1])
+        image = cv.apply_monodromy(s, last, 1)
+        bad = dataclasses.replace(
+            cert, n=cert.n + 1, curve_words=cert.curve_words + (image.word,)
+        )
+        with pytest.raises(InternalConsistencyError, match="chain from the seed stops"):
+            validate_chain_certificate(bad)
+
     def test_chain_invariants_hold(self):
         s = build_surface(torus_braid(3, 8))
         cert = detect_chain(s, s.top_left_rectangle(), 9)
@@ -166,6 +180,113 @@ class TestDetectChain:
                 got = 0 if a == b else cv.geometric_intersection(chain[a], chain[b])
                 assert cert.intersections[a][b] == got
         assert cert.rank == rank([list(x.homology) for x in chain]) == n
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the chain validator with its own loops, before it regrew the chain
+# through detect_chain
+# ---------------------------------------------------------------------------
+
+
+def loop_validate_chain_certificate(cert):
+    surface = build_surface(cert.word)
+    chain = [cv.NormalCurve(surface, w, reduce=False) for w in cert.curve_words]
+    n = cert.n
+    if len(chain) != n or n < 1:
+        raise InternalConsistencyError("certificate length disagrees with n")
+    if cert.seed not in surface.rectangles:
+        raise InternalConsistencyError("seed is not a rectangle of the surface")
+    seed_curve = cv.curve_from_rectangle(surface, cert.seed)
+    if not chain[0].is_isotopic(seed_curve, oriented=True):
+        raise InternalConsistencyError("chain does not start at the seed rectangle")
+    for k in range(1, n):
+        expected = cv.apply_monodromy(surface, chain[k - 1], 1)
+        if expected.word != chain[k].word and not expected.is_isotopic(
+            chain[k], oriented=True
+        ):
+            raise InternalConsistencyError(f"C_{k} is not the monodromy image of C_{k-1}")
+    for a in range(n):
+        if cv.self_intersection(chain[a]) != 0:
+            raise InternalConsistencyError(f"C_{a} is not embedded")
+        for b in range(n):
+            expect = 1 if abs(a - b) == 1 else 0
+            got = 0 if a == b else cv.geometric_intersection(chain[a], chain[b])
+            if got != expect or cert.intersections[a][b] != got:
+                raise InternalConsistencyError(
+                    f"intersection table mismatch at ({a}, {b}): {got}"
+                )
+    if rank([list(c.homology) for c in chain]) != n or cert.rank != n:
+        raise InternalConsistencyError("chain classes are not independent over Q")
+    if not plumbing._arc_functionals_independent(surface, cert.seed, n):
+        raise InternalConsistencyError("cut surface would disconnect: arc rank too low")
+    return True
+
+
+def verdict(validate, cert):
+    try:
+        return validate(cert)
+    except InternalConsistencyError:
+        return False
+
+
+def chain_pattern(n):
+    return tuple(tuple(int(abs(a - b) == 1) for b in range(n)) for a in range(n))
+
+
+def tampered_chains(surface, cert, data):
+    """The certificate with one field changed, each as a user could store it."""
+    n = cert.n
+    words = cert.curve_words
+    k = data.draw(st.integers(min_value=0, max_value=n - 1))
+    shift = data.draw(st.integers(min_value=1, max_value=len(words[k])))
+    rotated = words[k][shift:] + words[k][:shift]
+    yield dataclasses.replace(cert, curve_words=words[:k] + (rotated,) + words[k + 1 :])
+    reverse = tuple(-e for e in reversed(words[k]))
+    yield dataclasses.replace(cert, curve_words=words[:k] + (reverse,) + words[k + 1 :])
+    yield dataclasses.replace(cert, curve_words=words[:-1])
+    if n > 1:
+        yield dataclasses.replace(
+            cert,
+            n=n - 1,
+            curve_words=words[:-1],
+            intersections=chain_pattern(n - 1),
+            rank=n - 1,
+        )
+    image = cv.apply_monodromy(surface, cv.NormalCurve(surface, words[-1]), 1)
+    yield dataclasses.replace(
+        cert,
+        n=n + 1,
+        curve_words=words + (image.word,),
+        intersections=chain_pattern(n + 1),
+        rank=n + 1,
+    )
+    a = data.draw(st.integers(min_value=0, max_value=n - 1))
+    b = data.draw(st.integers(min_value=0, max_value=n - 1))
+    table = [list(row) for row in cert.intersections]
+    table[a][b] = 1 - table[a][b]
+    yield dataclasses.replace(cert, intersections=tuple(map(tuple, table)))
+    yield dataclasses.replace(cert, rank=cert.rank + 1)
+    others = [r for r in surface.rectangles if r != cert.seed]
+    if others:
+        yield dataclasses.replace(cert, seed=data.draw(st.sampled_from(others)))
+
+
+class TestValidatorOracle:
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_verdicts_equal_the_loop_validator(self, data):
+        s = data.draw(st.integers(min_value=2, max_value=7))
+        c = data.draw(st.integers(min_value=s, max_value=20))
+        base = list(range(1, s)) + [
+            data.draw(st.integers(min_value=1, max_value=s - 1)) for _ in range(c - s + 1)
+        ]
+        surface = build_surface(BraidWord(s, tuple(data.draw(st.permutations(base)))))
+        for seed in surface.rectangles:
+            cert = detect_chain(surface, seed, surface.b1 + 1)
+            for variant in (cert, *tampered_chains(surface, cert, data)):
+                assert verdict(validate_chain_certificate, variant) == verdict(
+                    loop_validate_chain_certificate, variant
+                )
 
 
 class TestTrefoilStep:
