@@ -12,13 +12,20 @@ by their first divergence, and strand pairs sharing a run of bands are
 anchored at one designated end of the run so each crossing is counted
 exactly once.  A Dehn twist splices an oriented copy of the core into the
 curve at every counted crossing and reduces.
+
+Which words are checked to be closed paths: every word read from outside
+(the public NormalCurve constructor, hence from_json, the CLI and the
+validators' inputs) in full, at every junction.  Words the engine builds
+go through one private constructor, NormalCurve._spliced, which checks
+only the junctions a splice creates: the stretches copied from x and from
+the core were checked when those curves were built, and free cancellation
+never breaks a junction.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-from collections import defaultdict
 
 from .braidwords import min_rotation
 from .errors import (
@@ -69,7 +76,16 @@ def _validate_path(surface: FatGraphSurface, word):
 class NormalCurve:
     """A free homotopy class, stored as its reduced cyclic edge word."""
 
-    __slots__ = ("surface", "word", "_transits", "_self_int", "_homology")
+    __slots__ = (
+        "surface",
+        "word",
+        "_transits",
+        "_by_vertex",
+        "_self_int",
+        "_homology",
+        "_canon",
+        "_ucanon",
+    )
 
     def __init__(self, surface: FatGraphSurface, word, reduce: bool = True):
         word = tuple(word)
@@ -78,21 +94,54 @@ class NormalCurve:
         if not word:
             raise EmptyCurve("the word reduces to nothing: null-homotopic curve")
         _validate_path(surface, word)
+        self._fill(surface, word)
+
+    @classmethod
+    def _spliced(cls, surface: FatGraphSurface, word, junctions=()) -> "NormalCurve":
+        """A curve the engine built from checked curves.
+
+        Only the positions k in junctions are checked, each as the step
+        word[k - 1] -> word[k] (k = 0 closes the cycle); every other step
+        was copied from a curve that is already a closed path.  The word is
+        then reduced, which keeps it a closed path.
+        """
+        ev = surface.end_vertex
+        for k in junctions:
+            a, b = word[k - 1], word[k]
+            if ev[surface.target_end(a)] != ev[surface.source_end(b)]:
+                raise InternalConsistencyError(
+                    f"splice {a} -> {b} does not share a strand disk"
+                )
+        word = reduce_cyclic(word)
+        if not word:
+            raise EmptyCurve("the word reduces to nothing: null-homotopic curve")
+        curve = object.__new__(cls)
+        curve._fill(surface, word)
+        return curve
+
+    def _fill(self, surface: FatGraphSurface, word: tuple[int, ...]) -> None:
         self.surface = surface
         self.word = word
         self._transits = None
+        self._by_vertex = None
         self._self_int = None
         self._homology = None
+        self._canon = None
+        self._ucanon = None
 
     def canonical(self) -> tuple[int, ...]:
         """Least rotation of the word; equality of classes keeps orientation."""
-        return min_rotation(self.word)
+        if self._canon is None:
+            self._canon = min_rotation(self.word)
+        return self._canon
 
     def reversed_word(self) -> tuple[int, ...]:
         return tuple(-t for t in reversed(self.word))
 
     def unoriented_canonical(self) -> tuple[int, ...]:
-        return min(self.canonical(), min_rotation(self.reversed_word()))
+        if self._ucanon is None:
+            self._ucanon = min(self.canonical(), min_rotation(self.reversed_word()))
+        return self._ucanon
 
     def is_isotopic(self, other: "NormalCurve", oriented: bool = False) -> bool:
         if self.surface is not other.surface:
@@ -123,6 +172,15 @@ class NormalCurve:
                 out.append((s.end_vertex[dep], inc, dep))
             self._transits = out
         return self._transits
+
+    def _vertex_index(self) -> dict[int, list[int]]:
+        """Transit positions per strand disk, in ascending order."""
+        if self._by_vertex is None:
+            index: dict[int, list[int]] = {}
+            for i, t in enumerate(self.transits()):
+                index.setdefault(t[0], []).append(i)
+            self._by_vertex = index
+        return self._by_vertex
 
     @property
     def support(self) -> dict[int, int]:
@@ -238,12 +296,9 @@ def _pair_event(surface, wx, Lx, tx, ix, wy, Ly, ty, jy, bound):
         bundle = None
 
     slot = surface.end_slot
-    keys = [
-        [slot[inx], 0],
-        [slot[outx], 0],
-        [slot[iny], 0],
-        [slot[outy], 0],
-    ]
+    # Distinct keys 2 * slot + tie-break around the disk: distinct ends have
+    # distinct slots, and the one shared end of a bundle gets a tie-break.
+    keys = [2 * slot[inx], 2 * slot[outx], 2 * slot[iny], 2 * slot[outy]]
     if bundle is not None:
         t1, t2 = bundle
         g1 = (wx, Lx, ix, t1 == _XF) if t1 < 2 else (wy, Ly, jy, t1 == _YF)
@@ -251,38 +306,56 @@ def _pair_event(surface, wx, Lx, tx, ix, wy, Ly, ty, jy, bound):
         order = _compare_germs(surface, g1, g2, bound)
         if order == 0:
             return None
-        if order < 0:
-            keys[t2][1] = 1
-        else:
-            keys[t1][1] = 1
-    tags = sorted(range(4), key=lambda t: (keys[t][0], keys[t][1]))
-    z = tags.index(_XB)
-    tags = tags[z:] + tags[:z]
-    if tags[1] >= 2 and tags[2] == _XF:
-        return (1 if tags[1] == _YB else -1, tags[1])
-    return None
+        keys[t2 if order < 0 else t1] += 1
+    return _linked(*keys)
+
+
+def _linked(xb, xf, yb, yf):
+    """Linking of two transits from the distinct ring keys of their germs.
+
+    Linked when exactly one of y's germs lies on the arc from x's incoming
+    germ to its outgoing one, counterclockwise; that germ names the sign.
+    Returns (sign, inside_tag) or None.
+    """
+    if xb < xf:
+        yb_inside = xb < yb < xf
+        yf_inside = xb < yf < xf
+    else:
+        yb_inside = yb > xb or yb < xf
+        yf_inside = yf > xb or yf < xf
+    if yb_inside == yf_inside:
+        return None
+    return (1, _YB) if yb_inside else (-1, _YF)
 
 
 def _events(surface, x: NormalCurve, y: NormalCurve):
-    """All forced crossings between x and y as (i, j, sign, inside_tag)."""
+    """All forced crossings between x and y as (i, j, sign, inside_tag),
+    sorted by (i, j).
+
+    Only transits at a common strand disk can cross.  The longer curve's
+    vertex index is looked up at the disks the shorter curve passes, so a
+    rectangle core costs two lookups.
+    """
     if x.surface is not surface or y.surface is not surface:
         raise InternalConsistencyError("curves live on a different surface")
     wx, wy = x.word, y.word
     Lx, Ly = len(wx), len(wy)
     tx, ty = x.transits(), y.transits()
     bound = Lx + Ly + 2
-    by_vertex = defaultdict(list)
-    for j, t in enumerate(ty):
-        by_vertex[t[0]].append(j)
+    if Lx >= Ly:
+        by_vertex = x._vertex_index()
+        pairs = sorted((i, j) for j, t in enumerate(ty) for i in by_vertex.get(t[0], ()))
+    else:
+        by_vertex = y._vertex_index()
+        pairs = [(i, j) for i, t in enumerate(tx) for j in by_vertex.get(t[0], ())]
     skip_diagonal = x is y  # a transit never crosses itself
     out = []
-    for i, t in enumerate(tx):
-        for j in by_vertex.get(t[0], ()):
-            if skip_diagonal and i == j:
-                continue
-            ev = _pair_event(surface, wx, Lx, tx, i, wy, Ly, ty, j, bound)
-            if ev is not None:
-                out.append((i, j, ev[0], ev[1]))
+    for i, j in pairs:
+        if skip_diagonal and i == j:
+            continue
+        ev = _pair_event(surface, wx, Lx, tx, i, wy, Ly, ty, j, bound)
+        if ev is not None:
+            out.append((i, j, ev[0], ev[1]))
     return out
 
 
@@ -307,9 +380,13 @@ def self_intersection(x: NormalCurve) -> int:
     """Minimal self-crossing number of the class."""
     if x._self_int is not None:
         return x._self_int
+    if len(x._vertex_index()) == len(x.word):
+        # Each strand disk is passed at most once: no pair of transits to link.
+        x._self_int = 0
+        return 0
     root, power = _primitive_root(x.word)
     if power > 1:
-        base = self_intersection(NormalCurve(x.surface, root, reduce=False))
+        base = self_intersection(NormalCurve._spliced(x.surface, root))
         x._self_int = power * power * base + (power - 1)
         return x._self_int
     events = _events(x.surface, x, x)
@@ -324,8 +401,8 @@ def geometric_intersection(x: NormalCurve, y: NormalCurve) -> int:
     """Minimal transverse intersection number of the two classes."""
     rx, px = _primitive_root(x.word)
     ry, py = _primitive_root(y.word)
-    bx = NormalCurve(x.surface, rx, reduce=False) if px > 1 else x
-    by = NormalCurve(y.surface, ry, reduce=False) if py > 1 else y
+    bx = NormalCurve._spliced(x.surface, rx) if px > 1 else x
+    by = NormalCurve._spliced(y.surface, ry) if py > 1 else y
     if _same_unoriented_class(bx, by):
         return px * py * 2 * self_intersection(bx)
     return px * py * len(_events(x.surface, bx, by))
@@ -335,8 +412,8 @@ def signed_intersection(x: NormalCurve, y: NormalCurve) -> int:
     """Algebraic intersection number (equals the homological pairing)."""
     rx, px = _primitive_root(x.word)
     ry, py = _primitive_root(y.word)
-    bx = NormalCurve(x.surface, rx, reduce=False) if px > 1 else x
-    by = NormalCurve(y.surface, ry, reduce=False) if py > 1 else y
+    bx = NormalCurve._spliced(x.surface, rx) if px > 1 else x
+    by = NormalCurve._spliced(y.surface, ry) if py > 1 else y
     if _same_unoriented_class(bx, by):
         return 0
     total = sum(sign for (_, _, sign, _) in _events(x.surface, bx, by))
@@ -400,17 +477,20 @@ def dehn_twist(factor: TwistFactor, x: NormalCurve) -> NormalCurve:
     hand = RIGHT_HANDED_SIGN if factor.right else -RIGHT_HANDED_SIGN
     wx, wc = x.word, core.word
     out: list[int] = []
+    junctions: list[int] = []
     prev = 0
     for i, j, sign, _tag in events:
         out.extend(wx[prev:i])
+        junctions.append(len(out))
         rotated = wc[j:] + wc[:j]
         if sign * hand > 0:
             out.extend(rotated)
         else:
             out.extend(-t for t in reversed(rotated))
+        junctions.append(len(out))
         prev = i
     out.extend(wx[prev:])
-    return NormalCurve(surface, out, reduce=True)
+    return NormalCurve._spliced(surface, out, junctions)
 
 
 def _twist_factors(surface: FatGraphSurface):

@@ -80,15 +80,45 @@ class ChainCertificate:
         )
 
 
-def _chain_ok(candidate, chain, homologies) -> bool:
+def _reduced_row(row, echelon) -> list[int]:
+    """The row reduced fraction-free against the echelon rows.
+
+    echelon holds (pivot, row) pairs, each row zero at the pivots before
+    its own.  The result is zero at every pivot, so it is nonzero exactly
+    when the row is independent of the echelon rows over Q.  Dividing by
+    the content keeps the entries small and changes no rank.
+    """
+    row = list(row)
+    for pivot, e in echelon:
+        x = row[pivot]
+        if x:
+            d = e[pivot]
+            row = [d * a - x * b for a, b in zip(row, e)]
+    g = gcd(*row)
+    return [a // g for a in row] if g > 1 else row
+
+
+def _chain_ok(candidate, chain, echelon) -> Optional[list[int]]:
+    """The candidate's homology row reduced against the chain's echelon
+    rows, or None when the candidate does not extend the chain.
+
+    It extends the chain when it is embedded, meets the last curve once,
+    misses the others, and its reduced row is nonzero (the rank over Q
+    rises by one).
+    """
     if cv.self_intersection(candidate) != 0:
-        return False
+        return None
     if cv.geometric_intersection(candidate, chain[-1]) != 1:
-        return False
+        return None
     for earlier in chain[:-1]:
         if cv.geometric_intersection(candidate, earlier) != 0:
-            return False
-    return rank(homologies + [list(candidate.homology)]) == len(chain) + 1
+            return None
+    row = _reduced_row(candidate.homology, echelon)
+    return row if any(row) else None
+
+
+def _echelon_entry(row: list[int]) -> tuple[int, list[int]]:
+    return next(k for k, a in enumerate(row) if a), row
 
 
 def detect_chain(
@@ -106,19 +136,22 @@ def detect_chain(
     if cv.self_intersection(c0) != 0:
         raise InternalConsistencyError("rectangle curves must be embedded")
     chain = [c0]
-    homologies = [list(c0.homology)]
+    echelon = [_echelon_entry(list(c0.homology))]  # a rectangle: a basis vector
     last = c0
     while len(chain) < max_n:
         candidate = cv.apply_monodromy(surface, last, 1)
-        if not _chain_ok(candidate, chain, homologies):
+        row = _chain_ok(candidate, chain, echelon)
+        if row is None:
             break
         chain.append(candidate)
-        homologies.append(list(candidate.homology))
+        echelon.append(_echelon_entry(row))
         last = candidate
     # _chain_ok admitted each curve only if it meets the previous one once,
-    # misses the others and raises the rank by one: the table is the chain
-    # pattern and the rank is n.  validate_chain_certificate regrows the
-    # chain through this function and compares.
+    # misses the others and has a nonzero row after reduction against the
+    # echelon rows of the curves before it, so the rank rises by one per
+    # curve: the table is the chain pattern and the rank is n.
+    # validate_chain_certificate regrows the chain through this function
+    # and compares.
     n = len(chain)
     pattern = tuple(tuple(int(abs(a - b) == 1) for b in range(n)) for a in range(n))
     return ChainCertificate(

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -17,7 +18,12 @@ from braidplumb.curves import (
     self_intersection,
     signed_intersection,
 )
-from braidplumb.errors import EmptyCurve, InvalidParameter, NonEmbeddedCore
+from braidplumb.errors import (
+    EmptyCurve,
+    InternalConsistencyError,
+    InvalidParameter,
+    NonEmbeddedCore,
+)
 from braidplumb.fatgraph import build_surface
 from braidplumb.monodromy import intersection_form
 from braidplumb.plumbing import torus_braid
@@ -290,3 +296,167 @@ class TestTraversesBand:
         r = curve_from_rectangle(s, s.rectangles[s.rect_index[(4, 0)]])
         image = apply_monodromy(s, r, 1)
         assert image.traverses(0) == 0
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the full-scan crossing search and the sort-based linking rule
+# ---------------------------------------------------------------------------
+
+
+def oracle_linked(keys):
+    """Sort the four germs around the disk, start at x's incoming one, and
+    read off whether the germs alternate.  keys[t] = (slot, tie-break)."""
+    tags = sorted(range(4), key=lambda t: keys[t])
+    z = tags.index(cv._XB)
+    tags = tags[z:] + tags[:z]
+    if tags[1] >= 2 and tags[2] == cv._XF:
+        return (1 if tags[1] == cv._YB else -1, tags[1])
+    return None
+
+
+def oracle_pair_event(surface, wx, Lx, tx, ix, wy, Ly, ty, jy, bound):
+    _, inx, outx = tx[ix]
+    _, iny, outy = ty[jy]
+    if inx == iny:
+        return None
+    if outx == outy:
+        bundle = (cv._XF, cv._YF)
+    elif outx == iny:
+        if inx == outy:
+            return None
+        bundle = (cv._XF, cv._YB)
+    elif inx == outy:
+        return None
+    else:
+        bundle = None
+    slot = surface.end_slot
+    keys = [[slot[inx], 0], [slot[outx], 0], [slot[iny], 0], [slot[outy], 0]]
+    if bundle is not None:
+        t1, t2 = bundle
+        g1 = (wx, Lx, ix, t1 == cv._XF) if t1 < 2 else (wy, Ly, jy, t1 == cv._YF)
+        g2 = (wx, Lx, ix, t2 == cv._XF) if t2 < 2 else (wy, Ly, jy, t2 == cv._YF)
+        order = cv._compare_germs(surface, g1, g2, bound)
+        if order == 0:
+            return None
+        if order < 0:
+            keys[t2][1] = 1
+        else:
+            keys[t1][1] = 1
+    return oracle_linked([tuple(k) for k in keys])
+
+
+def oracle_events(surface, x, y):
+    """Every transit of x against every transit of y at the same disk."""
+    wx, wy = x.word, y.word
+    Lx, Ly = len(wx), len(wy)
+    tx, ty = x.transits(), y.transits()
+    bound = Lx + Ly + 2
+    out = []
+    for i in range(Lx):
+        for j in range(Ly):
+            if tx[i][0] != ty[j][0] or (x is y and i == j):
+                continue
+            ev = oracle_pair_event(surface, wx, Lx, tx, i, wy, Ly, ty, j, bound)
+            if ev is not None:
+                out.append((i, j, ev[0], ev[1]))
+    return out
+
+
+class TestLinkingRule:
+    def test_every_key_order(self):
+        for perm in itertools.permutations(range(4)):
+            keys = [(p, 0) for p in perm]
+            assert cv._linked(*perm) == oracle_linked(keys)
+
+    def test_every_tie_broken_order(self):
+        # A bundle shares one end, (XF, YF) or (XF, YB); the germ compare
+        # lifts one of the two.  The other two germs take the remaining
+        # slots of a ring of three in every order.
+        for t1, t2 in ((cv._XF, cv._YF), (cv._XF, cv._YB)):
+            rest = [t for t in range(4) if t not in (t1, t2)]
+            for slots in itertools.permutations(range(3)):
+                for lifted in (t1, t2):
+                    keys = [None] * 4
+                    keys[t1] = (slots[0], int(lifted == t1))
+                    keys[t2] = (slots[0], int(lifted == t2))
+                    keys[rest[0]] = (slots[1], 0)
+                    keys[rest[1]] = (slots[2], 0)
+                    flat = [2 * a + b for a, b in keys]
+                    assert cv._linked(*flat) == oracle_linked(keys)
+
+
+@st.composite
+def connected_surfaces(draw):
+    s = draw(st.integers(min_value=2, max_value=7))
+    c = draw(st.integers(min_value=s, max_value=20))
+    base = list(range(1, s)) + [
+        draw(st.integers(min_value=1, max_value=s - 1)) for _ in range(c - s + 1)
+    ]
+    return build_surface(BraidWord(s, tuple(draw(st.permutations(base)))))
+
+
+def fresh(curve):
+    """The same word as a new, uncached curve."""
+    return NormalCurve(curve.surface, curve.word, reduce=False)
+
+
+class TestEngineAgainstOracles:
+    @settings(max_examples=40, deadline=None)
+    @given(connected_surfaces(), st.data())
+    def test_events_twists_and_self_intersection(self, s, data):
+        cores = [curve_from_rectangle(s, r) for r in s.rectangles]
+        seed = data.draw(st.sampled_from(cores))
+        orbit = [apply_monodromy(s, seed, k) for k in range(4)]
+        other = apply_monodromy(s, data.draw(st.sampled_from(cores)), 1)
+        for x in orbit:
+            for y in cores + [other]:
+                assert cv._events(s, fresh(x), fresh(y)) == oracle_events(s, x, y)
+                assert cv._events(s, fresh(y), fresh(x)) == oracle_events(s, y, x)
+            x2 = fresh(x)
+            count = len(oracle_events(s, x2, x2))
+            assert cv._events(s, x2, x2) == oracle_events(s, x2, x2)
+            assert self_intersection(fresh(x)) == count // 2
+            for core in cores:
+                for right in (True, False):
+                    out = dehn_twist(TwistFactor(core, right=right), fresh(x))
+                    cv._validate_path(s, out.word)
+
+    def test_non_embedded_curve_matches_oracle(self):
+        s = build_surface(torus_braid(3, 4))
+        r0 = curve_from_rectangle(s, s.rectangles[0])
+        x = apply_monodromy(s, r0, 2)
+        for y in (x, apply_monodromy(s, x, 1)):
+            twice = NormalCurve(s, y.word + y.word, reduce=False)
+            events = cv._events(s, fresh(twice), fresh(twice))
+            assert events == oracle_events(s, twice, twice)
+
+    def test_rectangle_cores_take_the_fast_path(self, monkeypatch):
+        s = build_surface(torus_braid(4, 5))
+
+        def no_scan(*args):
+            raise AssertionError("_events called on a curve passing each disk once")
+
+        monkeypatch.setattr(cv, "_events", no_scan)
+        for r in s.rectangles:
+            TwistFactor(curve_from_rectangle(s, r))
+
+
+class TestSplicedConstructor:
+    def test_bad_junction_raises(self):
+        s = surface("1 2 1 2")
+        x = curve_from_rectangle(s, s.rectangles[0])  # (1, -3): strands 1 and 2
+        core = curve_from_rectangle(s, s.rectangles[1])  # (2, -4): strands 2 and 3
+        # Splicing the core in at the wrong rotation: -3 ends on strand 1,
+        # -4 starts on strand 3.
+        word = x.word + core.word[1:] + core.word[:1]
+        with pytest.raises(InternalConsistencyError, match="does not share a strand disk"):
+            NormalCurve._spliced(s, word, [len(x.word)])
+        with pytest.raises(EmptyCurve):
+            NormalCurve(s, word)
+
+    def test_good_splice_equals_public_constructor(self):
+        s = build_surface(torus_braid(3, 4))
+        core = curve_from_rectangle(s, s.rectangles[1])
+        x = apply_monodromy(s, curve_from_rectangle(s, s.rectangles[0]), 1)
+        tw = dehn_twist(TwistFactor(core), x)
+        assert tw.word == NormalCurve(s, tw.word).word

@@ -487,3 +487,69 @@ class TestObstructionConsistency:
                 best = max(best, detect_chain(s, seed, s.b1 + 1).n)
             n_max, _ = hironaka_max_n(burau_alexander(word))
             assert n_max >= best + 1
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the chain detector with a full rank per candidate
+# ---------------------------------------------------------------------------
+
+
+def rank_chain_ok(candidate, chain, homologies):
+    if cv.self_intersection(candidate) != 0:
+        return False
+    if cv.geometric_intersection(candidate, chain[-1]) != 1:
+        return False
+    for earlier in chain[:-1]:
+        if cv.geometric_intersection(candidate, earlier) != 0:
+            return False
+    return rank(homologies + [list(candidate.homology)]) == len(chain) + 1
+
+
+def rank_detect_chain(surface, seed, max_n):
+    c0 = cv.curve_from_rectangle(surface, seed)
+    chain = [c0]
+    homologies = [list(c0.homology)]
+    while len(chain) < max_n:
+        candidate = cv.apply_monodromy(surface, chain[-1], 1)
+        if not rank_chain_ok(candidate, chain, homologies):
+            break
+        chain.append(candidate)
+        homologies.append(list(candidate.homology))
+    return tuple(c.word for c in chain)
+
+
+class TestIncrementalRank:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_detector_equals_the_rank_oracle(self, data):
+        s = data.draw(st.integers(min_value=2, max_value=7))
+        c = data.draw(st.integers(min_value=s, max_value=20))
+        base = list(range(1, s)) + [
+            data.draw(st.integers(min_value=1, max_value=s - 1)) for _ in range(c - s + 1)
+        ]
+        surface = build_surface(BraidWord(s, tuple(data.draw(st.permutations(base)))))
+        seed = data.draw(st.sampled_from(surface.rectangles))
+        max_n = data.draw(st.integers(min_value=1, max_value=surface.b1 + 1))
+        cert = detect_chain(surface, seed, max_n)
+        assert cert.curve_words == rank_detect_chain(surface, seed, max_n)
+        assert cert.rank == cert.n == len(cert.curve_words)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_reduction_agrees_with_rank(self, data):
+        width = data.draw(st.integers(min_value=1, max_value=6))
+        entries = st.integers(min_value=-4, max_value=4)
+        accepted, echelon = [], []
+        for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
+            if accepted and data.draw(st.booleans()):
+                # a combination of rows already taken: always dependent
+                coeffs = [data.draw(entries) for _ in accepted]
+                row = [sum(k * r[c] for k, r in zip(coeffs, accepted)) for c in range(width)]
+            else:
+                row = [data.draw(entries) for _ in range(width)]
+            reduced = plumbing._reduced_row(row, echelon)
+            independent = rank(accepted + [row]) == len(accepted) + 1
+            assert any(reduced) == independent
+            if independent:
+                accepted.append(row)
+                echelon.append(plumbing._echelon_entry(reduced))
