@@ -332,9 +332,9 @@ def _events(surface, x: NormalCurve, y: NormalCurve):
     """All forced crossings between x and y as (i, j, sign, inside_tag),
     sorted by (i, j).
 
-    Only transits at a common strand disk can cross.  The longer curve's
-    vertex index is looked up at the disks the shorter curve passes, so a
-    rectangle core costs two lookups.
+    Only transits at a common strand disk can cross.  The pairs are read
+    off the two vertex indices at the disks of the curve that passes fewer
+    of them, so a rectangle core costs two lookups.
     """
     if x.surface is not surface or y.surface is not surface:
         raise InternalConsistencyError("curves live on a different surface")
@@ -342,12 +342,9 @@ def _events(surface, x: NormalCurve, y: NormalCurve):
     Lx, Ly = len(wx), len(wy)
     tx, ty = x.transits(), y.transits()
     bound = Lx + Ly + 2
-    if Lx >= Ly:
-        by_vertex = x._vertex_index()
-        pairs = sorted((i, j) for j, t in enumerate(ty) for i in by_vertex.get(t[0], ()))
-    else:
-        by_vertex = y._vertex_index()
-        pairs = [(i, j) for i, t in enumerate(tx) for j in by_vertex.get(t[0], ())]
+    vx, vy = x._vertex_index(), y._vertex_index()
+    disks = vx if len(vx) <= len(vy) else vy
+    pairs = sorted((i, j) for v in disks for i in vx.get(v, ()) for j in vy.get(v, ()))
     skip_diagonal = x is y  # a transit never crosses itself
     out = []
     for i, j in pairs:

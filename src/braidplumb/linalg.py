@@ -14,6 +14,8 @@ division is exact, so the entries stay integers bounded by minors of the
 input, and the last pivot of a square matrix of full rank is its
 determinant up to the sign of the row swaps.  det is the kernel of the
 Burau route in alexpoly, which evaluates a polynomial matrix at t = 2^K.
+reduce_row is the same elimination one row at a time, for a rank that
+grows by one row per step (the chain detector in plumbing).
 
 This module depends on no other part of the package at import time;
 charpoly imports LaurentPolynomial when it is called, because alexpoly
@@ -22,7 +24,8 @@ imports det from here.
 
 from __future__ import annotations
 
-from math import isqrt
+from math import gcd, isqrt
+from typing import Optional
 
 from .errors import DomainError
 
@@ -146,6 +149,29 @@ def _bareiss(m: list[list[int]]) -> tuple[int, int, int]:
 def rank(rows) -> int:
     """Rank over Q of integer row vectors, by fraction-free elimination."""
     return _bareiss([list(r) for r in rows])[0]
+
+
+def reduce_row(row, echelon) -> Optional[tuple[int, list[int]]]:
+    """The row reduced fraction-free against echelon rows, as a new echelon
+    entry (pivot, row), or None when the row depends on them over Q.
+
+    echelon holds (pivot, row) pairs, each row zero at the pivots before
+    its own.  The reduced row is zero at every pivot, so it is nonzero
+    exactly when the row is independent; its first nonzero column is its
+    pivot.  Dividing by the content keeps the entries small and changes no
+    rank.
+    """
+    row = list(row)
+    for pivot, e in echelon:
+        x = row[pivot]
+        if x:
+            d = e[pivot]
+            row = [d * a - x * b for a, b in zip(row, e)]
+    pivot = next((k for k, a in enumerate(row) if a), None)
+    if pivot is None:
+        return None
+    g = gcd(*row)
+    return pivot, [a // g for a in row] if g > 1 else row
 
 
 def det(matrix: list[list[int]]) -> int:

@@ -33,7 +33,7 @@ from .errors import (
     TrivialKnot,
 )
 from .fatgraph import FatGraphSurface, RectangleCurve, build_surface
-from .linalg import rank
+from .linalg import rank, reduce_row
 from .monodromy import homological_monodromy
 
 
@@ -80,31 +80,13 @@ class ChainCertificate:
         )
 
 
-def _reduced_row(row, echelon) -> list[int]:
-    """The row reduced fraction-free against the echelon rows.
-
-    echelon holds (pivot, row) pairs, each row zero at the pivots before
-    its own.  The result is zero at every pivot, so it is nonzero exactly
-    when the row is independent of the echelon rows over Q.  Dividing by
-    the content keeps the entries small and changes no rank.
-    """
-    row = list(row)
-    for pivot, e in echelon:
-        x = row[pivot]
-        if x:
-            d = e[pivot]
-            row = [d * a - x * b for a, b in zip(row, e)]
-    g = gcd(*row)
-    return [a // g for a in row] if g > 1 else row
-
-
-def _chain_ok(candidate, chain, echelon) -> Optional[list[int]]:
-    """The candidate's homology row reduced against the chain's echelon
-    rows, or None when the candidate does not extend the chain.
+def _chain_ok(candidate, chain, echelon) -> Optional[tuple[int, list[int]]]:
+    """The echelon entry of the candidate's homology row, or None when the
+    candidate does not extend the chain.
 
     It extends the chain when it is embedded, meets the last curve once,
-    misses the others, and its reduced row is nonzero (the rank over Q
-    rises by one).
+    misses the others, and its homology row is independent of the chain's
+    (the rank over Q rises by one).
     """
     if cv.self_intersection(candidate) != 0:
         return None
@@ -113,12 +95,7 @@ def _chain_ok(candidate, chain, echelon) -> Optional[list[int]]:
     for earlier in chain[:-1]:
         if cv.geometric_intersection(candidate, earlier) != 0:
             return None
-    row = _reduced_row(candidate.homology, echelon)
-    return row if any(row) else None
-
-
-def _echelon_entry(row: list[int]) -> tuple[int, list[int]]:
-    return next(k for k, a in enumerate(row) if a), row
+    return reduce_row(candidate.homology, echelon)
 
 
 def detect_chain(
@@ -136,15 +113,15 @@ def detect_chain(
     if cv.self_intersection(c0) != 0:
         raise InternalConsistencyError("rectangle curves must be embedded")
     chain = [c0]
-    echelon = [_echelon_entry(list(c0.homology))]  # a rectangle: a basis vector
+    echelon = [reduce_row(c0.homology, [])]  # a rectangle: a basis vector
     last = c0
     while len(chain) < max_n:
         candidate = cv.apply_monodromy(surface, last, 1)
-        row = _chain_ok(candidate, chain, echelon)
-        if row is None:
+        entry = _chain_ok(candidate, chain, echelon)
+        if entry is None:
             break
         chain.append(candidate)
-        echelon.append(_echelon_entry(row))
+        echelon.append(entry)
         last = candidate
     # _chain_ok admitted each curve only if it meets the previous one once,
     # misses the others and has a nonzero row after reduction against the

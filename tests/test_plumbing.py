@@ -18,7 +18,7 @@ from braidplumb.errors import (
     TrivialKnot,
 )
 from braidplumb.fatgraph import RectangleCurve, build_surface
-from braidplumb.linalg import rank
+from braidplumb.linalg import rank, reduce_row
 from braidplumb.plumbing import (
     ChainCertificate,
     detect_chain,
@@ -547,9 +547,12 @@ class TestIncrementalRank:
                 row = [sum(k * r[c] for k, r in zip(coeffs, accepted)) for c in range(width)]
             else:
                 row = [data.draw(entries) for _ in range(width)]
-            reduced = plumbing._reduced_row(row, echelon)
+            entry = reduce_row(row, echelon)
             independent = rank(accepted + [row]) == len(accepted) + 1
-            assert any(reduced) == independent
+            assert (entry is not None) == independent
             if independent:
+                pivot, reduced = entry
+                assert all(reduced[p] == 0 for p, _ in echelon)
+                assert reduced[pivot] and not any(reduced[:pivot])
                 accepted.append(row)
-                echelon.append(plumbing._echelon_entry(reduced))
+                echelon.append(entry)
