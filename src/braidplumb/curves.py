@@ -12,20 +12,13 @@ by their first divergence, and strand pairs sharing a run of bands are
 anchored at one designated end of the run so each crossing is counted
 exactly once.  A Dehn twist splices an oriented copy of the core into the
 curve at every counted crossing and reduces.
-
-Which words are checked to be closed paths: every word read from outside
-(the public NormalCurve constructor, hence from_json, the CLI and the
-validators' inputs) in full, at every junction.  Words the engine builds
-go through one private constructor, NormalCurve._spliced, which checks
-only the junctions a splice creates: the stretches copied from x and from
-the core were checked when those curves were built, and free cancellation
-never breaks a junction.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+from collections import defaultdict
 
 from .braidwords import min_rotation
 from .errors import (
@@ -80,7 +73,6 @@ class NormalCurve:
         "surface",
         "word",
         "_transits",
-        "_by_vertex",
         "_self_int",
         "_homology",
         "_canon",
@@ -94,36 +86,9 @@ class NormalCurve:
         if not word:
             raise EmptyCurve("the word reduces to nothing: null-homotopic curve")
         _validate_path(surface, word)
-        self._fill(surface, word)
-
-    @classmethod
-    def _spliced(cls, surface: FatGraphSurface, word, junctions=()) -> "NormalCurve":
-        """A curve the engine built from checked curves.
-
-        Only the positions k in junctions are checked, each as the step
-        word[k - 1] -> word[k] (k = 0 closes the cycle); every other step
-        was copied from a curve that is already a closed path.  The word is
-        then reduced, which keeps it a closed path.
-        """
-        ev = surface.end_vertex
-        for k in junctions:
-            a, b = word[k - 1], word[k]
-            if ev[surface.target_end(a)] != ev[surface.source_end(b)]:
-                raise InternalConsistencyError(
-                    f"splice {a} -> {b} does not share a strand disk"
-                )
-        word = reduce_cyclic(word)
-        if not word:
-            raise EmptyCurve("the word reduces to nothing: null-homotopic curve")
-        curve = object.__new__(cls)
-        curve._fill(surface, word)
-        return curve
-
-    def _fill(self, surface: FatGraphSurface, word: tuple[int, ...]) -> None:
         self.surface = surface
         self.word = word
         self._transits = None
-        self._by_vertex = None
         self._self_int = None
         self._homology = None
         self._canon = None
@@ -172,15 +137,6 @@ class NormalCurve:
                 out.append((s.end_vertex[dep], inc, dep))
             self._transits = out
         return self._transits
-
-    def _vertex_index(self) -> dict[int, list[int]]:
-        """Transit positions per strand disk, in ascending order."""
-        if self._by_vertex is None:
-            index: dict[int, list[int]] = {}
-            for i, t in enumerate(self.transits()):
-                index.setdefault(t[0], []).append(i)
-            self._by_vertex = index
-        return self._by_vertex
 
     @property
     def support(self) -> dict[int, int]:
@@ -329,30 +285,25 @@ def _linked(xb, xf, yb, yf):
 
 
 def _events(surface, x: NormalCurve, y: NormalCurve):
-    """All forced crossings between x and y as (i, j, sign, inside_tag),
-    sorted by (i, j).
-
-    Only transits at a common strand disk can cross.  The pairs are read
-    off the two vertex indices at the disks of the curve that passes fewer
-    of them, so a rectangle core costs two lookups.
-    """
+    """All forced crossings between x and y as (i, j, sign, inside_tag)."""
     if x.surface is not surface or y.surface is not surface:
         raise InternalConsistencyError("curves live on a different surface")
     wx, wy = x.word, y.word
     Lx, Ly = len(wx), len(wy)
     tx, ty = x.transits(), y.transits()
     bound = Lx + Ly + 2
-    vx, vy = x._vertex_index(), y._vertex_index()
-    disks = vx if len(vx) <= len(vy) else vy
-    pairs = sorted((i, j) for v in disks for i in vx.get(v, ()) for j in vy.get(v, ()))
+    by_vertex = defaultdict(list)
+    for j, t in enumerate(ty):
+        by_vertex[t[0]].append(j)
     skip_diagonal = x is y  # a transit never crosses itself
     out = []
-    for i, j in pairs:
-        if skip_diagonal and i == j:
-            continue
-        ev = _pair_event(surface, wx, Lx, tx, i, wy, Ly, ty, j, bound)
-        if ev is not None:
-            out.append((i, j, ev[0], ev[1]))
+    for i, t in enumerate(tx):
+        for j in by_vertex.get(t[0], ()):
+            if skip_diagonal and i == j:
+                continue
+            ev = _pair_event(surface, wx, Lx, tx, i, wy, Ly, ty, j, bound)
+            if ev is not None:
+                out.append((i, j, ev[0], ev[1]))
     return out
 
 
@@ -377,13 +328,13 @@ def self_intersection(x: NormalCurve) -> int:
     """Minimal self-crossing number of the class."""
     if x._self_int is not None:
         return x._self_int
-    if len(x._vertex_index()) == len(x.word):
+    if len({t[0] for t in x.transits()}) == len(x.word):
         # Each strand disk is passed at most once: no pair of transits to link.
         x._self_int = 0
         return 0
     root, power = _primitive_root(x.word)
     if power > 1:
-        base = self_intersection(NormalCurve._spliced(x.surface, root))
+        base = self_intersection(NormalCurve(x.surface, root, reduce=False))
         x._self_int = power * power * base + (power - 1)
         return x._self_int
     events = _events(x.surface, x, x)
@@ -398,8 +349,8 @@ def geometric_intersection(x: NormalCurve, y: NormalCurve) -> int:
     """Minimal transverse intersection number of the two classes."""
     rx, px = _primitive_root(x.word)
     ry, py = _primitive_root(y.word)
-    bx = NormalCurve._spliced(x.surface, rx) if px > 1 else x
-    by = NormalCurve._spliced(y.surface, ry) if py > 1 else y
+    bx = NormalCurve(x.surface, rx, reduce=False) if px > 1 else x
+    by = NormalCurve(y.surface, ry, reduce=False) if py > 1 else y
     if _same_unoriented_class(bx, by):
         return px * py * 2 * self_intersection(bx)
     return px * py * len(_events(x.surface, bx, by))
@@ -409,8 +360,8 @@ def signed_intersection(x: NormalCurve, y: NormalCurve) -> int:
     """Algebraic intersection number (equals the homological pairing)."""
     rx, px = _primitive_root(x.word)
     ry, py = _primitive_root(y.word)
-    bx = NormalCurve._spliced(x.surface, rx) if px > 1 else x
-    by = NormalCurve._spliced(y.surface, ry) if py > 1 else y
+    bx = NormalCurve(x.surface, rx, reduce=False) if px > 1 else x
+    by = NormalCurve(y.surface, ry, reduce=False) if py > 1 else y
     if _same_unoriented_class(bx, by):
         return 0
     total = sum(sign for (_, _, sign, _) in _events(x.surface, bx, by))
@@ -474,20 +425,17 @@ def dehn_twist(factor: TwistFactor, x: NormalCurve) -> NormalCurve:
     hand = RIGHT_HANDED_SIGN if factor.right else -RIGHT_HANDED_SIGN
     wx, wc = x.word, core.word
     out: list[int] = []
-    junctions: list[int] = []
     prev = 0
     for i, j, sign, _tag in events:
         out.extend(wx[prev:i])
-        junctions.append(len(out))
         rotated = wc[j:] + wc[:j]
         if sign * hand > 0:
             out.extend(rotated)
         else:
             out.extend(-t for t in reversed(rotated))
-        junctions.append(len(out))
         prev = i
     out.extend(wx[prev:])
-    return NormalCurve._spliced(surface, out, junctions)
+    return NormalCurve(surface, out, reduce=True)
 
 
 def _twist_factors(surface: FatGraphSurface):

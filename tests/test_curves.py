@@ -18,12 +18,7 @@ from braidplumb.curves import (
     self_intersection,
     signed_intersection,
 )
-from braidplumb.errors import (
-    EmptyCurve,
-    InternalConsistencyError,
-    InvalidParameter,
-    NonEmbeddedCore,
-)
+from braidplumb.errors import EmptyCurve, InvalidParameter, NonEmbeddedCore
 from braidplumb.fatgraph import build_surface
 from braidplumb.monodromy import intersection_form
 from braidplumb.plumbing import torus_braid
@@ -440,23 +435,3 @@ class TestEngineAgainstOracles:
         for r in s.rectangles:
             TwistFactor(curve_from_rectangle(s, r))
 
-
-class TestSplicedConstructor:
-    def test_bad_junction_raises(self):
-        s = surface("1 2 1 2")
-        x = curve_from_rectangle(s, s.rectangles[0])  # (1, -3): strands 1 and 2
-        core = curve_from_rectangle(s, s.rectangles[1])  # (2, -4): strands 2 and 3
-        # Splicing the core in at the wrong rotation: -3 ends on strand 1,
-        # -4 starts on strand 3.
-        word = x.word + core.word[1:] + core.word[:1]
-        with pytest.raises(InternalConsistencyError, match="does not share a strand disk"):
-            NormalCurve._spliced(s, word, [len(x.word)])
-        with pytest.raises(EmptyCurve):
-            NormalCurve(s, word)
-
-    def test_good_splice_equals_public_constructor(self):
-        s = build_surface(torus_braid(3, 4))
-        core = curve_from_rectangle(s, s.rectangles[1])
-        x = apply_monodromy(s, curve_from_rectangle(s, s.rectangles[0]), 1)
-        tw = dehn_twist(TwistFactor(core), x)
-        assert tw.word == NormalCurve(s, tw.word).word
