@@ -11,7 +11,9 @@ alternate around its boundary.  Germs entering the same band are ordered
 by their first divergence, and strand pairs sharing a run of bands are
 anchored at one designated end of the run so each crossing is counted
 exactly once.  A Dehn twist splices an oriented copy of the core into the
-curve at every counted crossing and reduces.
+curve at every counted crossing and reduces.  Every curve, a twist's output
+included, goes through the NormalCurve constructor, which checks that the
+word is a closed path.
 """
 
 from __future__ import annotations
