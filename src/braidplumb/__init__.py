@@ -37,6 +37,7 @@ from .curves import (
 )
 from .errors import (
     BraidPlumbError,
+    CertificateRejected,
     DisconnectedWord,
     DisjointnessFailure,
     DomainError,

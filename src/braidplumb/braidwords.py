@@ -13,6 +13,7 @@ import dataclasses
 from typing import Optional, Union
 
 from .errors import (
+    CertificateRejected,
     DisconnectedWord,
     IllegalMove,
     InternalConsistencyError,
@@ -226,16 +227,57 @@ class Destabilize:
 RewriteMove = Union[CyclicConjugate, BraidRelation, CommutationSwap, Destabilize]
 
 
-def move_from_json(data: dict) -> RewriteMove:
-    kind = data["kind"]
+_INT = frozenset((int,))  # JSON true and false are no integers
+
+
+def _is_ints(value) -> bool:
+    return type(value) is list and set(map(type, value)) <= _INT
+
+
+_JSON_SHAPES = {
+    "an integer": lambda value: type(value) is int,
+    "a string": lambda value: type(value) is str,
+    "a JSON object": lambda value: type(value) is dict,
+    "a list": lambda value: type(value) is list,
+    "a list of integers": _is_ints,
+    "a list of integer lists": lambda value: type(value) is list
+    and all(map(_is_ints, value)),
+}
+
+
+def json_field(data, key: str, shape: str, where: str = ""):
+    """data[key] of a certificate's JSON, checked to be of the named shape.
+
+    shape is a key of _JSON_SHAPES; where prefixes the field name in the
+    CertificateRejected raised on a missing field or a wrong type.
+    """
+    try:
+        value = data[key]
+    except (KeyError, TypeError):
+        value = None  # no shape admits null: the checks below say why
+    if _JSON_SHAPES[shape](value):
+        return value
+    if type(data) is not dict:
+        name = f"field {where.rstrip('.')!r}" if where else "certificate"
+        raise CertificateRejected(f"{name} must be a JSON object")
+    if key not in data:
+        raise CertificateRejected(f"missing field {where + key!r}")
+    raise CertificateRejected(f"field {where + key!r} must be {shape}")
+
+
+def move_from_json(data: dict, where: str = "") -> RewriteMove:
+    kind = json_field(data, "kind", "a string", where)
     if kind == "cyclic":
-        return CyclicConjugate(int(data["shift"]))
+        return CyclicConjugate(json_field(data, "shift", "an integer", where))
     if kind == "braid":
-        return BraidRelation(int(data["position"]), int(data.get("direction", 1)))
+        position = json_field(data, "position", "an integer", where)
+        if "direction" not in data:  # written by every to_json; +1 when absent
+            return BraidRelation(position)
+        return BraidRelation(position, json_field(data, "direction", "an integer", where))
     if kind == "commute":
-        return CommutationSwap(int(data["position"]))
+        return CommutationSwap(json_field(data, "position", "an integer", where))
     if kind == "destabilize":
-        return Destabilize(int(data["generator"]))
+        return Destabilize(json_field(data, "generator", "an integer", where))
     raise IllegalMove(f"unknown move kind {kind!r}")
 
 

@@ -79,6 +79,7 @@ class NormalCurve:
         "_homology",
         "_canon",
         "_ucanon",
+        "_root",
     )
 
     def __init__(self, surface: FatGraphSurface, word, reduce: bool = True):
@@ -95,12 +96,19 @@ class NormalCurve:
         self._homology = None
         self._canon = None
         self._ucanon = None
+        self._root = None
 
     def canonical(self) -> tuple[int, ...]:
         """Least rotation of the word; equality of classes keeps orientation."""
         if self._canon is None:
             self._canon = min_rotation(self.word)
         return self._canon
+
+    def primitive_root(self) -> tuple[tuple[int, ...], int]:
+        """The word as root^power with the shortest root; cached."""
+        if self._root is None:
+            self._root = _primitive_root(self.word)
+        return self._root
 
     def reversed_word(self) -> tuple[int, ...]:
         return tuple(-t for t in reversed(self.word))
@@ -334,7 +342,7 @@ def self_intersection(x: NormalCurve) -> int:
         # Each strand disk is passed at most once: no pair of transits to link.
         x._self_int = 0
         return 0
-    root, power = _primitive_root(x.word)
+    root, power = x.primitive_root()
     if power > 1:
         base = self_intersection(NormalCurve(x.surface, root, reduce=False))
         x._self_int = power * power * base + (power - 1)
@@ -349,8 +357,8 @@ def self_intersection(x: NormalCurve) -> int:
 
 def geometric_intersection(x: NormalCurve, y: NormalCurve) -> int:
     """Minimal transverse intersection number of the two classes."""
-    rx, px = _primitive_root(x.word)
-    ry, py = _primitive_root(y.word)
+    rx, px = x.primitive_root()
+    ry, py = y.primitive_root()
     bx = NormalCurve(x.surface, rx, reduce=False) if px > 1 else x
     by = NormalCurve(y.surface, ry, reduce=False) if py > 1 else y
     if _same_unoriented_class(bx, by):
@@ -360,8 +368,8 @@ def geometric_intersection(x: NormalCurve, y: NormalCurve) -> int:
 
 def signed_intersection(x: NormalCurve, y: NormalCurve) -> int:
     """Algebraic intersection number (equals the homological pairing)."""
-    rx, px = _primitive_root(x.word)
-    ry, py = _primitive_root(y.word)
+    rx, px = x.primitive_root()
+    ry, py = y.primitive_root()
     bx = NormalCurve(x.surface, rx, reduce=False) if px > 1 else x
     by = NormalCurve(y.surface, ry, reduce=False) if py > 1 else y
     if _same_unoriented_class(bx, by):

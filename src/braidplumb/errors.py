@@ -46,6 +46,10 @@ class SearchBudgetExceeded(DomainError):
     """
 
 
+class CertificateRejected(DomainError):
+    """A certificate's JSON lacks a field or holds a value of the wrong type."""
+
+
 class EmptyCurve(DomainError):
     """Reduction killed the whole word: the curve is null-homotopic."""
 

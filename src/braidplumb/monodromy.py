@@ -12,9 +12,14 @@ columns are equal or adjacent, and their transits there are linked only
 when the position intervals share an end or interleave.  Each rectangle
 has at most three such neighbours further right or down, so at most
 3 * b1 pairs can pair nonzero; the curve engine evaluates those pairs and
-no others.  A transvection changes one coordinate, so the
-monodromy is built as one row update per twist, starting from I: row r
-gains sign * J[a][r] * row a for each neighbour a of r.
+no others, on the rectangle circles the twist engine already holds as its
+twist cores, so their transits and least rotations are computed once per
+surface.  A transvection changes one coordinate, so the monodromy is built
+as one row update per twist, starting from I: row r gains
+sign * J[a][r] * row a for each neighbour a of r.  The rows stay sparse
+(a few nonzeros each, every one +-1 on the surfaces measured), so they are
+kept as column -> entry maps while the twists act and written out as the
+dense matrix once, at the end.
 
 charpoly is the exact kernel of linalg: Hessenberg reduction and the
 Hessenberg recurrence, O(n^3), modulo the smallest Mersenne prime above
@@ -28,11 +33,7 @@ from __future__ import annotations
 from bisect import bisect
 
 from .alexpoly import LaurentPolynomial
-from .curves import (
-    RIGHT_HANDED_SIGN,
-    curve_from_rectangle,
-    signed_intersection,
-)
+from .curves import RIGHT_HANDED_SIGN, _twist_factors, signed_intersection
 from .fatgraph import FatGraphSurface
 from .linalg import charpoly
 
@@ -64,9 +65,14 @@ def _neighbour_pairs(surface: FatGraphSurface):
 
 
 def intersection_form(surface: FatGraphSurface) -> list[list[int]]:
-    """Antisymmetric pairing matrix of the rectangle basis."""
-    curves = [curve_from_rectangle(surface, r) for r in surface.rectangles]
-    n = len(curves)
+    """Antisymmetric pairing matrix of the rectangle basis.
+
+    The rectangle circles are the cores of the surface's twist factors.
+    """
+    n = len(surface.rectangles)
+    curves = [None] * n
+    for idx, factor in zip(surface.twist_ordering, _twist_factors(surface)):
+        curves[idx] = factor.core
     j = [[0] * n for _ in range(n)]
     for a, b in _neighbour_pairs(surface):
         val = signed_intersection(curves[a], curves[b])
@@ -84,12 +90,21 @@ def homological_monodromy(surface: FatGraphSurface) -> list[list[int]]:
         if j[a][b]:
             pairing[b].append((a, RIGHT_HANDED_SIGN * j[a][b]))
             pairing[a].append((b, RIGHT_HANDED_SIGN * j[b][a]))
-    h = [[int(r == c) for c in range(n)] for r in range(n)]
+    rows = [{r: 1} for r in range(n)]
     for idx in surface.twist_ordering:
-        row = h[idx]
+        row = rows[idx]
         for a, coeff in pairing[idx]:
-            row = [x + coeff * y for x, y in zip(row, h[a])]
-        h[idx] = row
+            for c, y in rows[a].items():
+                x = row.get(c, 0) + coeff * y
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+        rows[idx] = row
+    h = [[0] * n for _ in range(n)]
+    for dense, row in zip(h, rows):
+        for c, x in row.items():
+            dense[c] = x
     return h
 
 

@@ -20,6 +20,7 @@ from .braidwords import (
     Destabilize,
     RewriteMove,
     is_trivial_closure,
+    json_field,
     min_rotation,
     move_from_json,
     replay_moves,
@@ -66,17 +67,22 @@ class ChainCertificate:
 
     @classmethod
     def from_json(cls, data) -> "ChainCertificate":
+        """Load a certificate's JSON; CertificateRejected names a missing
+        or wrongly typed field."""
+        strands = json_field(data, "strands", "an integer")
+        word = BraidWord(strands, tuple(json_field(data, "word", "a list of integers")))
+        seed = json_field(data, "seed", "a JSON object")
         return cls(
-            word=BraidWord(int(data["strands"]), tuple(data["word"])),
+            word=word,
             seed=RectangleCurve(
-                column=int(data["seed"]["column"]),
-                top=int(data["seed"]["top"]),
-                bottom=int(data["seed"]["bottom"]),
+                *(json_field(seed, k, "an integer", "seed.") for k in ("column", "top", "bottom"))
             ),
-            n=int(data["n"]),
-            curve_words=tuple(tuple(w) for w in data["curves"]),
-            intersections=tuple(tuple(r) for r in data["intersections"]),
-            rank=int(data["rank"]),
+            n=json_field(data, "n", "an integer"),
+            curve_words=tuple(map(tuple, json_field(data, "curves", "a list of integer lists"))),
+            intersections=tuple(
+                map(tuple, json_field(data, "intersections", "a list of integer lists"))
+            ),
+            rank=json_field(data, "rank", "an integer"),
         )
 
 
@@ -190,10 +196,12 @@ def _arc_functionals_independent(
     the rows u H^{-k}, k < n; independence is exactly what keeps the cut
     surface connected.  Multiplying every row on the right by the
     invertible H^{n-1} turns them into the rows u H^k, k < n, and keeps
-    the rank, so the test needs only integer vector-matrix products.
+    the rank, so the test needs only integer vector-matrix products.  H has
+    a few nonzeros per column, read once, so each product is a sum over
+    them: O(nnz(H)) instead of b1^2.
     """
     h = homological_monodromy(surface)
-    cols = list(zip(*h))
+    cols = [[(r, x) for r, x in enumerate(col) if x] for col in zip(*h)]
     u = [0] * len(surface.rectangles)
     for idx, rect in enumerate(surface.rectangles):
         if rect.top == seed.top:
@@ -203,7 +211,7 @@ def _arc_functionals_independent(
     rows = [u]
     for _ in range(n - 1):
         row = rows[-1]
-        rows.append([sum(x * y for x, y in zip(row, col)) for col in cols])
+        rows.append([sum(row[r] * x for r, x in col) for col in cols])
     return rank(rows) == n
 
 
@@ -364,19 +372,26 @@ def validate_trefoil_decomposition(dec: TrefoilDecomposition) -> bool:
 
 
 def trefoil_decomposition_from_json(data) -> TrefoilDecomposition:
-    strands = int(data["strands"])
-    word = BraidWord(strands, tuple(data["word"]))
+    """Load a decomposition's JSON; CertificateRejected names a missing or
+    wrongly typed field."""
+    ints = "a list of integers"
+    strands = json_field(data, "strands", "an integer")
+    word = BraidWord(strands, tuple(json_field(data, "word", ints)))
     steps = []
     w = word
-    for raw in data["steps"]:
-        before = BraidWord(w.strands, tuple(raw["before"]))
-        moves = tuple(move_from_json(mv) for mv in raw["moves"])
-        m = int(raw["m"])
+    for i, raw in enumerate(json_field(data, "steps", "a list")):
+        where = f"steps[{i}]."
+        before = BraidWord(w.strands, tuple(json_field(raw, "before", ints, where)))
+        moves = tuple(
+            move_from_json(mv, f"{where}moves[{k}].")
+            for k, mv in enumerate(json_field(raw, "moves", "a list", where))
+        )
+        m = json_field(raw, "m", "an integer", where)
         # The normalized word is the square plus the after-word, on one
         # strand fewer per destabilization; validate_trefoil_step replays
         # the moves and compares.
         strands = before.strands - sum(isinstance(mv, Destabilize) for mv in moves)
-        norm = BraidWord(strands, (m, m) + tuple(raw["after"]))
+        norm = BraidWord(strands, (m, m) + tuple(json_field(raw, "after", ints, where)))
         after = BraidWord(strands, norm.letters[2:])
         steps.append(
             TrefoilStep(
@@ -384,19 +399,18 @@ def trefoil_decomposition_from_json(data) -> TrefoilDecomposition:
                 moves=moves,
                 normalized=norm,
                 m=m,
-                curve=tuple(raw["R"]),
-                image=tuple(raw["phiR"]),
+                curve=tuple(json_field(raw, "R", ints, where)),
+                image=tuple(json_field(raw, "phiR", ints, where)),
                 after=after,
             )
         )
         w = after
-    if int(data["genus"]) != len(steps) or int(data["ribbon_twists"]) != len(steps):
+    genus = json_field(data, "genus", "an integer")
+    ribbon_twists = json_field(data, "ribbon_twists", "an integer")
+    final_word = BraidWord(w.strands, tuple(json_field(data, "final_word", ints)))
+    if genus != len(steps) or ribbon_twists != len(steps):
         raise InternalConsistencyError("genus and ribbon twists must equal the step count")
-    return TrefoilDecomposition(
-        word=word,
-        steps=tuple(steps),
-        final_word=BraidWord(w.strands, tuple(data["final_word"])),
-    )
+    return TrefoilDecomposition(word=word, steps=tuple(steps), final_word=final_word)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ PUBLIC = [
     "BraidRelation",
     "BraidWord",
     "BrickDiagram",
+    "CertificateRejected",
     "ChainCertificate",
     "CommutationSwap",
     "CyclicConjugate",

@@ -435,3 +435,32 @@ class TestEngineAgainstOracles:
         for r in s.rectangles:
             TwistFactor(curve_from_rectangle(s, r))
 
+
+
+class TestPrimitiveRoot:
+    @settings(max_examples=60, deadline=None)
+    @given(connected_surfaces(), st.data())
+    def test_cached_root_equals_the_scan(self, s, data):
+        seed = curve_from_rectangle(s, data.draw(st.sampled_from(s.rectangles)))
+        x = apply_monodromy(s, seed, data.draw(st.integers(min_value=0, max_value=3)))
+        for power in (1, 2, 3):
+            # x.word is cyclically reduced, so its powers are too
+            curve = NormalCurve(s, x.word * power, reduce=False)
+            assert curve.primitive_root() == cv._primitive_root(curve.word)
+            assert curve.primitive_root() is curve.primitive_root()
+
+    def test_intersections_read_the_cached_root(self, monkeypatch):
+        s = build_surface(torus_braid(3, 4))
+        r0 = curve_from_rectangle(s, s.rectangles[0])
+        curves = [apply_monodromy(s, r0, k) for k in range(3)]
+        curves.append(curve_from_rectangle(s, s.rectangles[1]))
+        assert all(c.primitive_root()[1] == 1 for c in curves)
+        pairs = [(a, b) for a in curves for b in curves]
+        expected = [(geometric_intersection(a, b), signed_intersection(a, b)) for a, b in pairs]
+
+        def no_scan(word):
+            raise AssertionError("primitive root recomputed")
+
+        monkeypatch.setattr(cv, "_primitive_root", no_scan)
+        got = [(geometric_intersection(a, b), signed_intersection(a, b)) for a, b in pairs]
+        assert got == expected

@@ -1,13 +1,20 @@
 import itertools
 import random
 import time
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidplumb.alexpoly import LaurentPolynomial, burau_alexander, torus_alexander
 from braidplumb.braidwords import BraidWord, parse_braid
-from braidplumb.curves import RIGHT_HANDED_SIGN, curve_from_rectangle, signed_intersection
+import braidplumb.monodromy as monodromy
+from braidplumb.curves import (
+    RIGHT_HANDED_SIGN,
+    _twist_factors,
+    curve_from_rectangle,
+    signed_intersection,
+)
 from braidplumb.fatgraph import build_surface
 from braidplumb.monodromy import (
     _neighbour_pairs,
@@ -151,6 +158,35 @@ class TestSparseOracles:
         # 0.025 s (Burau), the sparse ones 0.015 s and 0.003 s.  The bound
         # only guards the order.
         assert monodromy_s < 1.0 and burau_s < 1.0
+
+
+class TestSharedCores:
+    @settings(max_examples=60, deadline=None)
+    @given(connected_words(max_strands=7, max_length=20))
+    def test_form_pairs_the_twist_cores(self, word):
+        # Once on a fresh surface, once on one whose twist factors exist.
+        for factors_first in (False, True):
+            surface = build_surface(word)
+            if factors_first:
+                built = _twist_factors(surface)
+            paired = []
+
+            def recording(x, y):
+                paired.append((x, y))
+                return signed_intersection(x, y)
+
+            with mock.patch.object(monodromy, "signed_intersection", recording):
+                j = intersection_form(surface)
+            assert j == dense_intersection_form(surface)
+            factors = _twist_factors(surface)
+            if factors_first:
+                assert factors is built
+            cores = [None] * len(j)
+            for idx, f in zip(surface.twist_ordering, factors):
+                cores[idx] = f.core
+            pairs = list(_neighbour_pairs(surface))
+            assert len(paired) == len(pairs)
+            assert all(x is cores[a] and y is cores[b] for (x, y), (a, b) in zip(paired, pairs))
 
 
 class TestHomologicalMonodromy:

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import json
+import re
 import time
 
 import pytest
@@ -11,6 +13,7 @@ import braidplumb.plumbing as plumbing
 from braidplumb.alexpoly import burau_alexander, hironaka_max_n
 from braidplumb.braidwords import BraidWord, parse_braid
 from braidplumb.errors import (
+    CertificateRejected,
     DisjointnessFailure,
     InternalConsistencyError,
     InvalidParameter,
@@ -19,6 +22,7 @@ from braidplumb.errors import (
 )
 from braidplumb.fatgraph import RectangleCurve, build_surface
 from braidplumb.linalg import rank, reduce_row
+from braidplumb.monodromy import homological_monodromy
 from braidplumb.plumbing import (
     ChainCertificate,
     detect_chain,
@@ -287,6 +291,123 @@ class TestValidatorOracle:
                 assert verdict(validate_chain_certificate, variant) == verdict(
                     loop_validate_chain_certificate, variant
                 )
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the arc test with dense vector-matrix products
+# ---------------------------------------------------------------------------
+
+
+def dense_arc_functionals_independent(surface, seed, n):
+    h = homological_monodromy(surface)
+    cols = list(zip(*h))
+    u = [0] * len(surface.rectangles)
+    for idx, rect in enumerate(surface.rectangles):
+        if rect.top == seed.top:
+            u[idx] += 1
+        if rect.bottom == seed.top:
+            u[idx] -= 1
+    rows = [u]
+    for _ in range(n - 1):
+        row = rows[-1]
+        rows.append([sum(x * y for x, y in zip(row, col)) for col in cols])
+    return rank(rows) == n
+
+
+class TestSparseArcRows:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_verdicts_equal_the_dense_products(self, data):
+        s = data.draw(st.integers(min_value=2, max_value=7))
+        c = data.draw(st.integers(min_value=s, max_value=20))
+        base = list(range(1, s)) + [
+            data.draw(st.integers(min_value=1, max_value=s - 1)) for _ in range(c - s + 1)
+        ]
+        surface = build_surface(BraidWord(s, tuple(data.draw(st.permutations(base)))))
+        for seed in surface.rectangles:
+            detected = detect_chain(surface, seed, surface.b1 + 1).n
+            for n in range(1, detected + 2):
+                assert plumbing._arc_functionals_independent(
+                    surface, seed, n
+                ) == dense_arc_functionals_independent(surface, seed, n)
+
+
+# ---------------------------------------------------------------------------
+# Loader contract: a missing field or a wrongly typed value is a
+# CertificateRejected that names the field
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def certificate_texts():
+    torus = build_surface(torus_braid(3, 5))
+    # the known defect: a certificate its validator rejects still loads
+    defect = build_surface(parse_braid("2 2 1 2 1 1 2 2 2 2"))
+    return (
+        ("chain", json.dumps(detect_chain(torus, torus.top_left_rectangle(), 9).to_json())),
+        ("chain", json.dumps(detect_chain(defect, defect.rectangles[4], defect.b1).to_json())),
+        ("trefoil", json.dumps(trefoil_decompose(torus_braid(3, 4)).to_json())),
+        ("trefoil", json.dumps(trefoil_decompose(parse_braid("1 1 1 2 1 3 2 3 3")).to_json())),
+    )
+
+
+LOADERS = {"chain": ChainCertificate.from_json, "trefoil": trefoil_decomposition_from_json}
+
+
+def json_paths(node, path=()):
+    """The path of every value below the root of a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from json_paths(value, path + (key,))
+
+
+def json_kind(value):
+    return type(value).__name__
+
+
+WRONG_TYPES = (7, "7", 7.0, True, None, [], {})
+
+
+class TestLoaderContract:
+    @pytest.mark.parametrize(
+        "loader,data,field",
+        [
+            ("chain", {}, "strands"),
+            ("chain", {"strands": "three", "word": [1, 2, 1, 2]}, "strands"),
+            ("trefoil", {"strands": 2, "word": [1, 1, 1]}, "steps"),
+            ("trefoil", {"strands": 2, "word": [1, 1, 1], "steps": 1}, "steps"),
+        ],
+    )
+    def test_malformed_json_is_rejected_by_name(self, loader, data, field):
+        with pytest.raises(CertificateRejected, match=field):
+            LOADERS[loader](data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_dropped_key_or_wrong_type_is_rejected(self, data):
+        loader, text = data.draw(st.sampled_from(certificate_texts()))
+        assert LOADERS[loader](json.loads(text))
+        doc = json.loads(text)
+        paths = list(json_paths(doc))
+        # A braid relation without a direction reads as direction +1.
+        droppable = [p for p in paths if isinstance(p[-1], str) and p[-1] != "direction"]
+        path = data.draw(st.sampled_from(paths + droppable))
+        *parents, last = path
+        parent = functools.reduce(lambda node, key: node[key], parents, doc)
+        if path in droppable and data.draw(st.booleans()):
+            del parent[last]
+        else:
+            wrong = [v for v in WRONG_TYPES if json_kind(v) != json_kind(parent[last])]
+            parent[last] = data.draw(st.sampled_from(wrong))
+        with pytest.raises(CertificateRejected) as info:
+            LOADERS[loader](doc)
+        named = re.search(r"'(.*)'", str(info.value)).group(1)
+        field = next(key for key in reversed(path) if isinstance(key, str))
+        assert re.sub(r"\[\d+\]", "", named).split(".")[-1] == field
 
 
 class TestTrefoilStep:
