@@ -48,6 +48,7 @@ from .errors import (
     InvalidParameter,
     NonEmbeddedCore,
     NotAKnot,
+    NotAPath,
     NotCoprime,
     NotDivisible,
     SearchBudgetExceeded,

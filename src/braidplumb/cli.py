@@ -2,8 +2,8 @@
 
 Commands: analyze, decompose, chain, bound, torus, orbit, selftest.
 The word wire format is whitespace-separated 1-based generator indices,
-optionally with --strands.  Exit codes: 0 success, 2 domain errors,
-3 internal-consistency failures.
+optionally with --strands.  Exit codes: 0 success, 2 domain errors (a
+malformed command line included), 3 internal-consistency failures.
 
 analyze, decompose, and chain also run in batch mode (--batch FILE with
 one word per line, --out-dir DIR): inputs are processed in parallel and
@@ -293,8 +293,17 @@ def _cmd_selftest(args):
     raise InternalConsistencyError("acceptance criteria failed")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a malformed command line as a DomainError, so it ends like any
+    other bad input: exit 2 and a JSON error object.  Subcommand parsers
+    inherit the class."""
+
+    def error(self, message):
+        raise DomainError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="braidplumb",
         description="Exact plumbing analysis of positive braid fibre surfaces",
     )
@@ -356,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         payload = args.fn(args)
         if payload is None:
             return 0

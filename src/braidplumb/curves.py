@@ -14,6 +14,12 @@ exactly once.  A Dehn twist splices an oriented copy of the core into the
 curve at every counted crossing and reduces.  Every curve, a twist's output
 included, goes through the NormalCurve constructor, which checks that the
 word is a closed path.
+
+The monodromy sweep skips the twist along a rectangle core when no transit
+end of the current curve lies in the core's window, the arc between the
+core's ends on its two strand disks: such a curve cannot cross the core
+(see _meets_window).  The twist factors are built the first time a twist
+needs one, into the surface's cache.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .errors import (
     InternalConsistencyError,
     InvalidParameter,
     NonEmbeddedCore,
+    NotAPath,
 )
 from .fatgraph import FatGraphSurface, RectangleCurve
 
@@ -57,13 +64,13 @@ def _validate_path(surface: FatGraphSurface, word):
     for t in word:
         j = abs(t)
         if t == 0 or j > c:
-            raise EmptyCurve(f"traversal {t} outside the edge range 1..{c}")
+            raise NotAPath(f"traversal {t} outside the edge range 1..{c}")
     L = len(word)
     for i in range(L):
         here = surface.end_vertex[surface.target_end(word[i])]
         there = surface.end_vertex[surface.source_end(word[(i + 1) % L])]
         if here != there:
-            raise EmptyCurve(
+            raise NotAPath(
                 f"traversals {word[i]} -> {word[(i + 1) % L]} do not share a strand disk"
             )
 
@@ -80,6 +87,7 @@ class NormalCurve:
         "_canon",
         "_ucanon",
         "_root",
+        "_ends",
     )
 
     def __init__(self, surface: FatGraphSurface, word, reduce: bool = True):
@@ -97,6 +105,7 @@ class NormalCurve:
         self._canon = None
         self._ucanon = None
         self._root = None
+        self._ends = None
 
     def canonical(self) -> tuple[int, ...]:
         """Least rotation of the word; equality of classes keeps orientation."""
@@ -448,22 +457,76 @@ def dehn_twist(factor: TwistFactor, x: NormalCurve) -> NormalCurve:
     return NormalCurve(surface, out, reduce=True)
 
 
-def _twist_factors(surface: FatGraphSurface):
-    if surface._twist_cache is None:
-        factors = []
-        for idx in surface.twist_ordering:
-            rect = surface.rectangles[idx]
-            factors.append(TwistFactor(curve_from_rectangle(surface, rect), right=True))
-        surface._twist_cache = tuple(factors)
+def _transit_ends(x: NormalCurve) -> dict[int, list[int]]:
+    """Strand disk -> word positions of the crossings whose ends x's
+    transits use on that disk; cached on the curve."""
+    if x._ends is None:
+        ends: dict[int, list[int]] = {}
+        for v, inc, dep in x.transits():
+            ends.setdefault(v, []).extend((inc >> 1, dep >> 1))
+        x._ends = ends
+    return x._ends
+
+
+def _meets_window(ends, rect: RectangleCurve) -> bool:
+    """Whether a transit end of the curve lies in the rectangle core's window.
+
+    The core of rectangle (g, top, bottom) passes strand disks g and g + 1,
+    with its ends on each at crossings top and bottom.  Ring order is word
+    position order, so the closed arc between the core's ends holds exactly
+    the ends of crossings top..bottom.  A transit with both ends outside it
+    has both germs on one side of the core's chord and cannot be linked
+    with it; a curve with no end inside is left as it is by the twist.
+    """
+    top, bottom = rect.top, rect.bottom
+    for v in (rect.column, rect.column + 1):
+        for p in ends.get(v, ()):
+            if top <= p <= bottom:
+                return True
+    return False
+
+
+def _twist_factor(surface: FatGraphSurface, k: int) -> TwistFactor:
+    """The k-th factor in twist order, built on first use into the
+    surface's cache."""
+    cache = surface._twist_cache
+    if cache is None:
+        cache = surface._twist_cache = [None] * len(surface.twist_ordering)
+    factor = cache[k]
+    if factor is None:
+        rect = surface.rectangles[surface.twist_ordering[k]]
+        factor = cache[k] = TwistFactor(curve_from_rectangle(surface, rect), right=True)
+    return factor
+
+
+def _twist_factors(surface: FatGraphSurface) -> tuple[TwistFactor, ...]:
+    """Every factor in twist order; after the first call the cache is this
+    one tuple."""
+    if type(surface._twist_cache) is not tuple:
+        surface._twist_cache = tuple(
+            _twist_factor(surface, k) for k in range(len(surface.twist_ordering))
+        )
     return surface._twist_cache
 
 
 def apply_monodromy(surface: FatGraphSurface, x: NormalCurve, power: int = 1) -> NormalCurve:
-    """Apply the full ordered product of right-handed rectangle twists."""
+    """Apply the full ordered product of right-handed rectangle twists.
+
+    A twist is skipped when no transit end of the current curve lies in
+    its core's window (_meets_window): dehn_twist would find no crossing
+    and return the curve itself.  Each factor is built the first time a
+    twist needs it.
+    """
     if power < 0:
         raise InvalidParameter("power must be non-negative; invert via left twists instead")
-    factors = _twist_factors(surface)
+    order = surface.twist_ordering
+    # dehn_twist refuses a curve from another surface; test it before any
+    # window test can skip that twist.
+    if power and order and x.surface is not surface:
+        raise NonEmbeddedCore("core and curve live on different surfaces")
+    rects = surface.rectangles
     for _ in range(power):
-        for f in factors:
-            x = dehn_twist(f, x)
+        for k, idx in enumerate(order):
+            if _meets_window(_transit_ends(x), rects[idx]):
+                x = dehn_twist(_twist_factor(surface, k), x)
     return x

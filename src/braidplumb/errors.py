@@ -54,6 +54,10 @@ class EmptyCurve(DomainError):
     """Reduction killed the whole word: the curve is null-homotopic."""
 
 
+class NotAPath(DomainError):
+    """A curve's word is not a closed edge path on the surface."""
+
+
 class NonEmbeddedCore(DomainError):
     """Dehn twist cores must be embedded circles."""
 

@@ -381,7 +381,11 @@ def trefoil_decomposition_from_json(data) -> TrefoilDecomposition:
     w = word
     for i, raw in enumerate(json_field(data, "steps", "a list")):
         where = f"steps[{i}]."
-        before = BraidWord(w.strands, tuple(json_field(raw, "before", ints, where)))
+        before = tuple(json_field(raw, "before", ints, where))
+        # A step that chains starts from the previous step's after-word:
+        # reuse it.  Any other before-word gets its own BraidWord, and
+        # validate_trefoil_decomposition rejects it.
+        before = w if before == w.letters else BraidWord(w.strands, before)
         moves = tuple(
             move_from_json(mv, f"{where}moves[{k}].")
             for k, mv in enumerate(json_field(raw, "moves", "a list", where))
@@ -407,7 +411,8 @@ def trefoil_decomposition_from_json(data) -> TrefoilDecomposition:
         w = after
     genus = json_field(data, "genus", "an integer")
     ribbon_twists = json_field(data, "ribbon_twists", "an integer")
-    final_word = BraidWord(w.strands, tuple(json_field(data, "final_word", ints)))
+    final = tuple(json_field(data, "final_word", ints))
+    final_word = w if final == w.letters else BraidWord(w.strands, final)
     if genus != len(steps) or ribbon_twists != len(steps):
         raise InternalConsistencyError("genus and ribbon twists must equal the step count")
     return TrefoilDecomposition(word=word, steps=tuple(steps), final_word=final_word)

@@ -28,6 +28,7 @@ PUBLIC = [
     "NonEmbeddedCore",
     "NormalCurve",
     "NotAKnot",
+    "NotAPath",
     "NotCoprime",
     "NotDivisible",
     "RectangleCurve",

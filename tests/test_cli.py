@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidplumb.cli import main
 from braidplumb.fatgraph import build_surface
@@ -159,6 +164,22 @@ class TestParameterContracts:
             assert json.loads(out)["error"]["code"] == "DomainError"
             assert not out_dir.exists()
 
+    def test_malformed_command_line_exit_2_with_json(self, capsys):
+        # argparse used to print its usage to stderr and leave stdout empty.
+        for argv in (
+            [],
+            ["frobnicate"],
+            ["torus", "0", "x"],
+            ["chain", "1 1 1", "--max-n", "x"],
+            ["analyze", "-x"],
+            ["orbit", "1 1 1", "--power"],
+        ):
+            code, out = run(capsys, *argv)
+            assert code == 2
+            error = json.loads(out)["error"]
+            assert error["code"] == "DomainError"
+            assert error["message"].startswith("braidplumb")
+
     def test_orbit_negative_power_exit_2(self, capsys):
         code, out = run(capsys, "orbit", "1 1 1", "--power", "-1")
         assert code == 2
@@ -306,3 +327,68 @@ class TestOutputFailures:
             proc = self._run_into_closed_pipe(*argv)
             assert proc.returncode == expect
             assert proc.stderr == ""
+
+
+# Tokens that are not plain generator indices.
+BAD_TOKENS = ("0", "-1", "a", "1.5", "+2", "-x", "--")
+
+
+def _rarely(draw):
+    """True about one draw in five."""
+    return draw(st.integers(min_value=0, max_value=4)) == 0
+
+
+@st.composite
+def words(draw):
+    """A word of generators 1..4, now and then with one malformed token."""
+    tokens = draw(st.lists(st.integers(min_value=1, max_value=4).map(str), min_size=1, max_size=9))
+    if _rarely(draw):
+        at = draw(st.integers(min_value=0, max_value=len(tokens)))
+        tokens.insert(at, draw(st.sampled_from(BAD_TOKENS)))
+    return " ".join(tokens)
+
+
+@st.composite
+def option_values(draw, lo, hi):
+    if _rarely(draw):
+        return draw(st.sampled_from(["x", ""]))
+    return str(draw(st.integers(min_value=lo, max_value=hi)))
+
+
+@st.composite
+def command_lines(draw):
+    """argv for every subcommand but selftest, with no file input or output."""
+    cmd = draw(st.sampled_from(["analyze", "decompose", "chain", "bound", "torus", "orbit"]))
+    argv = [cmd]
+    if cmd == "torus":
+        return argv + [draw(option_values(-1, 6)), draw(option_values(-1, 6))]
+    if not _rarely(draw):
+        argv.append(draw(words()))
+    options = {"--strands": (-1, 6)}
+    if cmd in ("chain", "orbit"):
+        options["--seed"] = (-1, 8)
+    if cmd == "chain":
+        options["--max-n"] = (-1, 4)
+    if cmd == "orbit":
+        options["--power"] = (-1, 3)
+    for flag, (lo, hi) in options.items():
+        if _rarely(draw):
+            argv += [flag, draw(option_values(lo, hi))]
+    if cmd == "bound" and _rarely(draw):
+        argv += ["--torus", draw(option_values(-1, 6)), draw(option_values(-1, 6))]
+    return argv
+
+
+class TestEveryCommandLine:
+    @settings(max_examples=200, deadline=None)
+    @given(command_lines())
+    def test_exit_code_and_json(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # an argparse exit bypasses the JSON contract
+                code = exc.code
+        assert code in (0, 2, 3), (argv, code, err.getvalue())
+        json.loads(out.getvalue())
+        assert "Traceback" not in err.getvalue()

@@ -18,10 +18,10 @@ from braidplumb.curves import (
     self_intersection,
     signed_intersection,
 )
-from braidplumb.errors import EmptyCurve, InvalidParameter, NonEmbeddedCore
+from braidplumb.errors import EmptyCurve, InvalidParameter, NonEmbeddedCore, NotAPath
 from braidplumb.fatgraph import build_surface
 from braidplumb.monodromy import intersection_form
-from braidplumb.plumbing import torus_braid
+from braidplumb.plumbing import detect_chain, torus_braid
 
 FIGURE_BRAID = BraidWord(6, (4, 4, 3, 2, 1, 5, 5, 3, 4, 2, 2, 5, 3, 4, 1, 1, 2, 2, 3))
 
@@ -464,3 +464,89 @@ class TestPrimitiveRoot:
         monkeypatch.setattr(cv, "_primitive_root", no_scan)
         got = [(geometric_intersection(a, b), signed_intersection(a, b)) for a, b in pairs]
         assert got == expected
+
+
+def full_sweep_step(s, factors, x, skipped):
+    """One monodromy step by the sweep without the window rule: every
+    factor in twist order.  Twists the window rule skips go to `skipped`."""
+    for idx, f in zip(s.twist_ordering, factors):
+        if not cv._meets_window(cv._transit_ends(fresh(x)), s.rectangles[idx]):
+            skipped.append((f, x))
+        x = dehn_twist(f, x)
+    return x
+
+
+class TestWindowSweep:
+    @settings(max_examples=40, deadline=None)
+    @given(connected_surfaces(), st.data())
+    def test_sweep_equals_the_full_sweep(self, s, data):
+        factors = [TwistFactor(curve_from_rectangle(s, s.rectangles[i])) for i in s.twist_ordering]
+        for rect in s.rectangles:
+            seed = curve_from_rectangle(s, rect)
+            chain = detect_chain(s, rect, s.b1 + 1)
+            iterates, skipped = [seed], []
+            while len(iterates) < max(5, chain.n):
+                iterates.append(full_sweep_step(s, factors, iterates[-1], skipped))
+            for power in range(4):
+                # Same word, not just the same class; from the seed and
+                # from a fresh copy of each iterate.
+                assert apply_monodromy(s, seed, power).word == iterates[power].word
+                step = apply_monodromy(s, fresh(iterates[power]), 1)
+                assert step.word == iterates[power + 1].word
+            assert chain.curve_words == tuple(x.word for x in iterates[: chain.n])
+            for f, x in skipped:
+                assert cv._events(s, fresh(x), f.core) == []
+                assert dehn_twist(f, x) is x
+
+    @settings(max_examples=30, deadline=None)
+    @given(connected_surfaces(), st.data())
+    def test_foreign_curve_raises(self, s, data):
+        twin = build_surface(s.word)
+        rect = data.draw(st.sampled_from(twin.rectangles))
+        x = apply_monodromy(twin, curve_from_rectangle(twin, rect), data.draw(st.integers(0, 2)))
+        assert apply_monodromy(s, x, 0) is x
+        for power in (1, 2, 3):
+            with pytest.raises(NonEmbeddedCore, match="^core and curve live on different surfaces$"):
+                apply_monodromy(s, x, power)
+
+    def test_foreign_curve_outside_every_window_raises(self):
+        s = surface("1 1 1")
+        far = surface("1 1 1 1 1 1")
+        x = curve_from_rectangle(far, far.rectangles[-1])  # crossings 4 and 5
+        assert not any(cv._meets_window(cv._transit_ends(x), r) for r in s.rectangles)
+        with pytest.raises(NonEmbeddedCore, match="^core and curve live on different surfaces$"):
+            apply_monodromy(s, x, 1)
+        # b1 = 0: no twist, so nothing refuses the curve.
+        assert apply_monodromy(surface("1 2"), x, 1) is x
+
+    def test_factors_are_built_on_first_use(self):
+        s = build_surface(FIGURE_BRAID)
+        x = curve_from_rectangle(s, s.rectangles[0])
+        y = apply_monodromy(s, x, 1)
+        built = [f is not None for f in s._twist_cache]
+        assert 0 < sum(built) < len(built)
+        # _twist_factors keeps the factors already built, in one tuple.
+        kept = list(s._twist_cache)
+        factors = cv._twist_factors(s)
+        assert type(factors) is tuple and cv._twist_factors(s) is factors
+        assert all(a is b for a, b in zip(kept, factors) if a is not None)
+        assert apply_monodromy(s, x, 1).word == y.word
+
+
+class TestPathErrors:
+    def test_out_of_range_traversal(self):
+        s = surface("1 1 1")
+        with pytest.raises(NotAPath, match="traversal 4 outside the edge range 1..3"):
+            NormalCurve(s, (1, 4))
+
+    def test_word_that_does_not_close(self):
+        s = surface("1 2 1 2")
+        # Both go up from strand 1, so the first junction fails.
+        with pytest.raises(NotAPath, match="traversals 1 -> 3 do not share a strand disk"):
+            NormalCurve(s, (1, 3), reduce=False)
+
+    def test_null_homotopic_word_stays_empty_curve(self):
+        s = surface("1 1 1")
+        with pytest.raises(EmptyCurve):
+            NormalCurve(s, (1, -1))
+        assert not issubclass(NotAPath, EmptyCurve)

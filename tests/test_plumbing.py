@@ -546,6 +546,25 @@ class TestTrefoilDecompose:
             assert got.normalized == made.normalized
             assert got.after == made.after
 
+    def test_loader_reuses_the_chaining_words(self):
+        dec = trefoil_decompose(torus_braid(3, 5))
+        back = trefoil_decomposition_from_json(json.loads(json.dumps(dec.to_json())))
+        previous = back.word
+        for step in back.steps:
+            assert step.before is previous
+            previous = step.after
+        assert back.final_word is previous
+        assert validate_trefoil_decomposition(back)
+
+    def test_loader_keeps_a_before_word_that_does_not_chain(self):
+        data = json.loads(json.dumps(trefoil_decompose(torus_braid(3, 5)).to_json()))
+        data["steps"][1]["before"] = data["steps"][1]["before"][::-1]
+        back = trefoil_decomposition_from_json(data)
+        assert back.steps[1].before is not back.steps[0].after
+        assert list(back.steps[1].before.letters) == data["steps"][1]["before"]
+        with pytest.raises(InternalConsistencyError, match="steps do not chain"):
+            validate_trefoil_decomposition(back)
+
     @settings(max_examples=120, deadline=None)
     @given(knot_words())
     def test_random_knots_decompose(self, w):
