@@ -108,6 +108,7 @@ def _decompose_payload(text, strands):
 
 
 def _seed_rectangle(surface, index):
+    surface.top_left_rectangle()  # TrivialLink when there is no rectangle
     if index < 0 or index >= len(surface.rectangles):
         raise DomainError(
             f"seed index {index} outside 0..{len(surface.rectangles) - 1}"

@@ -1,13 +1,19 @@
 """Exact integer linear algebra: characteristic polynomial, rank, determinant.
 
-charpoly reduces the matrix to upper Hessenberg form by similarity and runs
+charpoly works modulo one Mersenne prime p.  Every coefficient of
+det(tI - M) is a signed sum of principal minors, so the Hadamard bound
+B = prod_j (2 + isqrt(|col_j|^2)) >= prod_j (1 + |col_j|) bounds each of
+them; with p > 2B the symmetric residues are the integer coefficients
+themselves.  Krylov chains bring M to upper Hessenberg form, a chain
+closing on a zero residual, so a derogatory M takes the same path, and
 the Hessenberg recurrence (Cohen, A Course in Computational Algebraic
-Number Theory, Alg. 2.2.9), both modulo one Mersenne prime p.  Every
-coefficient of det(tI - M) is a signed sum of principal minors, so the
-Hadamard bound B = prod_j (2 + isqrt(|col_j|^2)) >= prod_j (1 + |col_j|)
-bounds each of them; with p > 2B the symmetric residues are the integer
-coefficients themselves.  The result is exact and deterministic, and the
-arithmetic stays O(n^3) on numbers of one fixed size.
+Number Theory, Alg. 2.2.9) runs as the chains grow.  With each vector
+and polynomial packed into one int, that is O(n^2) big-integer
+multiply-adds.  Against the Gaussian similarity reduction it replaced
+(Python 3.11, 2-core x86-64 VM), it is 1.7-2.3x faster on monodromies of
+random words with n = 16-60 and 1.1-1.2x at n = 115-143, but 1.2x slower
+at n <= 15 and 1.2-3.5x slower on torus-knot monodromies, which stay
+sparse under Gaussian elimination while Krylov vectors fill in.
 
 rank and det share one fraction-free Gaussian elimination (Bareiss): every
 division is exact, so the entries stay integers bounded by minors of the
@@ -59,62 +65,98 @@ def charpoly(matrix: list[list[int]]):
     from .alexpoly import LaurentPolynomial
 
     p = mersenne_modulus(hadamard_bound(matrix))
-    h = [[x % p for x in row] for row in matrix]
-    _hessenberg(h, p)
-    coeffs = _hessenberg_charpoly(h, p)
+    coeffs = _krylov_charpoly(matrix, p)
     half = p >> 1
     return LaurentPolynomial.from_dense(c - p if c > half else c for c in coeffs)
 
 
-def _hessenberg(a: list[list[int]], p: int) -> None:
-    """Reduce a to upper Hessenberg form mod p in place, by similarities."""
-    n = len(a)
-    for j in range(n - 2):
-        piv = next((i for i in range(j + 1, n) if a[i][j]), None)
-        if piv is None:
-            continue
-        if piv != j + 1:
-            a[piv], a[j + 1] = a[j + 1], a[piv]
-            for row in a:
-                row[piv], row[j + 1] = row[j + 1], row[piv]
-        pivot_row = a[j + 1]
-        inv = pow(pivot_row[j], -1, p)
-        # E = I - sum_k u_k e_k e_{j+1}^T clears column j below row j+1;
-        # the row operations give E a, then E a E^{-1} adds the columns.
-        factors = [(k, a[k][j] * inv % p) for k in range(j + 2, n) if a[k][j]]
-        if not factors:
-            continue
-        tail = pivot_row[j:]
-        for k, u in factors:
-            row = a[k]
-            row[j:] = [(x - u * y) % p for x, y in zip(row[j:], tail)]
-        for row in a:
-            row[j + 1] = (row[j + 1] + sum(u * row[k] for k, u in factors)) % p
+def _krylov_charpoly(matrix: list[list[int]], p: int) -> list[int]:
+    """Coefficients (constant term first) of det(tI - M) mod p = 2^e - 1.
 
+    Builds a basis b_0, b_1, ... of Krylov chains in which M is upper
+    Hessenberg: M b_d = sum_{j<=d} h[j][d] b_j + b_{d+1}.  Reducing M b_d
+    against the basis in order reads h[j][d] at b_j's pivot, the lowest
+    nonzero slot of b_j, where every later b is zero; the residual is
+    b_{d+1}, unscaled, so the subdiagonal is 1.  A zero residual closes
+    the chain (h[d+1][d] = 0) and the next chain starts at the first unit
+    vector off the pivots.  The Hessenberg recurrence runs alongside: with
+    that subdiagonal, P_{d+1} = t P_d - sum_j h[j][d] P_j over the j of
+    the current chain, P_d being det(tI - H) of the leading d x d block.
 
-def _hessenberg_charpoly(h: list[list[int]], p: int) -> list[int]:
-    """Coefficients (constant term first) of det(tI - H) mod p, H Hessenberg.
-
-    p_m = (t - h_mm) p_{m-1} - sum_{i<m} h_im (h_{i+1,i} ... h_{m,m-1}) p_{i-1}.
+    Vectors and polynomials are packed into one int of n + 1 slots of w
+    bits.  A reduced operand has every slot in [0, p), an update adds
+    (p - c) * x < p^2 to a slot, and no slot takes more than n updates, so
+    2^w > (n + 1) p^2 keeps every slot non-negative and every carry inside
+    its slot: an update is one multiply-add, a read one shift and mask.
+    b_j is stored shifted down to its pivot, so its updates multiply only
+    the slots from the pivot up.
     """
-    polys = [[1]]
-    for m in range(len(h)):
-        prev = polys[m]
-        acc = [0] + prev
-        d = h[m][m]
-        for k, c in enumerate(prev):
-            acc[k] -= d * c
-        sub = 1
-        for i in range(m - 1, -1, -1):
-            sub = sub * h[i + 1][i] % p
-            if not sub:
-                break
-            c = h[i][m] * sub % p
+    n = len(matrix)
+    e = p.bit_length()
+    size = (2 * e + (n + 1).bit_length() + 7) // 8
+    w = 8 * size
+    mask = (1 << w) - 1
+    ones = int.from_bytes((1).to_bytes(size, "little") * (n + 1), "little")
+    low, high = ones * p, ones * ((1 << (w - e)) - 1)
+
+    def reduce(v: int) -> int:
+        # 2^e = 1 mod p: two folds leave every slot below 2p (w - 2e is
+        # far below e for every table prime), then a slot >= p, whose bit e
+        # is set after adding 1, loses one p.
+        for _ in range(2):
+            v = (v & low) + (v >> e & high)
+        return v - ((v + ones) >> e & ones) * p
+
+    def unpack(v: int, slots: int) -> list[int]:
+        data = v.to_bytes(slots * size, "little")
+        return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
+
+    # Column k of M as its +1 rows, its -1 rows and its other (row, entry).
+    cols: list[tuple[list, list, list]] = [([], [], []) for _ in range(n)]
+    for i, row in enumerate(matrix):
+        for k, x in enumerate(row):
+            if x == 1:
+                cols[k][0].append(i)
+            elif x == -1:
+                cols[k][1].append(i)
+            elif x:
+                cols[k][2].append((i, x))
+    basis: list[tuple[int, int, int]] = []  # (pivot's bit offset, 1 / pivot entry, b_j >> it)
+    pivots: set[int] = set()
+    polys = [1]
+    vec: Optional[list[int]] = None  # b_d, unpacked
+    for d in range(n):
+        if vec is None:
+            k = next(k for k in range(n) if k not in pivots)
+            vec = [0] * n
+            vec[k] = 1
+            residual, start = 1 << (w * k), d
+        else:
+            k = next(k for k, x in enumerate(vec) if x)
+        pivots.add(k)
+        basis.append((w * k, pow(vec[k], -1, p), residual >> (w * k)))
+        ys = [0] * n
+        for v, (up, down, rest) in zip(vec, cols):
+            if v:
+                for i in up:
+                    ys[i] += v
+                for i in down:
+                    ys[i] -= v
+                for i, x in rest:
+                    ys[i] += x * v
+        y = int.from_bytes(b"".join([(x % p).to_bytes(size, "little") for x in ys]), "little")
+        acc = polys[d] << w
+        for j, (shift, scale, bj) in enumerate(basis):
+            c = (y >> shift & mask) * scale % p
             if c:
-                for k, x in enumerate(polys[i]):
-                    acc[k] -= c * x
-        polys.append([x % p for x in acc])
-    return polys[-1]
+                c = p - c
+                y += c * bj << shift
+                if j >= start:
+                    acc += c * polys[j]
+        polys.append(reduce(acc))
+        residual = reduce(y)
+        vec = unpack(residual, n) if residual else None
+    return unpack(polys[n], n + 1)
 
 
 def _bareiss(m: list[list[int]]) -> tuple[int, int, int]:

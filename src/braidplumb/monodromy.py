@@ -21,11 +21,14 @@ sign * J[a][r] * row a for each neighbour a of r.  The rows stay sparse
 kept as column -> entry maps while the twists act and written out as the
 dense matrix once, at the end.
 
-charpoly is the exact kernel of linalg: Hessenberg reduction and the
-Hessenberg recurrence, O(n^3), modulo the smallest Mersenne prime above
-twice the Hadamard bound of the coefficients.  No coefficient of
-det(tI - H) can exceed that bound in absolute value, so the symmetric
-residues are the integer coefficients and the result is exact.
+charpoly is the exact kernel of linalg: a Hessenberg form built from
+Krylov chains of H and the Hessenberg recurrence, modulo the smallest
+Mersenne prime above twice the Hadamard bound of the coefficients, with
+each vector packed into one int so that an update is one multiply-add.
+No coefficient of det(tI - H) can exceed that bound in absolute value, so
+the symmetric residues are the integer coefficients and the result is
+exact.  H's few nonzeros per column make the product H b one pass over
+its +-1 entries.
 """
 
 from __future__ import annotations

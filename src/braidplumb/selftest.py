@@ -115,7 +115,8 @@ def reduced_knot_corpus(max_crossings: int):
 
     Connected: every generator present; reduced: every generator at least
     twice; knot: the closure permutation is one cycle (which forces
-    c = s - 1 mod 2).
+    c = s - 1 mod 2).  The cycle is traced on the necklace itself, so a
+    BraidWord is built only for the knots, about one necklace in seven.
     """
     for k in range(1, max_crossings // 2 + 1):
         s = k + 1
@@ -124,9 +125,20 @@ def reduced_knot_corpus(max_crossings: int):
                 continue
             for content in _compositions(c, k, 2):
                 for neck in necklaces_fixed_content(content):
-                    word = BraidWord(s, tuple(x + 1 for x in neck))
-                    if word.is_knot:
-                        yield word
+                    if _closes_to_knot(s, neck):
+                        yield BraidWord(s, tuple(x + 1 for x in neck))
+
+
+def _closes_to_knot(strands: int, neck: tuple[int, ...]) -> bool:
+    """BraidWord.is_knot for the word whose letters are neck's plus one."""
+    perm = list(range(strands))
+    for x in neck:
+        perm[x], perm[x + 1] = perm[x + 1], perm[x]
+    v, size = perm[0], 1
+    while v:
+        v = perm[v]
+        size += 1
+    return size == strands
 
 
 def random_connected_word(rng: random.Random, c: int, s: int) -> BraidWord:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -197,6 +198,15 @@ class TestDefaultSeed:
 
     def test_no_rectangle_exit_2(self, capsys):
         code, out = run(capsys, "chain", "1")
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "TrivialLink"
+
+    @pytest.mark.parametrize(
+        "argv", [("chain", "1 2", "--seed", "0"), ("orbit", "1 2 3", "--seed", "1")]
+    )
+    def test_explicit_seed_without_rectangle_exit_2(self, capsys, argv):
+        # The same error as without --seed, not a seed index out of range.
+        code, out = run(capsys, *argv)
         assert code == 2
         assert json.loads(out)["error"]["code"] == "TrivialLink"
 

@@ -1,6 +1,8 @@
-"""The exact linear-algebra kernel against Fraction and Faddeev-LeVerrier oracles."""
+"""The exact linear-algebra kernel against Fraction, Faddeev-LeVerrier and
+Gaussian Hessenberg oracles."""
 
 import itertools
+import random
 import time
 from fractions import Fraction
 
@@ -52,6 +54,68 @@ def faddeev_leverrier(matrix):
         c = -trace // k
         coeffs[n - k] = c
     return LaurentPolynomial({e: c for e, c in enumerate(coeffs) if c})
+
+
+def gaussian_charpoly(matrix):
+    """det(tI - M) by Gaussian Hessenberg reduction and the list recurrence,
+    modulo the prime charpoly picks; the kernel before the Krylov chains."""
+    p = mersenne_modulus(hadamard_bound(matrix))
+    h = [[x % p for x in row] for row in matrix]
+    hessenberg_reduce(h, p)
+    coeffs = hessenberg_recurrence(h, p)
+    half = p >> 1
+    return LaurentPolynomial.from_dense(c - p if c > half else c for c in coeffs)
+
+
+def hessenberg_reduce(a: list[list[int]], p: int) -> None:
+    """Reduce a to upper Hessenberg form mod p in place, by similarities."""
+    n = len(a)
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if a[i][j]), None)
+        if piv is None:
+            continue
+        if piv != j + 1:
+            a[piv], a[j + 1] = a[j + 1], a[piv]
+            for row in a:
+                row[piv], row[j + 1] = row[j + 1], row[piv]
+        pivot_row = a[j + 1]
+        inv = pow(pivot_row[j], -1, p)
+        # E = I - sum_k u_k e_k e_{j+1}^T clears column j below row j+1;
+        # the row operations give E a, then E a E^{-1} adds the columns.
+        factors = [(k, a[k][j] * inv % p) for k in range(j + 2, n) if a[k][j]]
+        if not factors:
+            continue
+        tail = pivot_row[j:]
+        for k, u in factors:
+            row = a[k]
+            row[j:] = [(x - u * y) % p for x, y in zip(row[j:], tail)]
+        for row in a:
+            row[j + 1] = (row[j + 1] + sum(u * row[k] for k, u in factors)) % p
+
+
+def hessenberg_recurrence(h: list[list[int]], p: int) -> list[int]:
+    """Coefficients (constant term first) of det(tI - H) mod p, H Hessenberg.
+
+    p_m = (t - h_mm) p_{m-1} - sum_{i<m} h_im (h_{i+1,i} ... h_{m,m-1}) p_{i-1}.
+    """
+    polys = [[1]]
+    for m in range(len(h)):
+        prev = polys[m]
+        acc = [0] + prev
+        d = h[m][m]
+        for k, c in enumerate(prev):
+            acc[k] -= d * c
+        sub = 1
+        for i in range(m - 1, -1, -1):
+            sub = sub * h[i + 1][i] % p
+            if not sub:
+                break
+            c = h[i][m] * sub % p
+            if c:
+                for k, x in enumerate(polys[i]):
+                    acc[k] -= c * x
+        polys.append([x % p for x in acc])
+    return polys[-1]
 
 
 def fraction_rank(vectors):
@@ -214,6 +278,56 @@ def connected_words(draw):
     return BraidWord(s, tuple(draw(st.permutations(base))))
 
 
+@st.composite
+def repeated_block_sums(draw):
+    """The direct sum of r copies of B, the companion matrix of a monic
+    polynomial of degree 2-4, basis permuted: det(tI - M) = det(tI - B)^r,
+    and each Krylov chain closes inside one copy, before the factor repeats."""
+    deg = draw(st.integers(min_value=2, max_value=4))
+    tail = [draw(entries) for _ in range(deg)]
+    block = [[int(r == c + 1) for c in range(deg)] for r in range(deg)]
+    for r in range(deg):
+        block[r][deg - 1] = -tail[r]
+    reps = draw(st.integers(min_value=2, max_value=4))
+    n = deg * reps
+    m = [[0] * n for _ in range(n)]
+    for q in range(0, n, deg):
+        for r in range(deg):
+            m[q + r][q : q + deg] = block[r]
+    perm = draw(st.permutations(range(n)))
+    return block, reps, [[m[perm[r]][perm[c]] for c in range(n)] for r in range(n)]
+
+
+@st.composite
+def block_triangular_matrices(draw):
+    """[[A, C], [0, B]]: the chain from e_0 closes inside A's columns."""
+    a = draw(st.integers(min_value=1, max_value=6))
+    b = draw(st.integers(min_value=1, max_value=6))
+    top = [[draw(entries) for _ in range(a)] for _ in range(a)]
+    bottom = [[draw(entries) for _ in range(b)] for _ in range(b)]
+    coupling = [[draw(entries) for _ in range(b)] for _ in range(a)]
+    m = [row + extra for row, extra in zip(top, coupling)]
+    m += [[0] * a + row for row in bottom]
+    return top, bottom, m
+
+
+def sparse_sign_matrix(n, rng):
+    """n x n with entries +-1, about 4.5 nonzeros a column, like the monodromy."""
+    m = [[0] * n for _ in range(n)]
+    for c in range(n):
+        for r in rng.sample(range(n), rng.randint(3, 6)):
+            m[r][c] = rng.choice((1, -1))
+    return m
+
+
+@st.composite
+def wide_connected_words(draw):
+    s = draw(st.integers(min_value=2, max_value=9))
+    b1 = draw(st.integers(min_value=1, max_value=60))
+    base = list(range(1, s)) + [draw(st.integers(min_value=1, max_value=s - 1)) for _ in range(b1)]
+    return BraidWord(s, tuple(draw(st.permutations(base))))
+
+
 # ---------------------------------------------------------------------------
 # charpoly
 # ---------------------------------------------------------------------------
@@ -261,6 +375,42 @@ class TestCharpoly:
         # On a 2-core x86-64 VM, Faddeev-LeVerrier took about 12 s at
         # b1 = 112 and the kernel 0.04 s.  The bound only guards the order.
         assert elapsed < 2.0
+
+
+class TestKrylovChains:
+    """The Krylov kernel against the Gaussian reduction it replaced, where
+    Faddeev-LeVerrier is too slow or the chains take their rarer paths."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(repeated_block_sums())
+    def test_repeated_block_closes_chains_early(self, case):
+        block, reps, m = case
+        poly = charpoly(m)
+        assert poly == gaussian_charpoly(m)
+        assert poly == charpoly(block) ** reps
+
+    @settings(max_examples=150, deadline=None)
+    @given(block_triangular_matrices())
+    def test_block_triangular_zero_subdiagonal(self, case):
+        top, bottom, m = case
+        poly = charpoly(m)
+        assert poly == gaussian_charpoly(m)
+        assert poly == charpoly(top) * charpoly(bottom)
+
+    def test_sparse_sign_matrices_across_the_modulus_step(self):
+        rng = random.Random(20)
+        moduli = set()
+        for n in range(20, 71, 2):
+            m = sparse_sign_matrix(n, rng)
+            moduli.add(mersenne_modulus(hadamard_bound(m)).bit_length())
+            assert charpoly(m) == gaussian_charpoly(m), n
+        assert {127, 521} <= moduli
+
+    @settings(max_examples=15, deadline=None)
+    @given(wide_connected_words())
+    def test_monodromy_matches_burau_up_to_b1_60(self, word):
+        h = homological_monodromy(build_surface(word))
+        assert charpoly(h).unit_equal(burau_alexander(word))
 
 
 class TestMersenneTable:

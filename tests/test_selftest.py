@@ -4,6 +4,7 @@ import itertools
 from braidplumb.braidwords import BraidWord, min_rotation
 from braidplumb.plumbing import torus_summand_report
 from braidplumb.selftest import (
+    _compositions,
     necklaces_fixed_content,
     obstruction_consistency,
     reduced_knot_corpus,
@@ -60,6 +61,20 @@ class TestCorpus:
                     if w.is_knot:
                         want.add((s, letters))
         assert got == want
+
+    def test_matches_is_knot_filter_in_order(self):
+        # The enumeration before the knot test moved onto the necklace.
+        want = []
+        for k in range(1, 6):
+            for c in range(2 * k, 11):
+                if (c - k) % 2:
+                    continue
+                for content in _compositions(c, k, 2):
+                    for neck in necklaces_fixed_content(content):
+                        word = BraidWord(k + 1, tuple(x + 1 for x in neck))
+                        if word.is_knot:
+                            want.append(word)
+        assert list(reduced_knot_corpus(10)) == want
 
     def test_members_are_reduced_connected_knots(self):
         for w in reduced_knot_corpus(8):
