@@ -13,13 +13,15 @@ anchored at one designated end of the run so each crossing is counted
 exactly once.  A Dehn twist splices an oriented copy of the core into the
 curve at every counted crossing and reduces.  Every curve, a twist's output
 included, goes through the NormalCurve constructor, which checks that the
-word is a closed path.
+word is a closed path and, in the same pass over the surface's traversal
+tables, builds the curve's transits.
 
 The monodromy sweep skips the twist along a rectangle core when no transit
 end of the current curve lies in the core's window, the arc between the
 core's ends on its two strand disks: such a curve cannot cross the core
-(see _meets_window).  The twist factors are built the first time a twist
-needs one, into the surface's cache.
+(see _meets_window).  The transit ends are read once per curve, and the
+twist factors are built the first time a twist needs one, into the
+surface's cache.
 """
 
 from __future__ import annotations
@@ -59,20 +61,32 @@ def reduce_cyclic(word) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _validate_path(surface: FatGraphSurface, word):
+def _path_transits(surface: FatGraphSurface, word):
+    """Check that the word is a closed path and return its transits.
+
+    Transit i is (vertex, incoming end, outgoing end) between word[i-1] and
+    word[i].  A failing junction is named in word order: the closing one,
+    word[-1] -> word[0], comes last.
+    """
     c = surface.word.length
     for t in word:
-        j = abs(t)
-        if t == 0 or j > c:
+        if t == 0 or t > c or t < -c:
             raise NotAPath(f"traversal {t} outside the edge range 1..{c}")
-    L = len(word)
-    for i in range(L):
-        here = surface.end_vertex[surface.target_end(word[i])]
-        there = surface.end_vertex[surface.source_end(word[(i + 1) % L])]
-        if here != there:
-            raise NotAPath(
-                f"traversals {word[i]} -> {word[(i + 1) % L]} do not share a strand disk"
-            )
+    src, tgt, vertex = surface.src_end, surface.tgt_end, surface.end_vertex
+    transits = []
+    inc = tgt[word[-1]]
+    for t in word:
+        dep = src[t]
+        v = vertex[dep]
+        if vertex[inc] != v and transits:
+            prev = word[len(transits) - 1]
+            raise NotAPath(f"traversals {prev} -> {t} do not share a strand disk")
+        transits.append((v, inc, dep))
+        inc = tgt[t]
+    v, inc, _ = transits[0]
+    if vertex[inc] != v:
+        raise NotAPath(f"traversals {word[-1]} -> {word[0]} do not share a strand disk")
+    return transits
 
 
 class NormalCurve:
@@ -96,10 +110,9 @@ class NormalCurve:
             word = reduce_cyclic(word)
         if not word:
             raise EmptyCurve("the word reduces to nothing: null-homotopic curve")
-        _validate_path(surface, word)
+        self._transits = _path_transits(surface, word)
         self.surface = surface
         self.word = word
-        self._transits = None
         self._self_int = None
         self._homology = None
         self._canon = None
@@ -144,17 +157,7 @@ class NormalCurve:
 
     def transits(self):
         """Per position i: (vertex, incoming end, outgoing end) between
-        word[i-1] and word[i]."""
-        if self._transits is None:
-            s = self.surface
-            w = self.word
-            L = len(w)
-            out = []
-            for i in range(L):
-                inc = s.target_end(w[i - 1])
-                dep = s.source_end(w[i])
-                out.append((s.end_vertex[dep], inc, dep))
-            self._transits = out
+        word[i-1] and word[i]; built by the path check."""
         return self._transits
 
     @property
@@ -233,11 +236,12 @@ def _compare_germs(surface, g1, g2, bound):
         if s1 == s2:
             prev = s1
             continue
-        pivot = surface.target_end(prev)
+        slot, src = surface.end_slot, surface.src_end
+        pivot = surface.tgt_end[prev]
         ring_len = len(surface.vertex_slots[surface.end_vertex[pivot]])
-        base = surface.end_slot[pivot]
-        n1 = (surface.end_slot[surface.source_end(s1)] - base) % ring_len
-        n2 = (surface.end_slot[surface.source_end(s2)] - base) % ring_len
+        base = slot[pivot]
+        n1 = (slot[src[s1]] - base) % ring_len
+        n2 = (slot[src[s2]] - base) % ring_len
         return -1 if n1 < n2 else 1
     return 0
 
@@ -439,8 +443,9 @@ def dehn_twist(factor: TwistFactor, x: NormalCurve) -> NormalCurve:
     events = _events(surface, x, core)
     if not events:
         return x
-    bound = len(x.word) + len(core.word) + 2
-    events.sort(key=_insertion_order_key(surface, x, core, bound))
+    if len(events) > 1:
+        bound = len(x.word) + len(core.word) + 2
+        events.sort(key=_insertion_order_key(surface, x, core, bound))
     hand = RIGHT_HANDED_SIGN if factor.right else -RIGHT_HANDED_SIGN
     wx, wc = x.word, core.word
     out: list[int] = []
@@ -526,7 +531,9 @@ def apply_monodromy(surface: FatGraphSurface, x: NormalCurve, power: int = 1) ->
         raise NonEmbeddedCore("core and curve live on different surfaces")
     rects = surface.rectangles
     for _ in range(power):
+        ends = _transit_ends(x)
         for k, idx in enumerate(order):
-            if _meets_window(_transit_ends(x), rects[idx]):
+            if _meets_window(ends, rects[idx]):
                 x = dehn_twist(_twist_factor(surface, k), x)
+                ends = _transit_ends(x)
     return x

@@ -11,6 +11,12 @@ at build time.
 Half-edge encoding: crossing j has a lower end 2j (on strand word[j]) and
 an upper end 2j+1 (on strand word[j]+1).  An oriented traversal of edge j
 is the signed integer +(j+1) (upward, lower strand to upper) or -(j+1).
+
+The curve engine reads the surface through flat tables: each strand's ring
+of ends (vertex_slots), each end's strand (end_vertex) and ring slot
+(end_slot), all filled in one pass over the letters, and each signed
+traversal's source and target end (src_end, tgt_end), indexed by the
+traversal itself.
 """
 
 from __future__ import annotations
@@ -56,8 +62,8 @@ class FatGraphSurface:
     """Fibre surface of a connected positive braid word, as a fatgraph.
 
     Exposes the brick diagram, the rectangle basis of the cycle space, the
-    plumbing order of the monodromy twists, and fast half-edge lookups for
-    the curve engine.
+    plumbing order of the monodromy twists, and the half-edge tables of the
+    curve engine.
     """
 
     __slots__ = (
@@ -69,6 +75,8 @@ class FatGraphSurface:
         "vertex_slots",
         "end_vertex",
         "end_slot",
+        "src_end",
+        "tgt_end",
         "boundary_count",
         "_twist_cache",
     )
@@ -83,27 +91,35 @@ class FatGraphSurface:
 
         # Action order of the monodromy twists: columns right to left,
         # bottom to top inside each column; the first entry acts first.
-        order = []
-        for col in range(word.strands - 1, 0, -1):
-            col_rects = [i for i, r in enumerate(self.rectangles) if r.column == col]
-            col_rects.sort(key=lambda i: -self.rectangles[i].top)
-            order.extend(col_rects)
-        self.twist_ordering = tuple(order)
+        # Rectangles are listed column by column, top to bottom, so that is
+        # the rectangle list reversed.
+        self.twist_ordering = tuple(range(len(self.rectangles) - 1, -1, -1))
 
+        # Strand rings, and for each end its strand and ring slot, in one
+        # pass: ring order is word-position order.
         s, letters = word.strands, word.letters
-        slots: list[list[int]] = [[] for _ in range(s + 1)]
+        c = len(letters)
+        rings: list[list[int]] = [[] for _ in range(s + 1)]
+        end_vertex = [0] * (2 * c)
+        end_slot = [0] * (2 * c)
         for j, g in enumerate(letters):
-            slots[g].append(2 * j)
-            slots[g + 1].append(2 * j + 1)
-        self.vertex_slots = tuple(tuple(x) for x in slots)
-        end_vertex = [0] * (2 * len(letters))
-        end_slot = [0] * (2 * len(letters))
-        for v in range(1, s + 1):
-            for idx, end in enumerate(self.vertex_slots[v]):
-                end_vertex[end] = v
-                end_slot[end] = idx
+            lower, upper = 2 * j, 2 * j + 1
+            ring = rings[g]
+            end_vertex[lower] = g
+            end_slot[lower] = len(ring)
+            ring.append(lower)
+            ring = rings[g + 1]
+            end_vertex[upper] = g + 1
+            end_slot[upper] = len(ring)
+            ring.append(upper)
+        self.vertex_slots = tuple(tuple(x) for x in rings)
         self.end_vertex = tuple(end_vertex)
         self.end_slot = tuple(end_slot)
+        # Source and target end of each signed traversal t, indexed by t
+        # itself: +t at t, -t at 2c + 1 - t, where a negative index lands.
+        # Slot 0 is unused (there is no traversal 0).
+        self.src_end = (0, *range(0, 2 * c, 2), *range(2 * c - 1, 0, -2))
+        self.tgt_end = (0, *range(1, 2 * c, 2), *range(2 * c - 2, -1, -2))
         self.boundary_count = self._trace_boundary()
         if self.boundary_count != word.components:
             raise InternalConsistencyError(
@@ -145,16 +161,6 @@ class FatGraphSurface:
                 seen[h] = True
                 h = succ[h ^ 1]  # cross the edge, then step around the vertex
         return cycles
-
-    # -- traversal helpers (used heavily by the curve engine) ----------------
-
-    def source_end(self, traversal: int) -> int:
-        j = abs(traversal) - 1
-        return 2 * j if traversal > 0 else 2 * j + 1
-
-    def target_end(self, traversal: int) -> int:
-        j = abs(traversal) - 1
-        return 2 * j + 1 if traversal > 0 else 2 * j
 
     def rectangle_word(self, rect: RectangleCurve) -> tuple[int, int]:
         """Edge word of the rectangle circle: up through the top crossing,

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -365,16 +366,44 @@ def option_values(draw, lo, hi):
     return str(draw(st.integers(min_value=lo, max_value=hi)))
 
 
+# Path placeholders, replaced in each example by paths in a fresh temporary
+# directory: a writable file (holding one word), a directory, and a file
+# whose parent directory does not exist.
+PATHS = ("<file>", "<dir>", "<missing>")
+
+# Tails that make a selftest command line malformed wherever they end it, so
+# no criterion runs.
+BAD_SELFTEST_TAILS = (["--json"], ["--quick=1"], ["--no-such-option"], ["extra"])
+
+
 @st.composite
 def command_lines(draw):
-    """argv for every subcommand but selftest, with no file input or output."""
-    cmd = draw(st.sampled_from(["analyze", "decompose", "chain", "bound", "torus", "orbit"]))
+    """argv for every subcommand, with file options drawn from PATHS;
+    selftest only with a malformed command line."""
+    cmd = draw(
+        st.sampled_from(["analyze", "decompose", "chain", "bound", "torus", "orbit", "selftest"])
+    )
     argv = [cmd]
+    path = st.sampled_from(PATHS)
+    if cmd == "selftest":
+        if _rarely(draw):
+            argv.append("--quick")
+        if _rarely(draw):
+            argv += ["--json", draw(path)]
+        return argv + draw(st.sampled_from(BAD_SELFTEST_TAILS))
     if cmd == "torus":
-        return argv + [draw(option_values(-1, 6)), draw(option_values(-1, 6))]
-    if not _rarely(draw):
-        argv.append(draw(words()))
-    options = {"--strands": (-1, 6)}
+        argv += [draw(option_values(-1, 6)), draw(option_values(-1, 6))]
+    else:
+        batch = cmd in ("analyze", "decompose", "chain") and _rarely(draw)
+        if batch:
+            argv += ["--batch", draw(path)]
+            if not _rarely(draw):
+                argv += ["--out-dir", draw(path)]
+        # A word besides --batch is a malformed line: draw it rarely there.
+        with_word = _rarely(draw) if batch else not _rarely(draw)
+        if with_word:
+            argv.append(draw(words()))
+    options = {"--strands": (-1, 6)} if cmd != "torus" else {}
     if cmd in ("chain", "orbit"):
         options["--seed"] = (-1, 8)
     if cmd == "chain":
@@ -386,6 +415,10 @@ def command_lines(draw):
             argv += [flag, draw(option_values(lo, hi))]
     if cmd == "bound" and _rarely(draw):
         argv += ["--torus", draw(option_values(-1, 6)), draw(option_values(-1, 6))]
+    if _rarely(draw):
+        argv += ["--json", draw(path)]
+    if cmd in ("analyze", "chain", "torus", "orbit") and _rarely(draw):
+        argv += ["--svg", draw(path)]
     return argv
 
 
@@ -394,11 +427,19 @@ class TestEveryCommandLine:
     @given(command_lines())
     def test_exit_code_and_json(self, argv):
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # an argparse exit bypasses the JSON contract
-                code = exc.code
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = dict(
+                zip(PATHS, (os.path.join(tmp, "words.txt"), tmp, os.path.join(tmp, "no", "out")))
+            )
+            Path(paths["<file>"]).write_text("1 1 1\n", encoding="utf-8")
+            argv = [paths.get(arg, arg) for arg in argv]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # an argparse exit bypasses the JSON contract
+                    code = exc.code
         assert code in (0, 2, 3), (argv, code, err.getvalue())
         json.loads(out.getvalue())
         assert "Traceback" not in err.getvalue()
+        if argv[0] == "selftest":
+            assert code == 2  # refused before any criterion runs

@@ -414,7 +414,7 @@ class TestEngineAgainstOracles:
             for core in cores:
                 for right in (True, False):
                     out = dehn_twist(TwistFactor(core, right=right), fresh(x))
-                    cv._validate_path(s, out.word)
+                    cv._path_transits(s, out.word)
 
     def test_non_embedded_curve_matches_oracle(self):
         s = build_surface(torus_braid(3, 4))
@@ -550,3 +550,70 @@ class TestPathErrors:
         with pytest.raises(EmptyCurve):
             NormalCurve(s, (1, -1))
         assert not issubclass(NotAPath, EmptyCurve)
+
+    def test_traversal_outside_the_range_is_named_first(self):
+        s = surface("1 1 1")
+        for t in (0, 4, -4):
+            # (t, 2) is not a path either; the range check still comes first.
+            with pytest.raises(NotAPath) as err:
+                NormalCurve(s, (t, 2), reduce=False)
+            assert str(err.value) == f"traversal {t} outside the edge range 1..3"
+
+    def test_first_broken_junction_in_word_order(self):
+        s = surface("1 2 1 2")
+        # +1 and +3 run from strand 1 to 2, +2 and +4 from strand 2 to 3.
+        # Each word has a broken closing junction and one broken inner one.
+        for word, pair in (((1, 2, 3), "2 -> 3"), ((1, 3, 2), "1 -> 3")):
+            with pytest.raises(NotAPath) as err:
+                NormalCurve(s, word, reduce=False)
+            assert str(err.value) == f"traversals {pair} do not share a strand disk"
+
+
+def first_broken_junction(s, word):
+    """The path check by its definition: junctions word[i] -> word[i+1] in
+    word order, the closing one last."""
+    L = len(word)
+    for i in range(L):
+        a, b = word[i], word[(i + 1) % L]
+        here = s.end_vertex[2 * abs(a) - 1 if a > 0 else 2 * abs(a) - 2]
+        there = s.end_vertex[2 * abs(b) - 2 if b > 0 else 2 * abs(b) - 1]
+        if here != there:
+            return f"traversals {a} -> {b} do not share a strand disk"
+    return None
+
+
+def transits_by_position(s, word):
+    """Transit i recomputed on its own from the half-edge encoding."""
+    out = []
+    for i, t in enumerate(word):
+        prev = word[i - 1]
+        inc = 2 * abs(prev) - 1 if prev > 0 else 2 * abs(prev) - 2
+        dep = 2 * abs(t) - 2 if t > 0 else 2 * abs(t) - 1
+        out.append((s.end_vertex[dep], inc, dep))
+    return out
+
+
+class TestPathCheck:
+    @settings(max_examples=200, deadline=None)
+    @given(connected_surfaces(), st.data())
+    def test_any_word_against_the_junction_scan(self, s, data):
+        c = s.word.length
+        traversal = st.integers(min_value=1, max_value=c).flatmap(
+            lambda j: st.sampled_from((j, -j))
+        )
+        word = tuple(data.draw(st.lists(traversal, min_size=1, max_size=8)))
+        message = first_broken_junction(s, word)
+        if message is None:
+            assert NormalCurve(s, word, reduce=False).transits() == transits_by_position(s, word)
+        else:
+            with pytest.raises(NotAPath) as err:
+                NormalCurve(s, word, reduce=False)
+            assert str(err.value) == message
+
+    @settings(max_examples=40, deadline=None)
+    @given(connected_surfaces(), st.data())
+    def test_transits_of_monodromy_images(self, s, data):
+        seed = curve_from_rectangle(s, data.draw(st.sampled_from(s.rectangles)))
+        for power in range(4):
+            x = apply_monodromy(s, seed, power)
+            assert x.transits() == transits_by_position(s, x.word)

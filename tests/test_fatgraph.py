@@ -124,3 +124,53 @@ class TestSurface:
                 rank += 1
                 pivot_col += 1
             assert rank == surf.b1 == len(surf.rectangles)
+
+
+def random_connected_words(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        s_count = rng.randint(2, 7)
+        c = rng.randint(max(2, s_count - 1), 16)
+        base = list(range(1, s_count)) + [
+            rng.randint(1, s_count - 1) for _ in range(c - s_count + 1)
+        ]
+        rng.shuffle(base)
+        yield BraidWord(s_count, tuple(base))
+
+
+def scanned_twist_ordering(surface):
+    """The twist order by its definition: a per-column scan, columns right
+    to left, bottom to top inside each column."""
+    order = []
+    for col in range(surface.word.strands - 1, 0, -1):
+        col_rects = [i for i, r in enumerate(surface.rectangles) if r.column == col]
+        col_rects.sort(key=lambda i: -surface.rectangles[i].top)
+        order.extend(col_rects)
+    return tuple(order)
+
+
+class TestTraversalTables:
+    def test_ends_follow_the_half_edge_encoding(self):
+        for w in random_connected_words(5, 300):
+            s = build_surface(w)
+            c = w.length
+            assert len(s.src_end) == len(s.tgt_end) == 2 * c + 1
+            for t in range(1, c + 1):
+                assert (s.src_end[t], s.tgt_end[t]) == (2 * t - 2, 2 * t - 1)
+                assert (s.src_end[-t], s.tgt_end[-t]) == (2 * t - 1, 2 * t - 2)
+
+    def test_rings_list_each_strands_ends_in_word_order(self):
+        for w in random_connected_words(6, 300):
+            s = build_surface(w)
+            for j, g in enumerate(w.letters):
+                assert (s.end_vertex[2 * j], s.end_vertex[2 * j + 1]) == (g, g + 1)
+            for v, ring in enumerate(s.vertex_slots):
+                assert list(ring) == sorted(ring)
+                assert all(s.end_vertex[e] == v for e in ring)
+                assert [s.end_slot[e] for e in ring] == list(range(len(ring)))
+            assert sum(map(len, s.vertex_slots)) == 2 * w.length
+
+    def test_twist_ordering_is_the_per_column_scan(self):
+        for w in random_connected_words(7, 500):
+            s = build_surface(w)
+            assert s.twist_ordering == scanned_twist_ordering(s)
