@@ -19,9 +19,11 @@ tables, builds the curve's transits.
 The monodromy sweep skips the twist along a rectangle core when no transit
 end of the current curve lies in the core's window, the arc between the
 core's ends on its two strand disks: such a curve cannot cross the core
-(see _meets_window).  The transit ends are read once per curve, and the
-twist factors are built the first time a twist needs one, into the
-surface's cache.
+(see _meets_window).  The transit ends are read once per curve.  A twist
+that may act takes the rectangle itself: dehn_twist reads the core's word
+and transits from the rectangle's crossings, so no core curve is built.
+The event scan and the splice take a (word, transits) pair, so a rectangle
+and a TwistFactor share one code path once the core is read.
 """
 
 from __future__ import annotations
@@ -307,18 +309,19 @@ def _linked(xb, xf, yb, yf):
     return (1, _YB) if yb_inside else (-1, _YF)
 
 
-def _events(surface, x: NormalCurve, y: NormalCurve):
-    """All forced crossings between x and y as (i, j, sign, inside_tag)."""
-    if x.surface is not surface or y.surface is not surface:
-        raise InternalConsistencyError("curves live on a different surface")
-    wx, wy = x.word, y.word
-    Lx, Ly = len(wx), len(wy)
-    tx, ty = x.transits(), y.transits()
-    bound = Lx + Ly + 2
+def _disk_index(transits):
+    """Strand disk -> positions of the transits that pass it."""
     by_vertex = defaultdict(list)
-    for j, t in enumerate(ty):
+    for j, t in enumerate(transits):
         by_vertex[t[0]].append(j)
-    skip_diagonal = x is y  # a transit never crosses itself
+    return by_vertex
+
+
+def _scan(surface, wx, tx, wy, ty, by_vertex, skip_diagonal=False):
+    """Forced crossings between two words, given their transits and y's
+    disk index, as (i, j, sign, inside_tag)."""
+    Lx, Ly = len(wx), len(wy)
+    bound = Lx + Ly + 2
     out = []
     for i, t in enumerate(tx):
         for j in by_vertex.get(t[0], ()):
@@ -328,6 +331,15 @@ def _events(surface, x: NormalCurve, y: NormalCurve):
             if ev is not None:
                 out.append((i, j, ev[0], ev[1]))
     return out
+
+
+def _events(surface, x: NormalCurve, y: NormalCurve):
+    """All forced crossings between x and y as (i, j, sign, inside_tag)."""
+    if x.surface is not surface or y.surface is not surface:
+        raise InternalConsistencyError("curves live on a different surface")
+    ty = y.transits()
+    # x is y: a transit never crosses itself.
+    return _scan(surface, x.word, x.transits(), y.word, ty, _disk_index(ty), x is y)
 
 
 def _primitive_root(word):
@@ -396,12 +408,11 @@ def signed_intersection(x: NormalCurve, y: NormalCurve) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _insertion_order_key(surface, x: NormalCurve, core: NormalCurve, bound):
-    """Comparator ordering same-transit crossings along x's chord."""
+def _insertion_order_key(surface, tx, wc, tc, bound):
+    """Comparator ordering same-transit crossings along x's chord; tx are
+    x's transits, wc and tc the core's word and transits."""
     slot = surface.end_slot
-    tx = x.transits()
-    tc = core.transits()
-    wc, Lc = core.word, len(core.word)
+    Lc = len(wc)
 
     def germ_of(event):
         _, j, _, tag = event
@@ -427,27 +438,53 @@ def _insertion_order_key(surface, x: NormalCurve, core: NormalCurve, bound):
     return functools.cmp_to_key(cmp)
 
 
-def dehn_twist(factor: TwistFactor, x: NormalCurve) -> NormalCurve:
+def dehn_twist(factor: TwistFactor | RectangleCurve, x: NormalCurve) -> NormalCurve:
     """Image of x under the twist; computed in minimal position.
+
+    The factor is a TwistFactor, or a RectangleCurve of x's surface for the
+    right-handed twist along that rectangle's core.  The core of rectangle
+    (g, top, bottom) is read from its crossings, with no curve built: its
+    word is (top + 1, -(bottom + 1)), and its transits are
+    (g, 2 bottom, 2 top) and (g + 1, 2 top + 1, 2 bottom + 1).  It is
+    embedded because those two transits lie on distinct disks g and g + 1,
+    the fact self_intersection's fast path reads.  A rectangle that is not
+    one of the surface's is refused.
 
     At every forced crossing an oriented copy of the core is spliced into
     x, the orientation given by the crossing sign and handedness, then the
     word is reduced.
     """
-    core = factor.core
     surface = x.surface
-    if core.surface is not surface:
-        raise NonEmbeddedCore("core and curve live on different surfaces")
-    if _same_unoriented_class(x, core):
-        return x
-    events = _events(surface, x, core)
+    wx = x.word
+    if isinstance(factor, RectangleCurve):
+        g, top, bottom = factor.column, factor.top, factor.bottom
+        idx = surface.rect_index.get((g, top))
+        if idx is None or surface.rectangles[idx].bottom != bottom:
+            raise NonEmbeddedCore(f"{factor} is not a rectangle of the curve's surface")
+        a, b = top + 1, bottom + 1
+        # x is the core's class: a rotation of its word or of its reverse.
+        if len(wx) == 2 and wx in ((a, -b), (-b, a), (b, -a), (-a, b)):
+            return x
+        wc = (a, -b)
+        tc = ((g, 2 * bottom, 2 * top), (g + 1, 2 * top + 1, 2 * bottom + 1))
+        by_vertex = {g: (0,), g + 1: (1,)}
+        hand = RIGHT_HANDED_SIGN
+    else:
+        core = factor.core
+        if core.surface is not surface:
+            raise NonEmbeddedCore("core and curve live on different surfaces")
+        if _same_unoriented_class(x, core):
+            return x
+        wc, tc = core.word, core.transits()
+        by_vertex = _disk_index(tc)
+        hand = RIGHT_HANDED_SIGN if factor.right else -RIGHT_HANDED_SIGN
+    tx = x.transits()
+    events = _scan(surface, wx, tx, wc, tc, by_vertex)
     if not events:
         return x
     if len(events) > 1:
-        bound = len(x.word) + len(core.word) + 2
-        events.sort(key=_insertion_order_key(surface, x, core, bound))
-    hand = RIGHT_HANDED_SIGN if factor.right else -RIGHT_HANDED_SIGN
-    wx, wc = x.word, core.word
+        bound = len(wx) + len(wc) + 2
+        events.sort(key=_insertion_order_key(surface, tx, wc, tc, bound))
     out: list[int] = []
     prev = 0
     for i, j, sign, _tag in events:
@@ -491,36 +528,13 @@ def _meets_window(ends, rect: RectangleCurve) -> bool:
     return False
 
 
-def _twist_factor(surface: FatGraphSurface, k: int) -> TwistFactor:
-    """The k-th factor in twist order, built on first use into the
-    surface's cache."""
-    cache = surface._twist_cache
-    if cache is None:
-        cache = surface._twist_cache = [None] * len(surface.twist_ordering)
-    factor = cache[k]
-    if factor is None:
-        rect = surface.rectangles[surface.twist_ordering[k]]
-        factor = cache[k] = TwistFactor(curve_from_rectangle(surface, rect), right=True)
-    return factor
-
-
-def _twist_factors(surface: FatGraphSurface) -> tuple[TwistFactor, ...]:
-    """Every factor in twist order; after the first call the cache is this
-    one tuple."""
-    if type(surface._twist_cache) is not tuple:
-        surface._twist_cache = tuple(
-            _twist_factor(surface, k) for k in range(len(surface.twist_ordering))
-        )
-    return surface._twist_cache
-
-
 def apply_monodromy(surface: FatGraphSurface, x: NormalCurve, power: int = 1) -> NormalCurve:
     """Apply the full ordered product of right-handed rectangle twists.
 
     A twist is skipped when no transit end of the current curve lies in
     its core's window (_meets_window): dehn_twist would find no crossing
-    and return the curve itself.  Each factor is built the first time a
-    twist needs it.
+    and return the curve itself.  A twist that may act is dehn_twist along
+    the rectangle itself, which reads the core from its crossings.
     """
     if power < 0:
         raise InvalidParameter("power must be non-negative; invert via left twists instead")
@@ -532,8 +546,9 @@ def apply_monodromy(surface: FatGraphSurface, x: NormalCurve, power: int = 1) ->
     rects = surface.rectangles
     for _ in range(power):
         ends = _transit_ends(x)
-        for k, idx in enumerate(order):
-            if _meets_window(ends, rects[idx]):
-                x = dehn_twist(_twist_factor(surface, k), x)
+        for idx in order:
+            rect = rects[idx]
+            if _meets_window(ends, rect):
+                x = dehn_twist(rect, x)
                 ends = _transit_ends(x)
     return x

@@ -47,7 +47,8 @@ class SearchBudgetExceeded(DomainError):
 
 
 class CertificateRejected(DomainError):
-    """A certificate's JSON lacks a field or holds a value of the wrong type."""
+    """A certificate's JSON lacks a field, holds a value of the wrong type,
+    or holds counts that contradict each other."""
 
 
 class EmptyCurve(DomainError):

@@ -78,7 +78,6 @@ class FatGraphSurface:
         "src_end",
         "tgt_end",
         "boundary_count",
-        "_twist_cache",
     )
 
     def __init__(self, word: BraidWord):
@@ -125,7 +124,6 @@ class FatGraphSurface:
             raise InternalConsistencyError(
                 "fatgraph boundary count disagrees with the closure permutation"
             )
-        self._twist_cache = None  # filled lazily by the curve engine
 
     # -- basic invariants ---------------------------------------------------
 

@@ -12,14 +12,14 @@ columns are equal or adjacent, and their transits there are linked only
 when the position intervals share an end or interleave.  Each rectangle
 has at most three such neighbours further right or down, so at most
 3 * b1 pairs can pair nonzero; the curve engine evaluates those pairs and
-no others, on the rectangle circles the twist engine already holds as its
-twist cores, so their transits and least rotations are computed once per
-surface.  A transvection changes one coordinate, so the monodromy is built
-as one row update per twist, starting from I: row r gains
-sign * J[a][r] * row a for each neighbour a of r.  The rows stay sparse
-(a few nonzeros each, every one +-1 on the surfaces measured), so they are
-kept as column -> entry maps while the twists act and written out as the
-dense matrix once, at the end.
+no others, on rectangle circles built once per form, so their transits and
+least rotations are computed once.  The twist engine builds no circles: it
+reads each rectangle's core from its crossings.  A transvection changes one
+coordinate, so the monodromy is built as one row update per twist,
+starting from I: row r gains sign * J[a][r] * row a for each neighbour a
+of r.  The rows stay sparse (a few nonzeros each, every one +-1 on the
+surfaces measured), so they are kept as column -> entry maps while the
+twists act and written out as the dense matrix once, at the end.
 
 charpoly is the exact kernel of linalg: a Hessenberg form built from
 Krylov chains of H and the Hessenberg recurrence, modulo the smallest
@@ -36,7 +36,7 @@ from __future__ import annotations
 from bisect import bisect
 
 from .alexpoly import LaurentPolynomial
-from .curves import RIGHT_HANDED_SIGN, _twist_factors, signed_intersection
+from .curves import RIGHT_HANDED_SIGN, curve_from_rectangle, signed_intersection
 from .fatgraph import FatGraphSurface
 from .linalg import charpoly
 
@@ -70,12 +70,11 @@ def _neighbour_pairs(surface: FatGraphSurface):
 def intersection_form(surface: FatGraphSurface) -> list[list[int]]:
     """Antisymmetric pairing matrix of the rectangle basis.
 
-    The rectangle circles are the cores of the surface's twist factors.
+    Each rectangle circle is built once with curve_from_rectangle, and
+    signed_intersection pairs it with each of its neighbours.
     """
-    n = len(surface.rectangles)
-    curves = [None] * n
-    for idx, factor in zip(surface.twist_ordering, _twist_factors(surface)):
-        curves[idx] = factor.core
+    curves = [curve_from_rectangle(surface, r) for r in surface.rectangles]
+    n = len(curves)
     j = [[0] * n for _ in range(n)]
     for a, b in _neighbour_pairs(surface):
         val = signed_intersection(curves[a], curves[b])

@@ -27,6 +27,7 @@ from .braidwords import (
     square_normalization,
 )
 from .errors import (
+    CertificateRejected,
     DisjointnessFailure,
     InternalConsistencyError,
     InvalidParameter,
@@ -373,7 +374,8 @@ def validate_trefoil_decomposition(dec: TrefoilDecomposition) -> bool:
 
 def trefoil_decomposition_from_json(data) -> TrefoilDecomposition:
     """Load a decomposition's JSON; CertificateRejected names a missing or
-    wrongly typed field."""
+    wrongly typed field, or a genus or ribbon twist count other than the
+    step count."""
     ints = "a list of integers"
     strands = json_field(data, "strands", "an integer")
     word = BraidWord(strands, tuple(json_field(data, "word", ints)))
@@ -414,7 +416,7 @@ def trefoil_decomposition_from_json(data) -> TrefoilDecomposition:
     final = tuple(json_field(data, "final_word", ints))
     final_word = w if final == w.letters else BraidWord(w.strands, final)
     if genus != len(steps) or ribbon_twists != len(steps):
-        raise InternalConsistencyError("genus and ribbon twists must equal the step count")
+        raise CertificateRejected("genus and ribbon twists must equal the step count")
     return TrefoilDecomposition(word=word, steps=tuple(steps), final_word=final_word)
 
 

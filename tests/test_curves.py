@@ -19,7 +19,7 @@ from braidplumb.curves import (
     signed_intersection,
 )
 from braidplumb.errors import EmptyCurve, InvalidParameter, NonEmbeddedCore, NotAPath
-from braidplumb.fatgraph import build_surface
+from braidplumb.fatgraph import RectangleCurve, build_surface
 from braidplumb.monodromy import intersection_form
 from braidplumb.plumbing import detect_chain, torus_braid
 
@@ -519,18 +519,40 @@ class TestWindowSweep:
         # b1 = 0: no twist, so nothing refuses the curve.
         assert apply_monodromy(surface("1 2"), x, 1) is x
 
-    def test_factors_are_built_on_first_use(self):
-        s = build_surface(FIGURE_BRAID)
+
+class TestRectangleTwist:
+    @settings(max_examples=40, deadline=None)
+    @given(connected_surfaces(), st.data())
+    def test_equals_the_factor_twist(self, s, data):
+        cores = [curve_from_rectangle(s, r) for r in s.rectangles]
+        seed = data.draw(st.sampled_from(cores))
+        curves = [apply_monodromy(s, seed, k) for k in range(3)] + cores
+        # Each core's other rotation, its reverse and the reverse's rotation.
+        for core in cores:
+            w = core.word
+            for word in (w[::-1], core.reversed_word(), (-w[0], -w[1])):
+                curves.append(NormalCurve(s, word, reduce=False))
+        for x in curves:
+            for rect, core in zip(s.rectangles, cores):
+                want = dehn_twist(TwistFactor(core), fresh(x))
+                y = fresh(x)
+                got = dehn_twist(rect, y)
+                assert got.word == want.word
+                if want.word == x.word:
+                    assert got is y
+
+    def test_rectangle_of_another_surface_is_refused(self):
+        s = surface("1 1 1")
         x = curve_from_rectangle(s, s.rectangles[0])
-        y = apply_monodromy(s, x, 1)
-        built = [f is not None for f in s._twist_cache]
-        assert 0 < sum(built) < len(built)
-        # _twist_factors keeps the factors already built, in one tuple.
-        kept = list(s._twist_cache)
-        factors = cv._twist_factors(s)
-        assert type(factors) is tuple and cv._twist_factors(s) is factors
-        assert all(a is b for a, b in zip(kept, factors) if a is not None)
-        assert apply_monodromy(s, x, 1).word == y.word
+        other = surface("1 2 1 2")  # (1, 0, 2) and (2, 1, 3)
+        made_up = [RectangleCurve(1, 0, 2), RectangleCurve(1, 2, 3), RectangleCurve(2, 0, 1)]
+        for rect in list(other.rectangles) + made_up:
+            with pytest.raises(NonEmbeddedCore, match="is not a rectangle of the curve's surface$"):
+                dehn_twist(rect, x)
+        # The same crossings on another surface of the same word are a
+        # rectangle of this one.
+        twin = build_surface(s.word)
+        assert dehn_twist(twin.rectangles[1], x).word == dehn_twist(s.rectangles[1], x).word
 
 
 class TestPathErrors:

@@ -11,7 +11,6 @@ from braidplumb.braidwords import BraidWord, parse_braid
 import braidplumb.monodromy as monodromy
 from braidplumb.curves import (
     RIGHT_HANDED_SIGN,
-    _twist_factors,
     curve_from_rectangle,
     signed_intersection,
 )
@@ -160,33 +159,25 @@ class TestSparseOracles:
         assert monodromy_s < 1.0 and burau_s < 1.0
 
 
-class TestSharedCores:
+class TestFormPairs:
     @settings(max_examples=60, deadline=None)
     @given(connected_words(max_strands=7, max_length=20))
-    def test_form_pairs_the_twist_cores(self, word):
-        # Once on a fresh surface, once on one whose twist factors exist.
-        for factors_first in (False, True):
-            surface = build_surface(word)
-            if factors_first:
-                built = _twist_factors(surface)
-            paired = []
+    def test_one_pairing_per_neighbour_pair(self, word):
+        surface = build_surface(word)
+        paired = []
 
-            def recording(x, y):
-                paired.append((x, y))
-                return signed_intersection(x, y)
+        def recording(x, y):
+            paired.append((x.word, y.word))
+            return signed_intersection(x, y)
 
-            with mock.patch.object(monodromy, "signed_intersection", recording):
-                j = intersection_form(surface)
-            assert j == dense_intersection_form(surface)
-            factors = _twist_factors(surface)
-            if factors_first:
-                assert factors is built
-            cores = [None] * len(j)
-            for idx, f in zip(surface.twist_ordering, factors):
-                cores[idx] = f.core
-            pairs = list(_neighbour_pairs(surface))
-            assert len(paired) == len(pairs)
-            assert all(x is cores[a] and y is cores[b] for (x, y), (a, b) in zip(paired, pairs))
+        with mock.patch.object(monodromy, "signed_intersection", recording):
+            j = intersection_form(surface)
+        assert j == dense_intersection_form(surface)
+        rects = surface.rectangles
+        assert paired == [
+            (surface.rectangle_word(rects[a]), surface.rectangle_word(rects[b]))
+            for a, b in _neighbour_pairs(surface)
+        ]
 
 
 class TestHomologicalMonodromy:

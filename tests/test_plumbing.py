@@ -513,7 +513,8 @@ class TestTrefoilDecompose:
         # The loader builds the normalized word from the stored m and
         # after-word, so the validator's one replay checks the moves
         # against the certificate, not against a second replay.  The
-        # loader itself checks genus and ribbon_twists against the steps.
+        # loader itself checks genus and ribbon_twists against the steps,
+        # and refuses a mismatch as a malformed certificate.
         honest = trefoil_decompose(torus_braid(3, 4)).to_json()
         data = json.loads(json.dumps(honest))
         step = data["steps"][0]
@@ -531,7 +532,7 @@ class TestTrefoilDecompose:
             data["ribbon_twists"] = data["ribbon_twists"] + 1
         if tamper in ("change_genus", "change_ribbon_twists"):
             assert data != honest
-            with pytest.raises(InternalConsistencyError):
+            with pytest.raises(CertificateRejected, match="^genus and ribbon twists"):
                 trefoil_decomposition_from_json(data)
             return
         assert step != honest["steps"][0]
