@@ -23,7 +23,9 @@ core's ends on its two strand disks: such a curve cannot cross the core
 that may act takes the rectangle itself: dehn_twist reads the core's word
 and transits from the rectangle's crossings, so no core curve is built.
 The event scan and the splice take a (word, transits) pair, so a rectangle
-and a TwistFactor share one code path once the core is read.
+and a TwistFactor share one code path once the core is read.  Two
+rectangles are paired the same way, in closed form from their crossings
+(signed_intersection), so the intersection form builds no curve.
 """
 
 from __future__ import annotations
@@ -391,8 +393,39 @@ def geometric_intersection(x: NormalCurve, y: NormalCurve) -> int:
     return px * py * len(_events(x.surface, bx, by))
 
 
-def signed_intersection(x: NormalCurve, y: NormalCurve) -> int:
-    """Algebraic intersection number (equals the homological pairing)."""
+def signed_intersection(
+    x: NormalCurve | RectangleCurve, y: NormalCurve | RectangleCurve
+) -> int:
+    """Algebraic intersection number (equals the homological pairing).
+
+    Two NormalCurves are paired by the event scan.  Two RectangleCurves of
+    one surface are paired in closed form from their crossings; for a in
+    column g:
+
+    - b in column g: +1 if a.bottom == b.top, -1 if b.bottom == a.top,
+      else 0 (a == b included);
+    - b in column g + 1: +1 if b.top < a.top < b.bottom < a.bottom, -1 if
+      a.top < b.top < a.bottom < b.bottom, 0 if nested or disjoint;
+    - a in column g + 1 of b's: the negation of the case above;
+    - columns further apart: 0.
+
+    The circle of a passes strand disks g and g + 1 only, so two circles
+    meet only on a shared band (same column: the crossing one's bottom is
+    the other's top) or on the shared disk g + 1.  Ring order is word
+    order, so on that disk each circle is a chord between the ends of its
+    two crossings, and two chords are linked exactly when their position
+    intervals interleave; nested or disjoint intervals give unlinked
+    chords.  The signs are those the event scan gives the two rectangle
+    circles (tests compare the two on every ordered pair of rectangles of
+    every connected word with s <= 4 and c <= 7).  Which surface the
+    rectangles belong to is the caller's to keep; a RectangleCurve paired
+    with a NormalCurve is refused.
+    """
+    rect = isinstance(x, RectangleCurve)
+    if rect != isinstance(y, RectangleCurve):
+        raise InvalidParameter("pair two RectangleCurves or two NormalCurves")
+    if rect:
+        return _rectangle_pairing(x, y)
     rx, px = x.primitive_root()
     ry, py = y.primitive_root()
     bx = NormalCurve(x.surface, rx, reduce=False) if px > 1 else x
@@ -401,6 +434,18 @@ def signed_intersection(x: NormalCurve, y: NormalCurve) -> int:
         return 0
     total = sum(sign for (_, _, sign, _) in _events(x.surface, bx, by))
     return px * py * total
+
+
+def _rectangle_pairing(a: RectangleCurve, b: RectangleCurve) -> int:
+    """signed_intersection of two rectangle circles, from their crossings."""
+    step = b.column - a.column
+    if step == 0:
+        return (a.bottom == b.top) - (b.bottom == a.top)
+    if step == -1:
+        return -_rectangle_pairing(b, a)
+    if step != 1:
+        return 0
+    return (b.top < a.top < b.bottom < a.bottom) - (a.top < b.top < a.bottom < b.bottom)
 
 
 # ---------------------------------------------------------------------------

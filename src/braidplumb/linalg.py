@@ -1,10 +1,20 @@
 """Exact integer linear algebra: characteristic polynomial, rank, determinant.
 
-charpoly works modulo one Mersenne prime p.  Every coefficient of
-det(tI - M) is a signed sum of principal minors, so the Hadamard bound
-B = prod_j (2 + isqrt(|col_j|^2)) >= prod_j (1 + |col_j|) bounds each of
-them; with p > 2B the symmetric residues are the integer coefficients
-themselves.  Krylov chains bring M to upper Hessenberg form, a chain
+charpoly works modulo one Mersenne prime p.  The coefficient c_k of
+t^(n-k) in det(tI - M) is (-1)^k times the sum of the k x k principal
+minors of M.  By Hadamard's inequality the minor on the index set S is at
+most prod_{j in S} nu_j in absolute value, nu_j the Euclidean norm of
+column j, so |c_k| <= e_k(nu) <= prod_j (1 + nu_j): expanding the product
+gives every e_k(nu) among its non-negative terms.  M^T has the same
+principal minors, so the row norms give a second bound, and B is the
+smaller of the two, each factor rounded up in 16-bit fixed point.  With
+p > 2B the symmetric residues are the integer coefficients themselves.
+The bound used before, prod_j (2 + isqrt(|col_j|^2)), rounded every
+factor up by as much as a whole unit; B takes a narrower prime on 116 of
+the 300 `alexander` matrices of seeds 1-3 (107 -> 89 or 89 -> 61 bits on
+105 of them).
+
+Krylov chains bring M to upper Hessenberg form, a chain
 closing on a zero residual, so a derogatory M takes the same path, and
 the Hessenberg recurrence (Cohen, A Course in Computational Algebraic
 Number Theory, Alg. 2.2.9) runs as the chains grow.  With each vector
@@ -31,6 +41,7 @@ imports det from here.
 from __future__ import annotations
 
 from math import gcd, isqrt
+from operator import mul
 from typing import Optional
 
 from .errors import DomainError
@@ -42,11 +53,29 @@ MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 
 
 
 def hadamard_bound(matrix: list[list[int]]) -> int:
-    """Bound on the absolute value of every coefficient of det(tI - M)."""
-    bound = 1
-    for col in zip(*matrix):
-        bound *= 2 + isqrt(sum(x * x for x in col))
-    return bound
+    """Bound on the absolute value of every coefficient of det(tI - M).
+
+    The smaller of prod_j (1 + |col_j|) and prod_i (1 + |row_i|), each
+    factor rounded up in 16-bit fixed point and the product rounded up
+    once (see the module docstring).
+    """
+    n = len(matrix)
+    return min(_norm_product(matrix, n), _norm_product(zip(*matrix), n))
+
+
+def _norm_product(vectors, n: int) -> int:
+    """Ceiling of prod (1 + |v|_2) over the n vectors.
+
+    Each factor is 2^16 + ceil(2^16 |v|), which is at least 2^16 (1 + |v|):
+    for s = |v|^2 >= 1, ceil(sqrt(s << 32)) = isqrt((s << 32) - 1) + 1.
+    """
+    one = 1 << 16
+    prod = 1
+    for v in vectors:
+        s = sum(map(mul, v, v))
+        prod *= one + isqrt((s << 32) - 1) + 1 if s else one
+    shift = 16 * n
+    return (prod + (1 << shift) - 1) >> shift
 
 
 def mersenne_modulus(bound: int) -> int:

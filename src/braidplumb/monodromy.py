@@ -11,10 +11,13 @@ J is sparse.  Two rectangle circles share a vertex disk only when their
 columns are equal or adjacent, and their transits there are linked only
 when the position intervals share an end or interleave.  Each rectangle
 has at most three such neighbours further right or down, so at most
-3 * b1 pairs can pair nonzero; the curve engine evaluates those pairs and
-no others, on rectangle circles built once per form, so their transits and
-least rotations are computed once.  The twist engine builds no circles: it
-reads each rectangle's core from its crossings.  A transvection changes one
+3 * b1 pairs can pair nonzero, and each of those pairings is +-1 or 0 by
+the brick diagram alone: signed_intersection reads it in closed form from
+the two rectangles' crossings.  No curve is built, so J does not depend on
+the curve engine, and tests/test_curves.py and
+selftest.curve_property_suite check the engine against it.  The twist
+engine builds no circles either: it reads each rectangle's core from its
+crossings.  A transvection changes one
 coordinate, so the monodromy is built as one row update per twist,
 starting from I: row r gains sign * J[a][r] * row a for each neighbour a
 of r.  The rows stay sparse (a few nonzeros each, every one +-1 on the
@@ -23,7 +26,7 @@ twists act and written out as the dense matrix once, at the end.
 
 charpoly is the exact kernel of linalg: a Hessenberg form built from
 Krylov chains of H and the Hessenberg recurrence, modulo the smallest
-Mersenne prime above twice the Hadamard bound of the coefficients, with
+Mersenne prime above twice a Hadamard bound of the coefficients, with
 each vector packed into one int so that an update is one multiply-add.
 No coefficient of det(tI - H) can exceed that bound in absolute value, so
 the symmetric residues are the integer coefficients and the result is
@@ -36,7 +39,7 @@ from __future__ import annotations
 from bisect import bisect
 
 from .alexpoly import LaurentPolynomial
-from .curves import RIGHT_HANDED_SIGN, curve_from_rectangle, signed_intersection
+from .curves import RIGHT_HANDED_SIGN, signed_intersection
 from .fatgraph import FatGraphSurface
 from .linalg import charpoly
 
@@ -70,14 +73,14 @@ def _neighbour_pairs(surface: FatGraphSurface):
 def intersection_form(surface: FatGraphSurface) -> list[list[int]]:
     """Antisymmetric pairing matrix of the rectangle basis.
 
-    Each rectangle circle is built once with curve_from_rectangle, and
-    signed_intersection pairs it with each of its neighbours.
+    signed_intersection pairs each rectangle with each of its neighbours
+    in closed form, from their crossings; no circle is built.
     """
-    curves = [curve_from_rectangle(surface, r) for r in surface.rectangles]
-    n = len(curves)
+    rects = surface.rectangles
+    n = len(rects)
     j = [[0] * n for _ in range(n)]
     for a, b in _neighbour_pairs(surface):
-        val = signed_intersection(curves[a], curves[b])
+        val = signed_intersection(rects[a], rects[b])
         j[a][b] = val
         j[b][a] = -val
     return j

@@ -282,6 +282,10 @@ def alexander_three_way() -> tuple[bool, str]:
 
 @_timed(60.0)
 def curve_property_suite() -> tuple[bool, str]:
+    """Twists act on homology as transvections, |pairing| <= geometric
+    intersection, and rectangle orbits of three torus knots.  J comes from
+    intersection_form, which reads the brick diagram and runs no part of
+    the curve engine, so the first two check the engine against it."""
     rng = random.Random(987123)
     surfaces = [
         build_surface(torus_braid(3, 5)),

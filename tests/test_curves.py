@@ -555,6 +555,52 @@ class TestRectangleTwist:
         assert dehn_twist(twin.rectangles[1], x).word == dehn_twist(s.rectangles[1], x).word
 
 
+def check_rectangle_pairings(s):
+    """The closed form against the event scan on the rectangle circles, for
+    every ordered pair of rectangles."""
+    rects = s.rectangles
+    circles = [curve_from_rectangle(s, r) for r in rects]
+    for a, ca in zip(rects, circles):
+        for b, cb in zip(rects, circles):
+            assert signed_intersection(a, b) == signed_intersection(ca, cb), (a, b)
+    return len(rects) ** 2
+
+
+@st.composite
+def wide_surfaces(draw):
+    s = draw(st.integers(min_value=2, max_value=9))
+    c = draw(st.integers(min_value=s - 1, max_value=35))
+    base = list(range(1, s)) + [
+        draw(st.integers(min_value=1, max_value=s - 1)) for _ in range(c - s + 1)
+    ]
+    return build_surface(BraidWord(s, tuple(draw(st.permutations(base)))))
+
+
+class TestRectanglePairing:
+    def test_every_small_word(self):
+        pairs = 0
+        for s in range(2, 5):
+            for c in range(s - 1, 8):
+                for letters in itertools.product(range(1, s), repeat=c):
+                    word = BraidWord(s, letters)
+                    if word.is_connected:
+                        pairs += check_rectangle_pairings(build_surface(word))
+        assert pairs == 38957
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide_surfaces())
+    def test_random_words(self, s):
+        check_rectangle_pairings(s)
+
+    def test_mixed_types_are_refused(self):
+        s = surface("1 2 1 2")
+        rect = s.rectangles[0]
+        circle = curve_from_rectangle(s, s.rectangles[1])
+        for x, y in ((rect, circle), (circle, rect)):
+            with pytest.raises(InvalidParameter):
+                signed_intersection(x, y)
+
+
 class TestPathErrors:
     def test_out_of_range_traversal(self):
         s = surface("1 1 1")

@@ -5,6 +5,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -377,6 +378,48 @@ class TestCharpoly:
         assert elapsed < 2.0
 
 
+def column_bound_before(matrix):
+    """The bound charpoly used before: prod_j (2 + isqrt(|col_j|^2))."""
+    bound = 1
+    for col in zip(*matrix):
+        bound *= 2 + isqrt(sum(x * x for x in col))
+    return bound
+
+
+@st.composite
+def sparse_sign_matrices(draw):
+    n = draw(st.integers(min_value=0, max_value=12))
+    m = [[0] * n for _ in range(n)]
+    for c in range(n):
+        for r in draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=6)):
+            m[r][c] = draw(st.sampled_from((1, -1)))
+    return m
+
+
+class TestHadamardBound:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(dense_matrices(), sparse_sign_matrices()))
+    def test_sound_symmetric_and_below_the_old_bound(self, m):
+        bound = hadamard_bound(m)
+        poly = faddeev_leverrier(m)
+        assert all(abs(poly[k]) <= bound for k in range(len(m) + 1))
+        assert bound == hadamard_bound([list(col) for col in zip(*m)])
+        assert bound <= column_bound_before(m)
+
+    def test_exact_on_integer_norms(self):
+        # Every factor 1 + |v| is an integer here, so no rounding shows.
+        for n in range(6):
+            identity = [[int(i == k) for k in range(n)] for i in range(n)]
+            assert hadamard_bound(identity) == 2**n
+            assert hadamard_bound([[0] * n for _ in range(n)]) == 1
+        assert hadamard_bound([[3, 0], [4, 0]]) == 6  # columns 5, 0; rows 3, 4: 20
+
+    def test_rounds_up(self):
+        # 1 + sqrt(2) = 2.414...: the ceiling of the product, not of each factor.
+        assert hadamard_bound([[1, 1], [-1, 1]]) == 6  # (1 + sqrt 2)^2 = 5.83
+        assert hadamard_bound([[1]]) == 2
+
+
 class TestKrylovChains:
     """The Krylov kernel against the Gaussian reduction it replaced, where
     Faddeev-LeVerrier is too slow or the chains take their rarer paths."""
@@ -400,7 +443,8 @@ class TestKrylovChains:
     def test_sparse_sign_matrices_across_the_modulus_step(self):
         rng = random.Random(20)
         moduli = set()
-        for n in range(20, 71, 2):
+        # The bound reaches 127 bits at n = 70 and 521 at n = 80.
+        for n in range(20, 87, 2):
             m = sparse_sign_matrix(n, rng)
             moduli.add(mersenne_modulus(hadamard_bound(m)).bit_length())
             assert charpoly(m) == gaussian_charpoly(m), n

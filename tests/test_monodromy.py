@@ -37,7 +37,8 @@ def random_connected(rng, c, s):
 
 
 def dense_intersection_form(surface):
-    """signed_intersection on every pair of rectangle circles."""
+    """The curve engine's signed_intersection on every pair of rectangle
+    circles, independent of the closed form intersection_form reads."""
     curves = [curve_from_rectangle(surface, r) for r in surface.rectangles]
     n = len(curves)
     j = [[0] * n for _ in range(n)]
@@ -167,17 +168,14 @@ class TestFormPairs:
         paired = []
 
         def recording(x, y):
-            paired.append((x.word, y.word))
+            paired.append((x, y))
             return signed_intersection(x, y)
 
         with mock.patch.object(monodromy, "signed_intersection", recording):
             j = intersection_form(surface)
         assert j == dense_intersection_form(surface)
         rects = surface.rectangles
-        assert paired == [
-            (surface.rectangle_word(rects[a]), surface.rectangle_word(rects[b]))
-            for a, b in _neighbour_pairs(surface)
-        ]
+        assert paired == [(rects[a], rects[b]) for a, b in _neighbour_pairs(surface)]
 
 
 class TestHomologicalMonodromy:
