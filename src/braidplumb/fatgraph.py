@@ -54,7 +54,7 @@ class BrickDiagram:
         rects = []
         for i, col in enumerate(cols, start=1):
             for a, b in zip(col, col[1:]):
-                rects.append(RectangleCurve(column=i, top=a, bottom=b))
+                rects.append(RectangleCurve(i, a, b))
         return cls(tuple(tuple(c) for c in cols), tuple(rects))
 
 

@@ -5,6 +5,12 @@ curves C_k = phi^k(C_0) (consecutive curves meet once, all others are
 disjoint, classes independent over Q), and TrefoilDecomposition witnesses
 a genus-many sequence of square-removal steps, each certified by a
 monodromy-image disjointness check.
+
+The chain is grown by the orbit criterion: phi keeps intersection
+numbers, so i(C_a, C_b) = i(C_{a-b}, C_0) for a > b, and each new iterate
+is tested against the seed curve C_0 alone (i = 1 for C_1, 0 after), plus
+embeddedness and a rank rise; the rest of the table follows by induction
+(proof in detect_chain).
 """
 
 from __future__ import annotations
@@ -88,20 +94,19 @@ class ChainCertificate:
 
 
 def _chain_ok(candidate, chain, echelon) -> Optional[tuple[int, list[int]]]:
-    """The echelon entry of the candidate's homology row, or None when the
-    candidate does not extend the chain.
+    """The echelon entry of the candidate phi(C_k), or None when it does
+    not extend the chain C_0, ..., C_k (the orbit criterion, see
+    detect_chain).
 
-    It extends the chain when it is embedded, meets the last curve once,
-    misses the others, and its homology row is independent of the chain's
-    (the rank over Q rises by one).
+    Cheapest test first: i(phi(C_k), C_0) must be 1 for k = 0 and 0
+    afterwards, the candidate must be embedded, and its homology row must
+    raise the rank over Q by one.
     """
+    expect = 1 if len(chain) == 1 else 0
+    if cv.geometric_intersection(candidate, chain[0]) != expect:
+        return None
     if cv.self_intersection(candidate) != 0:
         return None
-    if cv.geometric_intersection(candidate, chain[-1]) != 1:
-        return None
-    for earlier in chain[:-1]:
-        if cv.geometric_intersection(candidate, earlier) != 0:
-            return None
     return reduce_row(candidate.homology, echelon)
 
 
@@ -113,6 +118,20 @@ def detect_chain(
     Greedy growth; a single embedded curve is a valid 1-chain, so n >= 1
     and max_n must be at least 1.  The result is prefix-monotone in max_n
     by construction.
+
+    The orbit criterion: C_0, ..., C_k being a chain (each embedded,
+    i(C_a, C_b) = 1 when |a - b| = 1 and 0 otherwise, rank k + 1), the
+    candidate C_{k+1} = phi(C_k) extends it exactly when
+    i(C_{k+1}, C_0) is 1 for k = 0 and 0 for k >= 1, C_{k+1} is embedded,
+    and its row raises the rank.  Proof: phi is a homeomorphism, so it
+    keeps geometric intersection and self-intersection numbers.  For
+    1 <= j <= k, i(C_{k+1}, C_j) = i(phi C_k, phi C_{j-1}) =
+    i(C_k, C_{j-1}), which is 1 for j = k and 0 for j < k, as the pattern
+    asks; only the entry against C_0 is new.  And C_{k+1} is embedded
+    because C_k is, so the embeddedness test can never fail on a chain; it
+    stays as a cross-check of the engine.  Each candidate thus costs one
+    intersection against the seed curve instead of k + 1, and a failing
+    one is dropped after that single scan.
     """
     if max_n < 1:
         raise InvalidParameter(f"max_n must be at least 1, got {max_n}")
@@ -130,10 +149,9 @@ def detect_chain(
         chain.append(candidate)
         echelon.append(entry)
         last = candidate
-    # _chain_ok admitted each curve only if it meets the previous one once,
-    # misses the others and has a nonzero row after reduction against the
-    # echelon rows of the curves before it, so the rank rises by one per
-    # curve: the table is the chain pattern and the rank is n.
+    # _chain_ok admitted each curve only by the orbit criterion and a rank
+    # rise, so the table is the chain pattern (by the induction in the
+    # docstring) and the rank is n.
     # validate_chain_certificate regrows the chain through this function
     # and compares.
     n = len(chain)
@@ -154,7 +172,9 @@ def validate_chain_certificate(cert: ChainCertificate) -> bool:
     After checking that the stored words are paths and the seed is a
     rectangle, detect_chain regrows the chain from the seed, so the iterate
     property C_k = phi^k(C_0), embeddedness, the intersection pattern and
-    the rank over Q are decided by the test that certifies them.  Every
+    the rank over Q are decided by the test that certifies them.  A stored
+    length other than n, or a seed that is no rectangle, contradicts the
+    certificate itself and raises CertificateRejected.  Every
     stored curve must be isotopic to the regrown one, and the stored table
     and rank must equal the regrown ones.  Only the validator tests the cut
     independence of the transversal-arc functionals u H^{-k} (u pairs cycles
@@ -165,9 +185,9 @@ def validate_chain_certificate(cert: ChainCertificate) -> bool:
     chain = [cv.NormalCurve(surface, w, reduce=False) for w in cert.curve_words]
     n = cert.n
     if len(chain) != n or n < 1:
-        raise InternalConsistencyError("certificate length disagrees with n")
+        raise CertificateRejected("certificate length disagrees with n")
     if cert.seed not in surface.rectangles:
-        raise InternalConsistencyError("seed is not a rectangle of the surface")
+        raise CertificateRejected("seed is not a rectangle of the surface")
     fresh = detect_chain(surface, cert.seed, n)
     if fresh.n < n:
         raise InternalConsistencyError(f"the chain from the seed stops at n = {fresh.n}")

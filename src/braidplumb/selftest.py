@@ -283,9 +283,11 @@ def alexander_three_way() -> tuple[bool, str]:
 @_timed(60.0)
 def curve_property_suite() -> tuple[bool, str]:
     """Twists act on homology as transvections, |pairing| <= geometric
-    intersection, and rectangle orbits of three torus knots.  J comes from
-    intersection_form, which reads the brick diagram and runs no part of
-    the curve engine, so the first two check the engine against it."""
+    intersection, the monodromy keeps geometric and self-intersection
+    numbers (the lemma behind detect_chain's orbit criterion), and
+    rectangle orbits of three torus knots.  J comes from intersection_form,
+    which reads the brick diagram and runs no part of the curve engine, so
+    the first two check the engine against it."""
     rng = random.Random(987123)
     surfaces = [
         build_surface(torus_braid(3, 5)),
@@ -331,6 +333,18 @@ def curve_property_suite() -> tuple[bool, str]:
             bound_ok = False
             break
 
+    invariance_ok = True
+    for _ in range(200):
+        surface = rng.choice(surfaces)
+        x = _random_curve(surface, rng)
+        y = _random_curve(surface, rng)
+        fx = cv.apply_monodromy(surface, x, 1)
+        fy = cv.apply_monodromy(surface, y, 1)
+        kept = cv.geometric_intersection(fx, fy) == cv.geometric_intersection(x, y)
+        if not kept or cv.self_intersection(fx) != cv.self_intersection(x):
+            invariance_ok = False
+            break
+
     orbit_ok = True
     s43 = build_surface(torus_braid(4, 3))
     r = cv.curve_from_rectangle(s43, s43.top_left_rectangle())
@@ -354,8 +368,9 @@ def curve_property_suite() -> tuple[bool, str]:
     )
 
     return (
-        pl_ok and bound_ok and orbit_ok,
-        f"transvection={pl_ok} pairing-bound={bound_ok} orbits={orbit_ok}",
+        pl_ok and bound_ok and invariance_ok and orbit_ok,
+        f"transvection={pl_ok} pairing-bound={bound_ok} "
+        f"monodromy-invariance={invariance_ok} orbits={orbit_ok}",
     )
 
 

@@ -277,6 +277,58 @@ class TestMonodromyOrbits:
             apply_monodromy(s, r, -1)
 
 
+@st.composite
+def small_surfaces(draw):
+    s = draw(st.integers(min_value=2, max_value=5))
+    c = draw(st.integers(min_value=s, max_value=12))
+    base = list(range(1, s)) + [
+        draw(st.integers(min_value=1, max_value=s - 1)) for _ in range(c - s + 1)
+    ]
+    return build_surface(BraidWord(s, tuple(draw(st.permutations(base)))))
+
+
+def drawn_curve(s, data):
+    """A monodromy image of a rectangle circle, perhaps twisted once more,
+    and then perhaps doubled or multiplied with a second such curve at a
+    common strand disk, so that non-embedded curves are drawn too."""
+
+    def orbit_curve():
+        x = curve_from_rectangle(s, data.draw(st.sampled_from(s.rectangles)))
+        x = apply_monodromy(s, x, data.draw(st.integers(min_value=0, max_value=3)))
+        if data.draw(st.booleans()):
+            core = curve_from_rectangle(s, data.draw(st.sampled_from(s.rectangles)))
+            x = dehn_twist(TwistFactor(core, right=data.draw(st.booleans())), x)
+        return x
+
+    x = orbit_curve()
+    kind = data.draw(st.sampled_from(["simple", "double", "product"]))
+    if kind == "double":
+        return NormalCurve(s, x.word * 2, reduce=False)
+    if kind == "product":
+        y = orbit_curve()
+        at = {t[0]: i for i, t in enumerate(x.transits())}
+        for j, t in enumerate(y.transits()):
+            if t[0] in at:
+                i = at[t[0]]
+                word = x.word[i:] + x.word[:i] + y.word[j:] + y.word[:j]
+                if reduce_cyclic(word):
+                    return NormalCurve(s, word)
+                break
+    return x
+
+
+class TestMonodromyInvariance:
+    # The chain detector's orbit criterion rests on this: the monodromy is
+    # a homeomorphism, so it keeps both intersection numbers.
+    @settings(max_examples=150, deadline=None)
+    @given(small_surfaces(), st.data())
+    def test_monodromy_keeps_intersection_numbers(self, s, data):
+        x, y = drawn_curve(s, data), drawn_curve(s, data)
+        fx, fy = apply_monodromy(s, x, 1), apply_monodromy(s, y, 1)
+        assert geometric_intersection(fx, fy) == geometric_intersection(x, y)
+        assert self_intersection(fx) == self_intersection(x)
+
+
 class TestTraversesBand:
     def test_rectangle_traverses_own_bands_once(self):
         s = surface("1 1 1")

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import json
 import re
 import time
@@ -135,7 +136,7 @@ class TestDetectChain:
         bad = dataclasses.replace(
             cert, seed=seed, curve_words=((1, -5),) + cert.curve_words[1:]
         )
-        with pytest.raises(InternalConsistencyError, match="seed is not a rectangle"):
+        with pytest.raises(CertificateRejected, match="seed is not a rectangle"):
             validate_chain_certificate(bad)
 
     def test_curve_beyond_the_regrown_chain_rejected(self):
@@ -229,7 +230,7 @@ def loop_validate_chain_certificate(cert):
 def verdict(validate, cert):
     try:
         return validate(cert)
-    except InternalConsistencyError:
+    except (InternalConsistencyError, CertificateRejected):
         return False
 
 
@@ -291,6 +292,74 @@ class TestValidatorOracle:
                 assert verdict(validate_chain_certificate, variant) == verdict(
                     loop_validate_chain_certificate, variant
                 )
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the chain detector that tests each candidate against every curve
+# of the chain, before the orbit criterion
+# ---------------------------------------------------------------------------
+
+
+def pairwise_pattern_ok(candidate, chain):
+    """Embedded, meets the last curve once and misses all the others."""
+    if cv.self_intersection(candidate) != 0:
+        return False
+    if cv.geometric_intersection(candidate, chain[-1]) != 1:
+        return False
+    return all(cv.geometric_intersection(candidate, earlier) == 0 for earlier in chain[:-1])
+
+
+def pairwise_detect_chain(surface, seed, max_n):
+    c0 = cv.curve_from_rectangle(surface, seed)
+    chain = [c0]
+    echelon = [reduce_row(c0.homology, [])]
+    while len(chain) < max_n:
+        candidate = cv.apply_monodromy(surface, chain[-1], 1)
+        if not pairwise_pattern_ok(candidate, chain):
+            break
+        entry = reduce_row(candidate.homology, echelon)
+        if entry is None:
+            break
+        chain.append(candidate)
+        echelon.append(entry)
+    n = len(chain)
+    return ChainCertificate(
+        word=surface.word,
+        seed=seed,
+        n=n,
+        curve_words=tuple(c.word for c in chain),
+        intersections=chain_pattern(n),
+        rank=n,
+    )
+
+
+class TestOrbitCriterion:
+    def test_every_small_word_from_every_rectangle(self):
+        pairs = 0
+        for s in range(2, 5):
+            for c in range(s - 1, 8):
+                for letters in itertools.product(range(1, s), repeat=c):
+                    word = BraidWord(s, letters)
+                    if not word.is_connected:
+                        continue
+                    surface = build_surface(word)
+                    cap = surface.b1 + 1
+                    for seed in surface.rectangles:
+                        assert detect_chain(surface, seed, cap) == pairwise_detect_chain(
+                            surface, seed, cap
+                        ), (letters, seed)
+                        pairs += 1
+        assert pairs == 10203
+
+    @pytest.mark.parametrize("p, q", [(2, 11), (3, 8), (3, 11), (4, 7), (4, 9)])
+    def test_long_torus_chains_from_every_rectangle(self, p, q):
+        surface = build_surface(torus_braid(p, q))
+        longest = 0
+        for seed in surface.rectangles:
+            cert = detect_chain(surface, seed, surface.b1 + 1)
+            assert cert == pairwise_detect_chain(surface, seed, surface.b1 + 1), seed
+            longest = max(longest, cert.n)
+        assert longest > 6
 
 
 # ---------------------------------------------------------------------------
@@ -636,13 +705,8 @@ class TestObstructionConsistency:
 
 
 def rank_chain_ok(candidate, chain, homologies):
-    if cv.self_intersection(candidate) != 0:
+    if not pairwise_pattern_ok(candidate, chain):
         return False
-    if cv.geometric_intersection(candidate, chain[-1]) != 1:
-        return False
-    for earlier in chain[:-1]:
-        if cv.geometric_intersection(candidate, earlier) != 0:
-            return False
     return rank(homologies + [list(candidate.homology)]) == len(chain) + 1
 
 
