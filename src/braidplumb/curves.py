@@ -10,22 +10,25 @@ a pair of passes is "linked" when the four path germs leaving the disk
 alternate around its boundary.  Germs entering the same band are ordered
 by their first divergence, and strand pairs sharing a run of bands are
 anchored at one designated end of the run so each crossing is counted
-exactly once.  A Dehn twist splices an oriented copy of the core into the
-curve at every counted crossing and reduces.  Every curve, a twist's output
-included, goes through the NormalCurve constructor, which checks that the
-word is a closed path and, in the same pass over the surface's traversal
-tables, builds the curve's transits.
+exactly once.  A Dehn twist along a TwistFactor splices an oriented copy
+of the core into the curve at every counted crossing and reduces.  Every
+curve, a twist's output included, goes through the NormalCurve
+constructor, which checks that the word is a closed path and, in the same
+pass over the surface's traversal tables, builds the curve's transits.
 
-The monodromy sweep skips the twist along a rectangle core when no transit
-end of the current curve lies in the core's window, the arc between the
-core's ends on its two strand disks: such a curve cannot cross the core
-(see _meets_window).  The transit ends are read once per curve.  A twist
-that may act takes the rectangle itself: dehn_twist reads the core's word
-and transits from the rectangle's crossings, so no core curve is built.
-The event scan and the splice take a (word, transits) pair, so a rectangle
-and a TwistFactor share one code path once the core is read.  Two
-rectangles are paired the same way, in closed form from their crossings
-(signed_intersection), so the intersection form builds no curve.
+The monodromy twists along rectangle cores, and those take no scan.  A
+rectangle's core passes only strand disks g and g + 1, so its twist is
+read in closed form from its crossings by the push-off rule
+(_rectangle_twist): a copy of the core goes in wherever the curve crosses
+a parallel copy of it, and a run of the curve along the core's bands
+counts once, at its entry.  The monodromy sweep skips the twist along a
+rectangle core when no transit end of the current curve lies in the
+core's window, the arc between the core's ends on its two strand disks:
+such a curve cannot cross the core (see _meets_window).  The window test
+and the push-off rule read the same index, the positions of the curve's
+transits per strand disk, built once per curve.  Two rectangles are
+paired in closed form from their crossings as well (signed_intersection),
+so the intersection form builds no curve.
 """
 
 from __future__ import annotations
@@ -105,7 +108,7 @@ class NormalCurve:
         "_canon",
         "_ucanon",
         "_root",
-        "_ends",
+        "_by_disk",
     )
 
     def __init__(self, surface: FatGraphSurface, word, reduce: bool = True):
@@ -122,7 +125,7 @@ class NormalCurve:
         self._canon = None
         self._ucanon = None
         self._root = None
-        self._ends = None
+        self._by_disk = None
 
     def canonical(self) -> tuple[int, ...]:
         """Least rotation of the word; equality of classes keeps orientation."""
@@ -487,44 +490,29 @@ def dehn_twist(factor: TwistFactor | RectangleCurve, x: NormalCurve) -> NormalCu
     """Image of x under the twist; computed in minimal position.
 
     The factor is a TwistFactor, or a RectangleCurve of x's surface for the
-    right-handed twist along that rectangle's core.  The core of rectangle
-    (g, top, bottom) is read from its crossings, with no curve built: its
-    word is (top + 1, -(bottom + 1)), and its transits are
-    (g, 2 bottom, 2 top) and (g + 1, 2 top + 1, 2 bottom + 1).  It is
-    embedded because those two transits lie on distinct disks g and g + 1,
-    the fact self_intersection's fast path reads.  A rectangle that is not
-    one of the surface's is refused.
+    right-handed twist along that rectangle's core (_rectangle_twist, read
+    from the rectangle's crossings with no core curve built).  A rectangle
+    that is not one of the surface's is refused.
 
-    At every forced crossing an oriented copy of the core is spliced into
-    x, the orientation given by the crossing sign and handedness, then the
-    word is reduced.
+    For a TwistFactor, an oriented copy of the core is spliced into x at
+    every forced crossing, the orientation given by the crossing sign and
+    handedness, then the word is reduced.
     """
     surface = x.surface
-    wx = x.word
     if isinstance(factor, RectangleCurve):
-        g, top, bottom = factor.column, factor.top, factor.bottom
-        idx = surface.rect_index.get((g, top))
-        if idx is None or surface.rectangles[idx].bottom != bottom:
+        idx = surface.rect_index.get((factor.column, factor.top))
+        if idx is None or surface.rectangles[idx].bottom != factor.bottom:
             raise NonEmbeddedCore(f"{factor} is not a rectangle of the curve's surface")
-        a, b = top + 1, bottom + 1
-        # x is the core's class: a rotation of its word or of its reverse.
-        if len(wx) == 2 and wx in ((a, -b), (-b, a), (b, -a), (-a, b)):
-            return x
-        wc = (a, -b)
-        tc = ((g, 2 * bottom, 2 * top), (g + 1, 2 * top + 1, 2 * bottom + 1))
-        by_vertex = {g: (0,), g + 1: (1,)}
-        hand = RIGHT_HANDED_SIGN
-    else:
-        core = factor.core
-        if core.surface is not surface:
-            raise NonEmbeddedCore("core and curve live on different surfaces")
-        if _same_unoriented_class(x, core):
-            return x
-        wc, tc = core.word, core.transits()
-        by_vertex = _disk_index(tc)
-        hand = RIGHT_HANDED_SIGN if factor.right else -RIGHT_HANDED_SIGN
-    tx = x.transits()
-    events = _scan(surface, wx, tx, wc, tc, by_vertex)
+        return _rectangle_twist(factor, x)
+    core = factor.core
+    if core.surface is not surface:
+        raise NonEmbeddedCore("core and curve live on different surfaces")
+    if _same_unoriented_class(x, core):
+        return x
+    wx, tx = x.word, x.transits()
+    wc, tc = core.word, core.transits()
+    hand = RIGHT_HANDED_SIGN if factor.right else -RIGHT_HANDED_SIGN
+    events = _scan(surface, wx, tx, wc, tc, _disk_index(tc))
     if not events:
         return x
     if len(events) > 1:
@@ -544,19 +532,106 @@ def dehn_twist(factor: TwistFactor | RectangleCurve, x: NormalCurve) -> NormalCu
     return NormalCurve(surface, out, reduce=True)
 
 
-def _transit_ends(x: NormalCurve) -> dict[int, list[int]]:
-    """Strand disk -> word positions of the crossings whose ends x's
-    transits use on that disk; cached on the curve."""
-    if x._ends is None:
-        ends: dict[int, list[int]] = {}
-        for v, inc, dep in x.transits():
-            ends.setdefault(v, []).extend((inc >> 1, dep >> 1))
-        x._ends = ends
-    return x._ends
+def _rectangle_twist(rect: RectangleCurve, x: NormalCurve) -> NormalCurve:
+    """Right-handed twist along the core of rectangle (g, top, bottom) by
+    the push-off rule.
+
+    The core is the word (a, -b), a = top + 1, b = bottom + 1.  It crosses
+    disk g from end 2 bottom to end 2 top and disk g + 1 from 2 top + 1 to
+    2 bottom + 1, and both rings are in word order, so on each disk its
+    chord splits the other ends into two arcs.  The core passes each of
+    the two disks once, so it is embedded, and a push-off A of the core
+    runs beside it on one side: on disk g its side holds the ends of the
+    crossings strictly between top and bottom, on disk g + 1 the ends of
+    the crossings strictly outside [top, bottom].  That is one side of the
+    core: along band top, the ring successor of 2 top on disk g (a later
+    word position) faces the ring predecessor of 2 top + 1 on disk g + 1
+    (an earlier one).  The core's own four ends lie off A's side.
+
+    Rule.  A transit of x on disk g or g + 1 whose incoming and outgoing
+    ends lie on opposite sides of A gets one copy of the core, rotated to
+    start on that disk: (a, -b) on g, (-b, a) on g + 1.  The copy is
+    reversed exactly when the transit arrives from A's side.  A maximal
+    run of x along the core's bands (transits whose ends are both the
+    core's) counts once, at its entry transit, the one that arrives by
+    another band and leaves along the core; it is decided by the entry's
+    incoming end against the exit's outgoing end.  The walk to the exit
+    ends within len(x) transits: the entry arrives by a band that is not
+    one of the core's, so the transit before it leaves by that band.  The
+    spliced word is reduced.
+
+    Proof.  The twist along the core is the twist T_A along its isotopic
+    push-off, supported in a thin annulus around A.  Draw x as chords in
+    the disks and strands along the bands, its strands on the core's bands
+    beside the core, off A's side.  Then x meets A only in disks g and
+    g + 1, once in each transit whose chord separates A's side from the
+    rest, and T_A(x) follows x and turns once around A at each such point,
+    in the direction the crossing sets: a copy of the core word starting
+    on that disk, reversed when x arrives from A's side (RIGHT_HANDED_SIGN
+    calibrates that against the torus orbits, as for the linked-pair
+    twist).  This needs x transverse to A, not minimal.  Inside a run of
+    core letters s, x lies off A's side, so the run meets A at its entry
+    when the entry arrives from A's side and at its exit when the exit
+    leaves to it.  With both, the two turns are a copy and its inverse
+    around s: a bigon with A, which cancels in the class.  With one, an
+    insertion c' at the exit equals the insertion c at the entry, since
+    c s = s c' when s is a prefix of a power of c or of its inverse and c'
+    is c rotated to start at the run's exit.  The linked-pair scan anchors
+    a shared run at the same entry (_pair_event).  The spliced word
+    represents T_A(x), and the cyclically reduced word of a class is unique
+    up to rotation, so reduction gives the image's word; the test suite
+    checks it letter for letter against the linked-pair twist.
+    """
+    g, top, bottom = rect.column, rect.top, rect.bottom
+    a, b = top + 1, bottom + 1
+    wx, tx = x.word, x._transits
+    last = len(wx) - 1
+    by_disk = _disk_positions(x)
+    events = []
+    for v in (g, g + 1):
+        for j in by_disk.get(v, ()):
+            _, inc, dep = tx[j]
+            p = inc >> 1
+            if p == top or p == bottom:
+                # Arrives along a core band: inside a run, or its exit.
+                continue
+            w, q = v, dep >> 1
+            k = j
+            while q == top or q == bottom:
+                # An entry: walk along the core to the run's exit.
+                k = k + 1 if k < last else 0
+                w, _, dep = tx[k]
+                q = dep >> 1
+            arrives = top < p < bottom if v == g else not top <= p <= bottom
+            leaves = top < q < bottom if w == g else not top <= q <= bottom
+            if arrives != leaves:
+                events.append((j, v, arrives))
+    if not events:
+        return x
+    events.sort()
+    out: list[int] = []
+    prev = 0
+    for j, v, arrives in events:
+        out.extend(wx[prev:j])
+        copy = (a, -b) if v == g else (-b, a)
+        # The crossing's sign is +1 when x arrives from A's side.
+        sign = 1 if arrives else -1
+        out.extend(copy if sign * RIGHT_HANDED_SIGN > 0 else (-copy[1], -copy[0]))
+        prev = j
+    out.extend(wx[prev:])
+    return NormalCurve(x.surface, out, reduce=True)
 
 
-def _meets_window(ends, rect: RectangleCurve) -> bool:
-    """Whether a transit end of the curve lies in the rectangle core's window.
+def _disk_positions(x: NormalCurve):
+    """Strand disk -> positions of x's transits on it (_disk_index); cached
+    on the curve."""
+    if x._by_disk is None:
+        x._by_disk = _disk_index(x._transits)
+    return x._by_disk
+
+
+def _meets_window(x: NormalCurve, rect: RectangleCurve) -> bool:
+    """Whether a transit end of x lies in the rectangle core's window.
 
     The core of rectangle (g, top, bottom) passes strand disks g and g + 1,
     with its ends on each at crossings top and bottom.  Ring order is word
@@ -566,9 +641,12 @@ def _meets_window(ends, rect: RectangleCurve) -> bool:
     with it; a curve with no end inside is left as it is by the twist.
     """
     top, bottom = rect.top, rect.bottom
+    tx = x._transits
+    by_disk = _disk_positions(x)
     for v in (rect.column, rect.column + 1):
-        for p in ends.get(v, ()):
-            if top <= p <= bottom:
+        for j in by_disk.get(v, ()):
+            _, inc, dep = tx[j]
+            if top <= inc >> 1 <= bottom or top <= dep >> 1 <= bottom:
                 return True
     return False
 
@@ -590,10 +668,8 @@ def apply_monodromy(surface: FatGraphSurface, x: NormalCurve, power: int = 1) ->
         raise NonEmbeddedCore("core and curve live on different surfaces")
     rects = surface.rectangles
     for _ in range(power):
-        ends = _transit_ends(x)
         for idx in order:
             rect = rects[idx]
-            if _meets_window(ends, rect):
+            if _meets_window(x, rect):
                 x = dehn_twist(rect, x)
-                ends = _transit_ends(x)
     return x

@@ -174,12 +174,14 @@ def validate_chain_certificate(cert: ChainCertificate) -> bool:
     property C_k = phi^k(C_0), embeddedness, the intersection pattern and
     the rank over Q are decided by the test that certifies them.  A stored
     length other than n, or a seed that is no rectangle, contradicts the
-    certificate itself and raises CertificateRejected.  Every
-    stored curve must be isotopic to the regrown one, and the stored table
-    and rank must equal the regrown ones.  Only the validator tests the cut
-    independence of the transversal-arc functionals u H^{-k} (u pairs cycles
-    with the seed's top band), which certifies that cutting the surface
-    along the chain's arcs leaves it connected.
+    certificate itself.  The regrown chain must reach n, every stored
+    curve must be isotopic to the regrown one, and the stored table and
+    rank must equal the regrown ones.  Each of these checks compares a
+    stored field with the engine's own result, so each failure raises
+    CertificateRejected.  Only the validator tests the cut independence of
+    the transversal-arc functionals u H^{-k} (u pairs cycles with the
+    seed's top band), which certifies that cutting the surface along the
+    chain's arcs leaves it connected.
     """
     surface = build_surface(cert.word)
     chain = [cv.NormalCurve(surface, w, reduce=False) for w in cert.curve_words]
@@ -190,18 +192,18 @@ def validate_chain_certificate(cert: ChainCertificate) -> bool:
         raise CertificateRejected("seed is not a rectangle of the surface")
     fresh = detect_chain(surface, cert.seed, n)
     if fresh.n < n:
-        raise InternalConsistencyError(f"the chain from the seed stops at n = {fresh.n}")
+        raise CertificateRejected(f"the chain from the seed stops at n = {fresh.n}")
     for k, word in enumerate(fresh.curve_words):
         if chain[k].canonical() != min_rotation(word):
-            raise InternalConsistencyError(
+            raise CertificateRejected(
                 f"C_{k} is not the monodromy image of C_{k-1}"
                 if k
                 else "chain does not start at the seed rectangle"
             )
     if cert.intersections != fresh.intersections:
-        raise InternalConsistencyError("intersection table is not the chain pattern")
+        raise CertificateRejected("intersection table is not the chain pattern")
     if cert.rank != fresh.rank:
-        raise InternalConsistencyError("chain classes are not independent over Q")
+        raise CertificateRejected("chain classes are not independent over Q")
     if not _arc_functionals_independent(surface, cert.seed, n):
         raise InternalConsistencyError("cut surface would disconnect: arc rank too low")
     return True
@@ -480,6 +482,16 @@ def torus_summand_report(
     Seeds every rectangle of the first column (the optimal deep-orbit
     chains re-enter the left column).  When the detector meets the bound
     the answer is exact; otherwise the detector value is a lower bound.
+
+    The gap is a negative result, not a missing seed: on T(4,5), T(5,6),
+    T(4,7), T(6,7) and T(5,9) no seed beat the rectangles, among every
+    rectangle, every band sum T_a^{+-1}(R_b) of neighbouring rectangles and
+    every image of a rectangle under a partial twist product, nor on T(4,5)
+    (T(5,6)) any embedded reduced word up to length 8 (6).  Two sharper
+    upper bounds were rejected: divisibility of Delta by Delta_{A_n} =
+    (t^{n+1} - (-1)^{n+1})/(t + 1) allows 0 on T(3,5), where the detector
+    finds 5, and the Levine-Tristram inertia bound was never sharper than
+    the Hironaka bound on the 21 torus knots tried.
     """
     word = torus_braid(p, q)
     if hironaka_bound is None and q >= 1:

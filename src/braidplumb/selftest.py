@@ -23,7 +23,7 @@ from .alexpoly import (
     torus_alexander,
 )
 from .braidwords import BraidWord
-from .errors import InternalConsistencyError
+from .errors import CertificateRejected, InternalConsistencyError
 from .fatgraph import build_surface
 from .monodromy import alexander_from_monodromy, intersection_form
 from .plumbing import (
@@ -282,12 +282,14 @@ def alexander_three_way() -> tuple[bool, str]:
 
 @_timed(60.0)
 def curve_property_suite() -> tuple[bool, str]:
-    """Twists act on homology as transvections, |pairing| <= geometric
-    intersection, the monodromy keeps geometric and self-intersection
-    numbers (the lemma behind detect_chain's orbit criterion), and
-    rectangle orbits of three torus knots.  J comes from intersection_form,
-    which reads the brick diagram and runs no part of the curve engine, so
-    the first two check the engine against it."""
+    """Twists act on homology as transvections, the push-off twist along a
+    rectangle equals the linked-pair twist along its circle word for word,
+    |pairing| <= geometric intersection, the monodromy keeps geometric and
+    self-intersection numbers (the lemma behind detect_chain's orbit
+    criterion), and rectangle orbits of three torus knots.  J comes from
+    intersection_form, which reads the brick diagram and runs no part of
+    the curve engine, so the transvection and bound checks test the engine
+    against it."""
     rng = random.Random(987123)
     surfaces = [
         build_surface(torus_braid(3, 5)),
@@ -297,14 +299,17 @@ def curve_property_suite() -> tuple[bool, str]:
     ]
     forms = {id(s): intersection_form(s) for s in surfaces}
 
-    pl_ok = True
+    pl_ok = rect_ok = True
     for _ in range(1000):
         surface = rng.choice(surfaces)
         j = forms[id(surface)]
-        gamma = cv.curve_from_rectangle(surface, rng.choice(surface.rectangles))
+        rect = rng.choice(surface.rectangles)
+        gamma = cv.curve_from_rectangle(surface, rect)
         x = _random_curve(surface, rng)
         right = rng.random() < 0.5
         tw = cv.dehn_twist(cv.TwistFactor(gamma, right=right), x)
+        linked = tw if right else cv.dehn_twist(cv.TwistFactor(gamma), x)
+        rect_ok = rect_ok and cv.dehn_twist(rect, x).word == linked.word
         n = len(j)
         pairing = sum(
             x.homology[a] * j[a][b] * gamma.homology[b]
@@ -368,8 +373,8 @@ def curve_property_suite() -> tuple[bool, str]:
     )
 
     return (
-        pl_ok and bound_ok and invariance_ok and orbit_ok,
-        f"transvection={pl_ok} pairing-bound={bound_ok} "
+        pl_ok and rect_ok and bound_ok and invariance_ok and orbit_ok,
+        f"transvection={pl_ok} rect-twist={rect_ok} pairing-bound={bound_ok} "
         f"monodromy-invariance={invariance_ok} orbits={orbit_ok}",
     )
 
@@ -391,7 +396,7 @@ def obstruction_consistency(certs: list[ChainCertificate]) -> tuple[bool, str]:
         back = ChainCertificate.from_json(json.loads(json.dumps(cert.to_json())))
         try:
             valid = back == cert and validate_chain_certificate(back)
-        except InternalConsistencyError:
+        except (CertificateRejected, InternalConsistencyError):
             valid = False
         rejected += not valid
     return ok and not rejected, (

@@ -433,9 +433,9 @@ class TestLinkingRule:
 
 
 @st.composite
-def connected_surfaces(draw):
-    s = draw(st.integers(min_value=2, max_value=7))
-    c = draw(st.integers(min_value=s, max_value=20))
+def connected_surfaces(draw, max_strands=7, max_length=20):
+    s = draw(st.integers(min_value=2, max_value=max_strands))
+    c = draw(st.integers(min_value=s, max_value=max_length))
     base = list(range(1, s)) + [
         draw(st.integers(min_value=1, max_value=s - 1)) for _ in range(c - s + 1)
     ]
@@ -522,7 +522,7 @@ def full_sweep_step(s, factors, x, skipped):
     """One monodromy step by the sweep without the window rule: every
     factor in twist order.  Twists the window rule skips go to `skipped`."""
     for idx, f in zip(s.twist_ordering, factors):
-        if not cv._meets_window(cv._transit_ends(fresh(x)), s.rectangles[idx]):
+        if not cv._meets_window(fresh(x), s.rectangles[idx]):
             skipped.append((f, x))
         x = dehn_twist(f, x)
     return x
@@ -565,33 +565,88 @@ class TestWindowSweep:
         s = surface("1 1 1")
         far = surface("1 1 1 1 1 1")
         x = curve_from_rectangle(far, far.rectangles[-1])  # crossings 4 and 5
-        assert not any(cv._meets_window(cv._transit_ends(x), r) for r in s.rectangles)
+        assert not any(cv._meets_window(x, r) for r in s.rectangles)
         with pytest.raises(NonEmbeddedCore, match="^core and curve live on different surfaces$"):
             apply_monodromy(s, x, 1)
         # b1 = 0: no twist, so nothing refuses the curve.
         assert apply_monodromy(surface("1 2"), x, 1) is x
 
 
+def rectangle_twist_inputs(s, seeds):
+    """The monodromy iterates phi^k(C), k <= 3, of each seed circle C, and
+    their left twists along every rectangle; one curve per word."""
+    lefts = [TwistFactor(curve_from_rectangle(s, r), right=False) for r in s.rectangles]
+    curves = {}
+    for seed in seeds:
+        x = curve_from_rectangle(s, seed)
+        for k in range(4):
+            curves[x.word] = x
+            for f in lefts:
+                y = dehn_twist(f, x)
+                curves.setdefault(y.word, y)
+            x = apply_monodromy(s, x, 1)
+    return list(curves.values())
+
+
+def check_rectangle_twists(s, curves):
+    """The push-off twist along each rectangle against the linked-pair
+    twist along its circle, word for word, and the curve itself back when
+    the twist fixes it; returns the pair count."""
+    factors = [TwistFactor(curve_from_rectangle(s, r)) for r in s.rectangles]
+    for x in curves:
+        for rect, f in zip(s.rectangles, factors):
+            want = dehn_twist(f, fresh(x))
+            y = fresh(x)
+            got = dehn_twist(rect, y)
+            assert got.word == want.word, (s.word.letters, rect, x.word)
+            if want.word == x.word:
+                assert got is y
+    return len(curves) * len(factors)
+
+
 class TestRectangleTwist:
     @settings(max_examples=40, deadline=None)
-    @given(connected_surfaces(), st.data())
+    @given(connected_surfaces(max_strands=8, max_length=30), st.data())
     def test_equals_the_factor_twist(self, s, data):
         cores = [curve_from_rectangle(s, r) for r in s.rectangles]
-        seed = data.draw(st.sampled_from(cores))
-        curves = [apply_monodromy(s, seed, k) for k in range(3)] + cores
+        seed = data.draw(st.sampled_from(s.rectangles))
+        curves = rectangle_twist_inputs(s, [seed]) + cores
         # Each core's other rotation, its reverse and the reverse's rotation.
         for core in cores:
             w = core.word
             for word in (w[::-1], core.reversed_word(), (-w[0], -w[1])):
                 curves.append(NormalCurve(s, word, reduce=False))
-        for x in curves:
-            for rect, core in zip(s.rectangles, cores):
-                want = dehn_twist(TwistFactor(core), fresh(x))
-                y = fresh(x)
-                got = dehn_twist(rect, y)
-                assert got.word == want.word
-                if want.word == x.word:
-                    assert got is y
+        check_rectangle_twists(s, curves)
+
+    def test_push_off_equals_the_linked_pair_twist(self):
+        pairs = 0
+        for s in range(2, 5):
+            for c in range(s - 1, 8):
+                for letters in itertools.product(range(1, s), repeat=c):
+                    word = BraidWord(s, letters)
+                    if word.is_connected:
+                        surf = build_surface(word)
+                        inputs = rectangle_twist_inputs(surf, surf.rectangles)
+                        pairs += check_rectangle_twists(surf, inputs)
+        assert pairs == 245520
+
+    @pytest.mark.parametrize(
+        "text, rect, word, image",
+        [
+            # A run along the core that straddles the word's start: the
+            # image keeps the rotation of the insertion at the run's entry.
+            ("2 2 2 2 2 1 2 2 1", (2, 2, 3), (-3, 4, -5, 4), (4, -5)),
+            ("2 2 1 2 1 1", (2, 1, 3), (-1, 2, -1, 4), (-1, 2, -4, 2, -1, 2)),
+            ("2 1 1 1 2 1 1 2 1 2 1", (1, 1, 2), (-6, 3), (-6, 2)),
+        ],
+    )
+    def test_run_across_the_word_start(self, text, rect, word, image):
+        s = surface(text)
+        rect = RectangleCurve(*rect)
+        x = NormalCurve(s, word, reduce=False)
+        assert dehn_twist(rect, x).word == image
+        core = curve_from_rectangle(s, rect)
+        assert dehn_twist(TwistFactor(core), fresh(x)).word == image
 
     def test_rectangle_of_another_surface_is_refused(self):
         s = surface("1 1 1")

@@ -124,7 +124,8 @@ class TestDetectChain:
             for a, row in enumerate(cert.intersections)
         )
         bad = dataclasses.replace(cert, intersections=bad_table)
-        with pytest.raises(InternalConsistencyError):
+        message = "^intersection table is not the chain pattern$"
+        with pytest.raises(CertificateRejected, match=message):
             validate_chain_certificate(bad)
 
     def test_seed_that_is_no_rectangle_rejected(self):
@@ -150,7 +151,7 @@ class TestDetectChain:
         bad = dataclasses.replace(
             cert, n=cert.n + 1, curve_words=cert.curve_words + (image.word,)
         )
-        with pytest.raises(InternalConsistencyError, match="chain from the seed stops"):
+        with pytest.raises(CertificateRejected, match="chain from the seed stops"):
             validate_chain_certificate(bad)
 
     def test_chain_invariants_hold(self):
