@@ -106,13 +106,6 @@ class BraidWord:
         """Lexicographically least cyclic rotation of the letter sequence."""
         return min_rotation(self.letters)
 
-    def rotated(self, shift: int) -> "BraidWord":
-        c = self.length
-        if c == 0:
-            return self
-        shift %= c
-        return BraidWord(self.strands, self.letters[shift:] + self.letters[:shift])
-
     def text(self) -> str:
         return " ".join(str(x) for x in self.letters)
 

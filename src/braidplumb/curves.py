@@ -7,14 +7,16 @@ homotopy classes, so equality testing is rotation equality.
 Geometric intersection numbers are computed by linked-pair counting.  Two
 strands can only be forced to cross where they pass a common vertex disk;
 a pair of passes is "linked" when the four path germs leaving the disk
-alternate around its boundary.  Germs entering the same band are ordered
-by their first divergence, and strand pairs sharing a run of bands are
-anchored at one designated end of the run so each crossing is counted
-exactly once.  A Dehn twist along a TwistFactor splices an oriented copy
-of the core into the curve at every counted crossing and reduces.  Every
-curve, a twist's output included, goes through the NormalCurve
-constructor, which checks that the word is a closed path and, in the same
-pass over the surface's traversal tables, builds the curve's transits.
+alternate around its boundary.  Ring order on a disk is the order of the
+end indices (see fatgraph), so germs are compared by the ends they leave
+through.  Germs entering the same band are ordered by their first
+divergence, and strand pairs sharing a run of bands are anchored at one
+designated end of the run so each crossing is counted exactly once.  A
+Dehn twist along a TwistFactor splices an oriented copy of the core into
+the curve at every counted crossing and reduces.  Every curve, a twist's
+output included, goes through the NormalCurve constructor, which checks
+that the word is a closed path and, in the same pass over the surface's
+traversal tables, builds the curve's transits.
 
 The monodromy twists along rectangle cores, and those take no scan.  A
 rectangle's core passes only strand disks g and g + 1, so its twist is
@@ -24,11 +26,11 @@ a parallel copy of it, and a run of the curve along the core's bands
 counts once, at its entry.  The monodromy sweep skips the twist along a
 rectangle core when no transit end of the current curve lies in the
 core's window, the arc between the core's ends on its two strand disks:
-such a curve cannot cross the core (see _meets_window).  The window test
-and the push-off rule read the same index, the positions of the curve's
-transits per strand disk, built once per curve.  Two rectangles are
-paired in closed form from their crossings as well (signed_intersection),
-so the intersection form builds no curve.
+such a curve cannot cross the core (see _meets_window).  The window test,
+the push-off rule and the linked-pair scan read one index, the positions
+of the curve's transits per strand disk, built once per curve.  Two
+rectangles are paired in closed form from their crossings as well
+(signed_intersection), so the intersection form builds no curve.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .errors import (
 )
 from .fatgraph import FatGraphSurface, RectangleCurve
 
-# Global handedness: with the vertex rings stored in ascending word-position
+# Global handedness: with ring order taken as ascending end (word-position)
 # order, inserting the core with this orientation at a positively-linked
 # crossing realizes the *right-handed* twist.  Calibrated once against the
 # torus-braid orbit facts (see tests); everything downstream inherits it.
@@ -243,12 +245,12 @@ def _compare_germs(surface, g1, g2, bound):
         if s1 == s2:
             prev = s1
             continue
-        slot, src = surface.end_slot, surface.src_end
-        pivot = surface.tgt_end[prev]
-        ring_len = len(surface.vertex_slots[surface.end_vertex[pivot]])
-        base = slot[pivot]
-        n1 = (slot[src[s1]] - base) % ring_len
-        n2 = (slot[src[s2]] - base) % ring_len
+        # Ring order is end order, so counterclockwise from the pivot is
+        # ascending (end - pivot) mod 2c.
+        src, pivot = surface.src_end, surface.tgt_end[prev]
+        n_ends = len(surface.end_vertex)
+        n1 = (src[s1] - pivot) % n_ends
+        n2 = (src[s2] - pivot) % n_ends
         return -1 if n1 < n2 else 1
     return 0
 
@@ -281,10 +283,9 @@ def _pair_event(surface, wx, Lx, tx, ix, wy, Ly, ty, jy, bound):
     else:
         bundle = None
 
-    slot = surface.end_slot
-    # Distinct keys 2 * slot + tie-break around the disk: distinct ends have
-    # distinct slots, and the one shared end of a bundle gets a tie-break.
-    keys = [2 * slot[inx], 2 * slot[outx], 2 * slot[iny], 2 * slot[outy]]
+    # Distinct keys 2 * end + tie-break around the disk (ring order is end
+    # order): the one shared end of a bundle gets the tie-break.
+    keys = [2 * inx, 2 * outx, 2 * iny, 2 * outy]
     if bundle is not None:
         t1, t2 = bundle
         g1 = (wx, Lx, ix, t1 == _XF) if t1 < 2 else (wy, Ly, jy, t1 == _YF)
@@ -314,12 +315,14 @@ def _linked(xb, xf, yb, yf):
     return (1, _YB) if yb_inside else (-1, _YF)
 
 
-def _disk_index(transits):
-    """Strand disk -> positions of the transits that pass it."""
-    by_vertex = defaultdict(list)
-    for j, t in enumerate(transits):
-        by_vertex[t[0]].append(j)
-    return by_vertex
+def _disk_positions(x: NormalCurve):
+    """Strand disk -> positions of x's transits on it; cached on the curve."""
+    if x._by_disk is None:
+        by_disk = defaultdict(list)
+        for j, t in enumerate(x._transits):
+            by_disk[t[0]].append(j)
+        x._by_disk = by_disk
+    return x._by_disk
 
 
 def _scan(surface, wx, tx, wy, ty, by_vertex, skip_diagonal=False):
@@ -342,9 +345,10 @@ def _events(surface, x: NormalCurve, y: NormalCurve):
     """All forced crossings between x and y as (i, j, sign, inside_tag)."""
     if x.surface is not surface or y.surface is not surface:
         raise InternalConsistencyError("curves live on a different surface")
-    ty = y.transits()
     # x is y: a transit never crosses itself.
-    return _scan(surface, x.word, x.transits(), y.word, ty, _disk_index(ty), x is y)
+    return _scan(
+        surface, x.word, x._transits, y.word, y._transits, _disk_positions(y), x is y
+    )
 
 
 def _primitive_root(word):
@@ -368,7 +372,7 @@ def self_intersection(x: NormalCurve) -> int:
     """Minimal self-crossing number of the class."""
     if x._self_int is not None:
         return x._self_int
-    if len({t[0] for t in x.transits()}) == len(x.word):
+    if len(_disk_positions(x)) == len(x.word):
         # Each strand disk is passed at most once: no pair of transits to link.
         x._self_int = 0
         return 0
@@ -459,7 +463,7 @@ def _rectangle_pairing(a: RectangleCurve, b: RectangleCurve) -> int:
 def _insertion_order_key(surface, tx, wc, tc, bound):
     """Comparator ordering same-transit crossings along x's chord; tx are
     x's transits, wc and tc the core's word and transits."""
-    slot = surface.end_slot
+    n_ends = len(surface.end_vertex)
     Lc = len(wc)
 
     def germ_of(event):
@@ -473,13 +477,12 @@ def _insertion_order_key(surface, tx, wc, tc, bound):
     def cmp(e1, e2):
         if e1[0] != e2[0]:
             return -1 if e1[0] < e2[0] else 1
-        base = slot[tx[e1[0]][1]]
-        v = tx[e1[0]][0]
-        ring_len = len(surface.vertex_slots[v])
+        base = tx[e1[0]][1]
         end1, end2 = end_of(e1), end_of(e2)
         if end1 != end2:
-            n1 = (slot[end1] - base) % ring_len
-            n2 = (slot[end2] - base) % ring_len
+            # Ring order is end order: counterclockwise from x's incoming end.
+            n1 = (end1 - base) % n_ends
+            n2 = (end2 - base) % n_ends
             return -1 if n1 < n2 else 1
         return _compare_germs(surface, germ_of(e1), germ_of(e2), bound)
 
@@ -512,7 +515,7 @@ def dehn_twist(factor: TwistFactor | RectangleCurve, x: NormalCurve) -> NormalCu
     wx, tx = x.word, x.transits()
     wc, tc = core.word, core.transits()
     hand = RIGHT_HANDED_SIGN if factor.right else -RIGHT_HANDED_SIGN
-    events = _scan(surface, wx, tx, wc, tc, _disk_index(tc))
+    events = _scan(surface, wx, tx, wc, tc, _disk_positions(core))
     if not events:
         return x
     if len(events) > 1:
@@ -620,14 +623,6 @@ def _rectangle_twist(rect: RectangleCurve, x: NormalCurve) -> NormalCurve:
         prev = j
     out.extend(wx[prev:])
     return NormalCurve(x.surface, out, reduce=True)
-
-
-def _disk_positions(x: NormalCurve):
-    """Strand disk -> positions of x's transits on it (_disk_index); cached
-    on the curve."""
-    if x._by_disk is None:
-        x._by_disk = _disk_index(x._transits)
-    return x._by_disk
 
 
 def _meets_window(x: NormalCurve, rect: RectangleCurve) -> bool:

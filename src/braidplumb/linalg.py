@@ -1,4 +1,5 @@
-"""Exact integer linear algebra: characteristic polynomial, rank, determinant.
+"""Exact integer linear algebra: characteristic polynomial, determinant,
+incremental row reduction.
 
 charpoly works modulo one Mersenne prime p.  The coefficient c_k of
 t^(n-k) in det(tI - M) is (-1)^k times the sum of the k x k principal
@@ -25,13 +26,14 @@ random words with n = 16-60 and 1.1-1.2x at n = 115-143, but 1.2x slower
 at n <= 15 and 1.2-3.5x slower on torus-knot monodromies, which stay
 sparse under Gaussian elimination while Krylov vectors fill in.
 
-rank and det share one fraction-free Gaussian elimination (Bareiss): every
-division is exact, so the entries stay integers bounded by minors of the
-input, and the last pivot of a square matrix of full rank is its
-determinant up to the sign of the row swaps.  det is the kernel of the
-Burau route in alexpoly, which evaluates a polynomial matrix at t = 2^K.
-reduce_row is the same elimination one row at a time, for a rank that
-grows by one row per step (the chain detector in plumbing).
+det is fraction-free Gaussian elimination (Bareiss): every division is
+exact, so the entries stay integers bounded by minors of the input, and
+the last pivot of a nonsingular matrix is its determinant up to the sign
+of the row swaps.  It is the kernel of the Burau route in alexpoly, which
+evaluates a polynomial matrix at t = 2^K.  reduce_row eliminates one row
+at a time against an echelon form, for a rank that grows by one row per
+step: the chain detector and the chain validator's arc test in plumbing
+both decide independence with it.
 
 This module depends on no other part of the package at import time;
 charpoly imports LaurentPolynomial when it is called, because alexpoly
@@ -188,40 +190,6 @@ def _krylov_charpoly(matrix: list[list[int]], p: int) -> list[int]:
     return unpack(polys[n], n + 1)
 
 
-def _bareiss(m: list[list[int]]) -> tuple[int, int, int]:
-    """Fraction-free elimination of the rows m, in place.
-
-    Returns the rank, the sign of the row permutation and the last pivot.
-    The pivot of step k is a minor of order k + 1, so every division is
-    exact; for a square matrix of full rank, sign * last pivot is det.
-    """
-    r, sign, prev = 0, 1, 1
-    if not m:
-        return r, sign, prev
-    for c in range(len(m[0])):
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-            sign = -sign
-        pivot_row = m[r]
-        d = pivot_row[c]
-        for i in range(r + 1, len(m)):
-            x = m[i][c]
-            m[i] = [(d * a - x * b) // prev for a, b in zip(m[i], pivot_row)]
-        prev = d
-        r += 1
-        if r == len(m):
-            break
-    return r, sign, prev
-
-
-def rank(rows) -> int:
-    """Rank over Q of integer row vectors, by fraction-free elimination."""
-    return _bareiss([list(r) for r in rows])[0]
-
-
 def reduce_row(row, echelon) -> Optional[tuple[int, list[int]]]:
     """The row reduced fraction-free against echelon rows, as a new echelon
     entry (pivot, row), or None when the row depends on them over Q.
@@ -246,7 +214,26 @@ def reduce_row(row, echelon) -> Optional[tuple[int, list[int]]]:
 
 
 def det(matrix: list[list[int]]) -> int:
-    """Determinant of a square integer matrix, by fraction-free elimination."""
-    n = len(matrix)
-    r, sign, last = _bareiss([list(row) for row in matrix])
-    return sign * last if r == n else 0
+    """Determinant of a square integer matrix, by fraction-free elimination.
+
+    The pivot of step k is a minor of order k + 1, so every division is
+    exact, and sign * the last pivot is det.  A column with no pivot left
+    makes the matrix singular.
+    """
+    m = [list(row) for row in matrix]
+    n = len(m)
+    sign, prev = 1, 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            sign = -sign
+        pivot_row = m[c]
+        d = pivot_row[c]
+        for i in range(c + 1, n):
+            x = m[i][c]
+            m[i] = [(d * a - x * b) // prev for a, b in zip(m[i], pivot_row)]
+        prev = d
+    return sign * prev

@@ -41,7 +41,7 @@ from .errors import (
     TrivialKnot,
 )
 from .fatgraph import FatGraphSurface, RectangleCurve, build_surface
-from .linalg import rank, reduce_row
+from .linalg import reduce_row
 from .monodromy import homological_monodromy
 
 
@@ -221,7 +221,9 @@ def _arc_functionals_independent(
     invertible H^{n-1} turns them into the rows u H^k, k < n, and keeps
     the rank, so the test needs only integer vector-matrix products.  H has
     a few nonzeros per column, read once, so each product is a sum over
-    them: O(nnz(H)) instead of b1^2.
+    them: O(nnz(H)) instead of b1^2.  Each row is reduced against the ones
+    before it as it is formed (reduce_row), and the first dependent row
+    decides.
     """
     h = homological_monodromy(surface)
     cols = [[(r, x) for r, x in enumerate(col) if x] for col in zip(*h)]
@@ -231,11 +233,16 @@ def _arc_functionals_independent(
             u[idx] += 1
         if rect.bottom == seed.top:
             u[idx] -= 1
-    rows = [u]
-    for _ in range(n - 1):
-        row = rows[-1]
-        rows.append([sum(row[r] * x for r, x in col) for col in cols])
-    return rank(rows) == n
+    echelon = []
+    row = u
+    while True:
+        entry = reduce_row(row, echelon)
+        if entry is None:
+            return False
+        echelon.append(entry)
+        if len(echelon) == n:
+            return True
+        row = [sum(row[r] * x for r, x in col) for col in cols]
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +481,7 @@ class TorusSummandReport:
         }
 
 
-def torus_summand_report(
-    p: int, q: int, hironaka_bound: Optional[int] = None
-) -> TorusSummandReport:
+def torus_summand_report(p: int, q: int) -> TorusSummandReport:
     """Chain detector versus the Alexander-polynomial bound for T(p, q).
 
     Seeds every rectangle of the first column (the optimal deep-orbit
@@ -494,24 +499,21 @@ def torus_summand_report(
     the Hironaka bound on the 21 torus knots tried.
     """
     word = torus_braid(p, q)
-    if hironaka_bound is None and q >= 1:
-        if gcd(p, q) == 1:
-            delta = torus_alexander(p, q)
-        else:
-            delta = burau_alexander(word)
-        n_max, _ = hironaka_max_n(delta)
-        hironaka_bound = n_max - 1
+    hironaka_bound = None
+    if q >= 1:
+        delta = torus_alexander(p, q) if gcd(p, q) == 1 else burau_alexander(word)
+        hironaka_bound = hironaka_max_n(delta)[0] - 1
     if q < 2 or p < 2:
         return TorusSummandReport(p, q, 0, hironaka_bound, "degenerate", None)
     surface = build_surface(word)
-    cap = hironaka_bound + 2 if hironaka_bound is not None else surface.b1 + 1
+    cap = hironaka_bound + 2
     best = None
     for seed in surface.column_rectangles(1):
         cert = detect_chain(surface, seed, cap)
         if best is None or cert.n > best.n:
             best = cert
     detector_n = best.n if best else 0
-    if hironaka_bound is not None and detector_n > hironaka_bound:
+    if detector_n > hironaka_bound:
         raise InternalConsistencyError(
             "detected chain exceeds the Alexander-polynomial bound"
         )

@@ -179,8 +179,8 @@ def proposition1(cert_sink: Optional[list] = None) -> tuple[bool, str]:
             (3 * k + 1, 3 * k + 1, 3 * k),
             (3 * k + 2, 3 * k + 3, 3 * k + 2),
         ):
-            n_max, _ = hironaka_max_n(torus_alexander(3, q))
-            rep = torus_summand_report(3, q, hironaka_bound=n_max - 1)
+            rep = torus_summand_report(3, q)
+            n_max = rep.hironaka_max_plumbing + 1
             good = (
                 n_max == expect_n_max
                 and rep.detector_n == expect_chain

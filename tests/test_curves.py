@@ -361,6 +361,17 @@ def oracle_linked(keys):
     return None
 
 
+def ring_slots(word):
+    """Each end's slot in its strand's ring, the ring listing the crossings
+    that meet the strand in word order."""
+    slot, seen = {}, {}
+    for j, g in enumerate(word.letters):
+        for end, v in ((2 * j, g), (2 * j + 1, g + 1)):
+            slot[end] = seen.get(v, 0)
+            seen[v] = slot[end] + 1
+    return slot
+
+
 def oracle_pair_event(surface, wx, Lx, tx, ix, wy, Ly, ty, jy, bound):
     _, inx, outx = tx[ix]
     _, iny, outy = ty[jy]
@@ -376,7 +387,7 @@ def oracle_pair_event(surface, wx, Lx, tx, ix, wy, Ly, ty, jy, bound):
         return None
     else:
         bundle = None
-    slot = surface.end_slot
+    slot = ring_slots(surface.word)
     keys = [[slot[inx], 0], [slot[outx], 0], [slot[iny], 0], [slot[outy], 0]]
     if bundle is not None:
         t1, t2 = bundle

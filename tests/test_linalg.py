@@ -21,7 +21,6 @@ from braidplumb.linalg import (
     det,
     hadamard_bound,
     mersenne_modulus,
-    rank,
 )
 from braidplumb.monodromy import homological_monodromy
 from braidplumb.plumbing import (
@@ -231,21 +230,6 @@ def permutation_matrices(draw):
     n = draw(st.integers(min_value=0, max_value=10))
     perm = draw(st.permutations(range(n)))
     return [[int(perm[c] == r) for c in range(n)] for r in range(n)]
-
-
-@st.composite
-def dependent_rows(draw):
-    """Integer rows of which some are integer combinations of the others."""
-    cols = draw(st.integers(min_value=1, max_value=9))
-    rows = [
-        [draw(entries) for _ in range(cols)]
-        for _ in range(draw(st.integers(min_value=0, max_value=6)))
-    ]
-    for _ in range(draw(st.integers(min_value=0, max_value=5)) if rows else 0):
-        coeffs = [draw(st.integers(min_value=-4, max_value=4)) for _ in rows]
-        rows.append([sum(c * x for c, x in zip(coeffs, col)) for col in zip(*rows)])
-    order = draw(st.permutations(range(len(rows))))
-    return [rows[i] for i in order]
 
 
 @st.composite
@@ -474,24 +458,6 @@ class TestMersenneTable:
         assert mersenne_modulus((1 << 4421) - 1) == (1 << 4423) - 1
         with pytest.raises(DomainError):
             mersenne_modulus(1 << 4422)
-
-
-# ---------------------------------------------------------------------------
-# rank
-# ---------------------------------------------------------------------------
-
-
-class TestRank:
-    @settings(max_examples=300, deadline=None)
-    @given(dependent_rows())
-    def test_matches_fraction_oracle(self, rows):
-        assert rank(rows) == fraction_rank(rows)
-
-    def test_edge_cases(self):
-        assert rank([]) == 0
-        assert rank([[0, 0, 0]]) == 0
-        assert rank([[2, 4], [3, 6]]) == 1
-        assert rank([[0, 1], [1, 0], [1, 1]]) == 2
 
 
 # ---------------------------------------------------------------------------

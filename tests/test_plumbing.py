@@ -22,7 +22,7 @@ from braidplumb.errors import (
     TrivialKnot,
 )
 from braidplumb.fatgraph import RectangleCurve, build_surface
-from braidplumb.linalg import rank, reduce_row
+from braidplumb.linalg import reduce_row
 from braidplumb.monodromy import homological_monodromy
 from braidplumb.plumbing import (
     ChainCertificate,
@@ -36,6 +36,7 @@ from braidplumb.plumbing import (
     validate_trefoil_decomposition,
     validate_trefoil_step,
 )
+from test_linalg import fraction_rank
 
 
 @st.composite
@@ -185,7 +186,7 @@ class TestDetectChain:
             for b in range(n):
                 got = 0 if a == b else cv.geometric_intersection(chain[a], chain[b])
                 assert cert.intersections[a][b] == got
-        assert cert.rank == rank([list(x.homology) for x in chain]) == n
+        assert cert.rank == fraction_rank([list(x.homology) for x in chain]) == n
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +222,7 @@ def loop_validate_chain_certificate(cert):
                 raise InternalConsistencyError(
                     f"intersection table mismatch at ({a}, {b}): {got}"
                 )
-    if rank([list(c.homology) for c in chain]) != n or cert.rank != n:
+    if fraction_rank([list(c.homology) for c in chain]) != n or cert.rank != n:
         raise InternalConsistencyError("chain classes are not independent over Q")
     if not plumbing._arc_functionals_independent(surface, cert.seed, n):
         raise InternalConsistencyError("cut surface would disconnect: arc rank too low")
@@ -381,7 +382,7 @@ def dense_arc_functionals_independent(surface, seed, n):
     for _ in range(n - 1):
         row = rows[-1]
         rows.append([sum(x * y for x, y in zip(row, col)) for col in cols])
-    return rank(rows) == n
+    return fraction_rank(rows) == n
 
 
 class TestSparseArcRows:
@@ -708,7 +709,7 @@ class TestObstructionConsistency:
 def rank_chain_ok(candidate, chain, homologies):
     if not pairwise_pattern_ok(candidate, chain):
         return False
-    return rank(homologies + [list(candidate.homology)]) == len(chain) + 1
+    return fraction_rank(homologies + [list(candidate.homology)]) == len(chain) + 1
 
 
 def rank_detect_chain(surface, seed, max_n):
@@ -754,7 +755,7 @@ class TestIncrementalRank:
             else:
                 row = [data.draw(entries) for _ in range(width)]
             entry = reduce_row(row, echelon)
-            independent = rank(accepted + [row]) == len(accepted) + 1
+            independent = fraction_rank(accepted + [row]) == len(accepted) + 1
             assert (entry is not None) == independent
             if independent:
                 pivot, reduced = entry
