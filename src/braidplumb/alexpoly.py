@@ -1,8 +1,10 @@
 """Exact integer Laurent polynomials and Alexander polynomial machinery.
 
 Everything here is exact: integer coefficients, no floating point.  The
-obstruction solver builds one integral candidate per (n, eps) and decides
-feasibility by re-substituting it, with no rational arithmetic.  Alexander
+single-row obstruction solver builds one integral candidate per (n, eps)
+and decides feasibility by re-substituting it, with no rational
+arithmetic; the full table over (n, eps) is read off (t+1)*Delta in closed
+form, in linear time, by the conditions that candidate obeys.  Alexander
 polynomials are only ever defined up to a unit +-t^k, so most comparisons
 go through ``normalized()``, which picks the representative with lowest
 exponent 0 and positive constant term.
@@ -12,18 +14,21 @@ the Laurent ring (Kronecker substitution).  For a positive word every entry
 of rho(w) is a polynomial in t, and so is det(rho(w) - I).  The three-column
 Burau update runs on Python integers at t = 2^K, linalg.det takes one
 integer determinant, and its balanced base-2^K digits are the coefficients,
-provided each is below 2^(K-1) in absolute value.  The coefficient 1-norm of
-the determinant is at most prod_j sum_i |m_ij|_1, and a second pass of the
-same update on nonnegative integers at t = 1 gives those entry norms, so
-K = bitlength(bound) + 1 makes the decoding exact.  On the alexander
-benchmark words K is about 70 bits at the median and 170 at most, against
-6 and 18 bits for the largest true coefficient.
+provided each is below 2^(K-1) in absolute value.  A second pass of the
+same update on nonnegative integers at t = 1 bounds each entry's
+coefficient 1-norm N_ij, and every coefficient is at most the l2 Hadamard
+bound isqrt(prod_j sum_i N_ij^2) on the unit circle, so
+K = bitlength(bound) + 1 makes the decoding exact.  On the 300 alexander
+benchmark words of seeds 1-3 K is 66 bits at the median and 166 at most
+(72 and 171 with the 1-norm product prod_j sum_i N_ij used before),
+against 6 and 18 bits for the largest true coefficient.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from math import gcd
+from math import gcd, isqrt
+from operator import mul
 from typing import Iterable, Mapping, Optional
 
 from .errors import (
@@ -296,16 +301,24 @@ def _burau_product(word, t: int, sign: int = -1) -> list[list[int]]:
 
 
 def _det_norm_bound(word) -> int:
-    """Bound on the coefficient 1-norm of det(rho(word) - I).
+    """Bound B on every coefficient of D = det(rho(word) - I) in absolute value.
 
-    |det M|_1 <= prod_j sum_i |m_ij|_1: expanding the product gives every
-    term of the Leibniz sum, and more, with nonnegative weights.
+    The coefficient c_k is the mean of D(z) z^-k over the unit circle, so
+    |c_k| <= max_{|z|=1} |D(z)|.  By Hadamard's inequality |D(z)| is at
+    most the product of the Euclidean norms of the columns of
+    rho(word)(z) - I, and on the unit circle each entry is at most its
+    coefficient 1-norm N_ij in absolute value.  So |c_k| <= sqrt(X) with
+    X = prod_j sum_i N_ij^2, and as c_k is an integer, |c_k| <= isqrt(X).
+    Each column's Euclidean norm is at most its 1-norm, so B never exceeds
+    the 1-norm product prod_j sum_i N_ij that bounds the 1-norm of D.
     """
     norms = _burau_product(word, 1, 1)
-    bound = 1
+    for i, row in enumerate(norms):
+        row[i] += 1  # the -I adds 1 to the diagonal entry's norm
+    prod = 1
     for col in zip(*norms):
-        bound *= sum(col) + 1  # the -I adds 1 to the diagonal entry
-    return bound
+        prod *= sum(map(mul, col, col))
+    return isqrt(prod)
 
 
 def _balanced_digits(value: int, k: int) -> list[int]:
@@ -325,9 +338,9 @@ def _balanced_digits(value: int, k: int) -> list[int]:
 def _burau_det(word) -> LaurentPolynomial:
     """det(rho(word) - I) by Kronecker substitution t = 2^K.
 
-    Every coefficient of the determinant is below the 1-norm bound B in
-    absolute value, so with K = bitlength(B) + 1 each is below 2^(K-1) and
-    the balanced base-2^K digits of the integer determinant are exactly the
+    Every coefficient of the determinant is at most the bound B in absolute
+    value, so with K = bitlength(B) + 1 each is below 2^(K-1) and the
+    balanced base-2^K digits of the integer determinant are exactly the
     coefficients.
     """
     k = _det_norm_bound(word).bit_length() + 1
@@ -452,26 +465,55 @@ def hironaka_max_n(
 
     The published plumbing bound is n_max - 1: an n-chain summand forces
     feasibility at n + 1.
+
+    The table is read off Q = (t+1)*Delta in closed form, in O(N) for
+    N = deg Q, with no per-row candidate.  Row (n, eps), d = N - n, is
+    feasible iff q_j = eps q_{N-j} for every j <= d and q_j = 0 for every
+    d < j < n.  In _solve_q's terms, with m = d - n:
+
+    - n > N/2 (m < 0).  Every p_k = q_{n+k} is forced, every equation
+      j >= n holds, and j < n reads q_j = eps p_{d-j} = eps q_{N-j} for
+      j <= d and q_j = 0 for d < j < n.
+    - n <= N/2 (m >= 0).  For j < n only eps p_{d-j} occurs, and d - j > m
+      forces p_{d-j} = q_{N-j}, so q_j = eps q_{N-j}; for j > d only
+      p_{j-n} = q_j occurs, which holds.  In between, the pair k < m - k
+      carries p_k = q_{n+k}, p_{m-k} = 0, so its second equation reads
+      q_{N-n-k} = eps q_{n+k}, and the middle k = m/2 (N even) reads
+      (1 + eps) p_k = q_{N/2}.  For eps = +1 that asks q_{N/2} to be even,
+      which Q(-1) = 0 already gives: with q_j = q_{N-j} and N even,
+      Q(-1) = 2 sum_{j<N/2} (-1)^j q_j + (-1)^{N/2} q_{N/2}.  So the row is
+      feasible iff q_j = eps q_{N-j} for every j; as mismatches come in
+      pairs j, N - j, that is every j <= d, and the window d < j < n is
+      empty.
+
+    For n >= 1 the candidate's top coefficient is p_d = q_N != 0, so the
+    attained degree is d.  For n = 0 the candidate is the lower half of Q,
+    p_k = q_k for 2k < N, and p_{N/2} = q_{N/2} / 2 (eps = +1) or 0 with
+    q_{N/2} = 0 (eps = -1); its degree is the last k <= N/2 with q_k != 0
+    (q_0 > 0).  hironaka_solve is the single-row solver, and the tests
+    hold this table to it row by row.
     """
     q = _q_coefficients(delta)
+    big_n = len(q) - 1
+    # first[eps]: the least j with q_j != eps q_{N-j}, or N + 1 if none.
+    first = {
+        eps: next((j for j, x in enumerate(q) if x != eps * q[big_n - j]), big_n + 1)
+        for eps in (1, -1)
+    }
     table = []
     n_max = -1
-    for n in range(len(q)):
+    clear = True  # q_j == 0 for every d < j < n
+    for n in range(big_n + 1):
+        d = big_n - n
+        if n - d >= 2:  # the window (d, n) gains j = d + 1 and j = n - 1
+            clear = clear and not q[d + 1] and not q[n - 1]
         for eps in (1, -1):
-            sol = _solve_q(q, n, eps)
-            if sol is None:
+            if not (clear and d < first[eps]):
                 table.append(FeasibilityRow(n=n, epsilon=eps, feasible=False))
-            else:
-                table.append(
-                    FeasibilityRow(
-                        n=n,
-                        epsilon=eps,
-                        feasible=True,
-                        attained_degree=sol.attained_degree,
-                        degree_budget=sol.d,
-                    )
-                )
-                n_max = max(n_max, n)
+                continue
+            attained = d if n else next(k for k in range(big_n // 2, -1, -1) if q[k])
+            table.append(FeasibilityRow(n, eps, True, attained, d))
+            n_max = n
     if n_max < 0:
         raise ZeroPolynomial("no feasible decomposition at any n; malformed input")
     return n_max, table

@@ -26,6 +26,15 @@ random words with n = 16-60 and 1.1-1.2x at n = 115-143, but 1.2x slower
 at n <= 15 and 1.2-3.5x slower on torus-knot monodromies, which stay
 sparse under Gaussian elimination while Krylov vectors fill in.
 
+A slot is a whole number of 64-bit limbs, so a vector is packed by
+strided slice assignments into an array('Q') and unpacked by strided
+slices of a memoryview: a few C-level passes per vector instead of one
+to_bytes / from_bytes call per slot.  On the `alexander` matrices of
+seeds 1-3 (same VM) that took 17% off charpoly where p has 61 bits (195
+of 300, n = 8-48), whose slots were 128 bits already; where p has 89 bits
+(101, n = 39-60) a slot widens from 184 to 192 bits and charpoly took
+1-2% longer.
+
 det is fraction-free Gaussian elimination (Bareiss): every division is
 exact, so the entries stay integers bounded by minors of the input, and
 the last pivot of a nonsingular matrix is its determinant up to the sign
@@ -42,6 +51,8 @@ imports det from here.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from math import gcd, isqrt
 from operator import mul
 from typing import Optional
@@ -52,6 +63,9 @@ from .errors import DomainError
 # The last one covers coefficient bounds of 4421 bits, far past the
 # matrix sizes pure-Python O(n^3) arithmetic reaches.
 MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423)
+
+_LIMB = (1 << 64) - 1
+_LITTLE_ENDIAN = sys.byteorder == "little"  # a packed int's bytes are then its limbs
 
 
 def hadamard_bound(matrix: list[list[int]]) -> int:
@@ -121,26 +135,53 @@ def _krylov_charpoly(matrix: list[list[int]], p: int) -> list[int]:
     its slot: an update is one multiply-add, a read one shift and mask.
     b_j is stored shifted down to its pivot, so its updates multiply only
     the slots from the pivot up.
+
+    w is a whole number of 64-bit limbs, so on a little-endian host a
+    packed int's bytes are an array('Q') whose limbs i, i + L, i + 2L, ...
+    are limb i of every slot (L limbs a slot).  A vector of residues,
+    ceil(e / 64) limbs each, is packed by one strided slice assignment per
+    limb and unpacked by strided slices of a memoryview cast to 'Q'.  On a
+    big-endian host a slot is converted by itself through to_bytes /
+    from_bytes.
     """
     n = len(matrix)
     e = p.bit_length()
-    size = (2 * e + (n + 1).bit_length() + 7) // 8
-    w = 8 * size
+    limbs = (2 * e + (n + 1).bit_length() + 63) >> 6
+    w = 64 * limbs
+    size = 8 * limbs
     mask = (1 << w) - 1
     ones = int.from_bytes((1).to_bytes(size, "little") * (n + 1), "little")
     low, high = ones * p, ones * ((1 << (w - e)) - 1)
+    upper = range(1, (e + 63) >> 6)  # the value limbs above the lowest
 
     def reduce(v: int) -> int:
-        # 2^e = 1 mod p: two folds leave every slot below 2p (w - 2e is
-        # far below e for every table prime), then a slot >= p, whose bit e
-        # is set after adding 1, loses one p.
+        # 2^e = 1 mod p.  A slot below (n + 1) p^2 < 2^(2e + b), b the bit
+        # length of n + 1, is below 2^e + 2^(e + b) after one fold and
+        # below 2^e + 2^(b + 1) < 2p after two, however wide the slot; then
+        # a slot >= p, whose bit e is set after adding 1, loses one p.
         for _ in range(2):
             v = (v & low) + (v >> e & high)
         return v - ((v + ones) >> e & ones) * p
 
+    def pack(values: list[int]) -> int:
+        # values in [0, p)
+        if not _LITTLE_ENDIAN:
+            return int.from_bytes(b"".join([x.to_bytes(size, "little") for x in values]), "little")
+        words = array("Q", bytes(size * len(values)))
+        words[::limbs] = array("Q", [x & _LIMB for x in values] if upper else values)
+        for i in upper:
+            words[i::limbs] = array("Q", [x >> (64 * i) & _LIMB for x in values])
+        return int.from_bytes(words, "little")
+
     def unpack(v: int, slots: int) -> list[int]:
         data = v.to_bytes(slots * size, "little")
-        return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
+        if not _LITTLE_ENDIAN:
+            return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
+        words = memoryview(data).cast("Q")
+        values = words[::limbs].tolist()
+        for i in upper:
+            values = [x | y << (64 * i) for x, y in zip(values, words[i::limbs].tolist())]
+        return values
 
     # Column k of M as its +1 rows, its -1 rows and its other (row, entry).
     cols: list[tuple[list, list, list]] = [([], [], []) for _ in range(n)]
@@ -175,7 +216,7 @@ def _krylov_charpoly(matrix: list[list[int]], p: int) -> list[int]:
                     ys[i] -= v
                 for i, x in rest:
                     ys[i] += x * v
-        y = int.from_bytes(b"".join([(x % p).to_bytes(size, "little") for x in ys]), "little")
+        y = pack([x % p for x in ys])
         acc = polys[d] << w
         for j, (shift, scale, bj) in enumerate(basis):
             c = (y >> shift & mask) * scale % p

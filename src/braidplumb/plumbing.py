@@ -372,30 +372,44 @@ def trefoil_decompose(word: BraidWord) -> TrefoilDecomposition:
 
 
 def validate_trefoil_step(step: TrefoilStep) -> bool:
-    """Replay the moves and recompute every stored field of a step."""
+    """Replay the moves and recompute every stored field of a step.
+
+    A stored field that differs from the recomputed one raises
+    CertificateRejected; the theorem checks inside _build_step keep
+    InternalConsistencyError.
+    """
     fresh = _build_step(step.before, step.moves, step.m)
     if fresh.normalized != step.normalized:
-        raise InternalConsistencyError("move replay does not reach the normalized word")
+        raise CertificateRejected("move replay does not reach the normalized word")
     if fresh.curve != step.curve:
-        raise InternalConsistencyError("stored curve is not the top rectangle")
+        raise CertificateRejected("stored curve is not the top rectangle")
     if fresh.image != step.image:
-        raise InternalConsistencyError("stored image is not the monodromy image")
+        raise CertificateRejected("stored image is not the monodromy image")
     if fresh.after != step.after:
-        raise InternalConsistencyError("stored after-word is not the square removal")
+        raise CertificateRejected("stored after-word is not the square removal")
     return True
 
 
 def validate_trefoil_decomposition(dec: TrefoilDecomposition) -> bool:
+    """Validate every step and the chain they form.
+
+    A certificate whose word is not a knot, whose steps do not chain, or
+    whose stored final word or step count differs from the recomputed one
+    raises CertificateRejected.  Past those checks the final word has
+    b1 = 0, so its failure to destabilize is an engine error.
+    """
+    if not dec.word.is_knot:
+        raise CertificateRejected("the certificate's word is not a knot")
     w = dec.word
     for step in dec.steps:
         if step.before.letters != w.letters or step.before.strands != w.strands:
-            raise InternalConsistencyError("steps do not chain")
+            raise CertificateRejected("steps do not chain")
         validate_trefoil_step(step)
         w = step.after
     if w.letters != dec.final_word.letters:
-        raise InternalConsistencyError("final word mismatch")
+        raise CertificateRejected("final word mismatch")
     if len(dec.steps) != dec.word.b1 // 2:
-        raise InternalConsistencyError("ribbon twist count must equal the genus")
+        raise CertificateRejected("ribbon twist count must equal the genus")
     if not is_trivial_closure(dec.final_word):
         raise InternalConsistencyError("final word does not destabilize to the identity")
     return True

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from braidplumb import alexpoly
 from braidplumb.alexpoly import (
     FeasibilityRow,
     LaurentPolynomial,
@@ -297,6 +298,14 @@ def norm1(p):
     return sum(abs(c) for c in p.coeffs.values())
 
 
+def one_norm_product(word):
+    """The Burau route's bound before the l2 one: prod_j (1 + sum_i N_ij)."""
+    bound = 1
+    for col in zip(*_burau_product(word, 1, 1)):
+        bound *= sum(col) + 1
+    return bound
+
+
 @st.composite
 def braid_words(draw):
     """Any positive word on 2 to 9 strands, links and split words included."""
@@ -350,7 +359,11 @@ class TestBurau:
         expected = oracle_det(word)
         assert _burau_det(word) == expected
         assert not expected.is_zero()
-        assert _det_norm_bound(word) >= norm1(expected)
+        # Exact decoding needs the bound on the largest coefficient; the
+        # 1-norm of the determinant may exceed it.
+        bound = _det_norm_bound(word)
+        assert bound >= max(abs(c) for c in expected.coeffs.values())
+        assert bound <= one_norm_product(word)
         assert burau_alexander(word) == oracle_alexander(word)
 
     def test_route_equals_laurent_oracle_exhaustive(self):
@@ -461,11 +474,9 @@ class TestHironaka:
             with pytest.raises(InvalidParameter):
                 hironaka_solve(torus_alexander(3, 4), 3, eps)
 
-    @settings(max_examples=150, deadline=None)
-    @given(connected_words(max_strands=9, max_length=40))
-    def test_table_equals_single_solves(self, word):
-        delta = burau_alexander(word)
-        n_max, table = hironaka_max_n(delta)
+    @staticmethod
+    def _check_table(delta):
+        """hironaka_max_n's closed-form table equals the single-row solves."""
         expected = []
         for n in range((L({1: 1, 0: 1}) * delta).normalized().degree + 1):
             for eps in (1, -1):
@@ -477,8 +488,55 @@ class TestHironaka:
                     expected.append(
                         FeasibilityRow(n, eps, True, sol.attained_degree, sol.d)
                     )
+        if not any(row.feasible for row in expected):
+            with pytest.raises(ZeroPolynomial):
+                hironaka_max_n(delta)
+            return None
+        n_max, table = hironaka_max_n(delta)
         assert table == expected
         assert n_max == max(row.n for row in table if row.feasible)
+        return table
+
+    @settings(max_examples=150, deadline=None)
+    @given(connected_words(max_strands=9, max_length=40))
+    def test_table_equals_single_solves(self, word):
+        self._check_table(burau_alexander(word))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=16))
+    def test_table_equals_single_solves_on_any_polynomial(self, coeffs):
+        # Mostly asymmetric: no row with n <= N/2 is feasible, and most
+        # such polynomials have no feasible row at all.
+        assume(any(coeffs))
+        self._check_table(L.from_dense(coeffs))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3)), min_size=1, max_size=8),
+        st.integers(min_value=0, max_value=12),
+    )
+    def test_table_equals_single_solves_on_built_solutions(self, p, n):
+        # Q = t^n P + eps t^d P(1/t) with eps = -(-1)^(n + d) vanishes at
+        # t = -1, so Delta = Q / (t + 1) has a feasible row at (n, eps) by
+        # construction: for n > d the window d < j < n of Q is zero, and
+        # sparse P leaves zeros inside the symmetric rows too.
+        p = p[:-1] + [p[-1] or 1]
+        d = len(p) - 1
+        eps = -((-1) ** (n + d))
+        big_p = L.from_dense(p)
+        q = big_p.shift(n) + eps * big_p.reciprocal().shift(d)
+        assume(not q.is_zero())
+        table = self._check_table(divide_exact(q, L({1: 1, 0: 1})))
+        if n >= 1:  # Q is already normalized: q_0 = eps p_d, deg Q = n + d
+            assert table[2 * n + (eps == -1)] == FeasibilityRow(n, eps, True, d, d)
+
+    def test_table_solves_no_single_row(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("hironaka_max_n called the single-row solver")
+
+        monkeypatch.setattr(alexpoly, "_solve_q", refuse)
+        n_max, table = hironaka_max_n(torus_alexander(3, 7))
+        assert n_max == 7 and len(table) == 2 * 14  # deg Q = 13
 
     def _check_against_case_solver(self, delta):
         q = _q_coefficients(delta)

@@ -11,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidplumb import linalg
 from braidplumb.alexpoly import LaurentPolynomial, burau_alexander, torus_alexander
 from braidplumb.braidwords import BraidWord, parse_braid
 from braidplumb.errors import DomainError, InternalConsistencyError
 from braidplumb.fatgraph import build_surface
 from braidplumb.linalg import (
     MERSENNE_EXPONENTS,
+    _krylov_charpoly,
     charpoly,
     det,
     hadamard_bound,
@@ -433,6 +435,35 @@ class TestKrylovChains:
             moduli.add(mersenne_modulus(hadamard_bound(m)).bit_length())
             assert charpoly(m) == gaussian_charpoly(m), n
         assert {127, 521} <= moduli
+
+    def test_every_slot_layout_has_an_oracle(self, monkeypatch):
+        # The first matrix whose bound selects each prime from 61 to 521
+        # bits: slots of 2 to 17 limbs holding residues of 1 to 9 limbs.
+        # The big-endian pack / unpack path runs on the same matrices.
+        rng = random.Random(21)
+        layouts = {}
+        for n in range(6, 95, 2):
+            m = sparse_sign_matrix(n, rng)
+            layouts.setdefault(mersenne_modulus(hadamard_bound(m)), m)
+        assert {61, 89, 107, 127, 521} <= {p.bit_length() for p in layouts}
+        cases = list(layouts.items())
+        # n = 100 with few nonzeros keeps p at 61 bits in 192-bit slots, so
+        # a slot is far wider than twice its residues.
+        wide = [[0] * 100 for _ in range(100)]
+        for _ in range(40):
+            wide[rng.randrange(100)][rng.randrange(100)] = rng.choice((1, -1, 2, -3))
+        assert mersenne_modulus(hadamard_bound(wide)).bit_length() == 61
+        cases.append(((1 << 61) - 1, wide))
+        limb_path = []
+        for p, m in cases:
+            assert charpoly(m) == gaussian_charpoly(m), (p.bit_length(), len(m))
+            limb_path.append(_krylov_charpoly(m, p))
+        # The big-endian path, which converts slot by slot: with no array
+        # type the limb path cannot run.
+        monkeypatch.setattr(linalg, "_LITTLE_ENDIAN", False)
+        monkeypatch.setattr(linalg, "array", None)
+        for (p, m), coeffs in zip(cases, limb_path):
+            assert _krylov_charpoly(m, p) == coeffs, (p.bit_length(), len(m))
 
     @settings(max_examples=15, deadline=None)
     @given(wide_connected_words())

@@ -535,7 +535,7 @@ class TestTrefoilStep:
         else:
             bad = tuple(-t for t in value)
         assert bad != value
-        with pytest.raises(InternalConsistencyError, match=message):
+        with pytest.raises(CertificateRejected, match=message):
             validate_trefoil_step(dataclasses.replace(step, **{field: bad}))
 
 
@@ -608,8 +608,20 @@ class TestTrefoilDecompose:
             return
         assert step != honest["steps"][0]
         back = trefoil_decomposition_from_json(data)
-        with pytest.raises(InternalConsistencyError):
+        # A stored field that differs from the replay is a rejected
+        # certificate.  A dropped move or another m fails _build_step's
+        # square-prefix check first, which still raises
+        # InternalConsistencyError for the validator as for the producer.
+        expected = {
+            "drop_move": (InternalConsistencyError, "does not start with the square"),
+            "change_m": (InternalConsistencyError, "does not start with the square"),
+            "change_after": (CertificateRejected, "move replay does not reach"),
+            "change_phiR": (CertificateRejected, "stored image is not the monodromy image"),
+        }
+        error, message = expected[tamper]
+        with pytest.raises(error, match=message) as info:
             validate_trefoil_decomposition(back)
+        assert type(info.value) is error
 
     def test_loaded_normalized_word_is_square_plus_after(self):
         dec = trefoil_decompose(parse_braid("1 1 1 2 1 3 2 3 3"))
@@ -634,8 +646,29 @@ class TestTrefoilDecompose:
         back = trefoil_decomposition_from_json(data)
         assert back.steps[1].before is not back.steps[0].after
         assert list(back.steps[1].before.letters) == data["steps"][1]["before"]
-        with pytest.raises(InternalConsistencyError, match="steps do not chain"):
+        with pytest.raises(CertificateRejected, match="steps do not chain"):
             validate_trefoil_decomposition(back)
+
+    def test_stored_final_word_and_step_count_rejected(self):
+        dec = trefoil_decompose(torus_braid(3, 5))
+        last = dec.steps[-1].after
+        wrong_final = BraidWord(last.strands + 1, last.letters + (last.strands,))
+        with pytest.raises(CertificateRejected, match="final word mismatch"):
+            validate_trefoil_decomposition(dataclasses.replace(dec, final_word=wrong_final))
+        short = dataclasses.replace(
+            dec, steps=dec.steps[:-1], final_word=dec.steps[-2].after
+        )
+        with pytest.raises(CertificateRejected, match="ribbon twist count"):
+            validate_trefoil_decomposition(short)
+
+    def test_link_word_rejected(self):
+        # Every step of this 2-component word replays, and its one step is
+        # b1 // 2 = 1 of them, but the final word "1 1" is no unknot.
+        word = parse_braid("1 1 1 1")
+        step = plumbing._build_step(word, (), 1)
+        dec = plumbing.TrefoilDecomposition(word=word, steps=(step,), final_word=step.after)
+        with pytest.raises(CertificateRejected, match="not a knot"):
+            validate_trefoil_decomposition(dec)
 
     @settings(max_examples=120, deadline=None)
     @given(knot_words())
