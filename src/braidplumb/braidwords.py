@@ -10,7 +10,7 @@ destabilization of a generator occurring exactly once.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .errors import (
     CertificateRejected,
@@ -263,10 +263,10 @@ def move_from_json(data: dict, where: str = "") -> RewriteMove:
     if kind == "cyclic":
         return CyclicConjugate(json_field(data, "shift", "an integer", where))
     if kind == "braid":
-        position = json_field(data, "position", "an integer", where)
-        if "direction" not in data:  # written by every to_json; +1 when absent
-            return BraidRelation(position)
-        return BraidRelation(position, json_field(data, "direction", "an integer", where))
+        return BraidRelation(
+            json_field(data, "position", "an integer", where),
+            json_field(data, "direction", "an integer", where),
+        )
     if kind == "commute":
         return CommutationSwap(json_field(data, "position", "an integer", where))
     if kind == "destabilize":
@@ -289,10 +289,11 @@ def _apply(strands: int, letters: list[int], move: RewriteMove) -> int:
         a, b, a2 = letters[p], letters[p + 1], letters[p + 2]
         if a != a2 or abs(a - b) != 1:
             raise IllegalMove(f"no braid relation pattern at position {p}")
-        if move.direction == 1 and b != a + 1:
-            raise IllegalMove("direction +1 expects the pattern (i, i+1, i)")
-        if move.direction == -1 and b != a - 1:
-            raise IllegalMove("direction -1 expects the pattern (i+1, i, i+1)")
+        # b - a is +1 or -1 here, and the direction must name it.
+        if b - a != move.direction:
+            raise IllegalMove(
+                f"direction {move.direction} does not fit the pattern at position {p}"
+            )
         letters[p : p + 3] = (b, a, b)
         return strands
     if isinstance(move, CommutationSwap):
@@ -320,7 +321,7 @@ def _apply(strands: int, letters: list[int], move: RewriteMove) -> int:
     raise IllegalMove(f"unknown move {move!r}")
 
 
-def replay_moves(word: BraidWord, moves: list[RewriteMove]) -> BraidWord:
+def replay_moves(word: BraidWord, moves: Iterable[RewriteMove]) -> BraidWord:
     """Apply the moves in order; the closure link type is preserved."""
     strands, letters = word.strands, list(word.letters)
     for m in moves:

@@ -108,7 +108,10 @@ def _decompose_payload(text, strands):
 
 
 def _seed_rectangle(surface, index):
-    surface.top_left_rectangle()  # TrivialLink when there is no rectangle
+    """The rectangle at --seed INDEX, or the top-left one without --seed."""
+    top_left = surface.top_left_rectangle()  # TrivialLink when there is no rectangle
+    if index is None:
+        return top_left
     if index < 0 or index >= len(surface.rectangles):
         raise DomainError(
             f"seed index {index} outside 0..{len(surface.rectangles) - 1}"
@@ -119,10 +122,7 @@ def _seed_rectangle(surface, index):
 def _chain_payload(text, strands, seed_index, max_n):
     word = parse_braid(text, strands)
     surface = build_surface(word)
-    if seed_index is None:
-        seed = surface.top_left_rectangle()
-    else:
-        seed = _seed_rectangle(surface, seed_index)
+    seed = _seed_rectangle(surface, seed_index)
     cap = max_n if max_n is not None else surface.b1 + 1
     return detect_chain(surface, seed, cap).to_json()
 
@@ -259,10 +259,7 @@ def _cmd_orbit(args):
         raise InvalidParameter(f"--power must be at least 0, got {args.power}")
     word = parse_braid(args.word, args.strands)
     surface = build_surface(word)
-    if args.seed is None:
-        seed = surface.top_left_rectangle()
-    else:
-        seed = _seed_rectangle(surface, args.seed)
+    seed = _seed_rectangle(surface, args.seed)
     x = cv.curve_from_rectangle(surface, seed)
     orbit = [x]
     for _ in range(args.power):

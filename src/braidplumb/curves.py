@@ -652,7 +652,11 @@ def apply_monodromy(surface: FatGraphSurface, x: NormalCurve, power: int = 1) ->
     A twist is skipped when no transit end of the current curve lies in
     its core's window (_meets_window): dehn_twist would find no crossing
     and return the curve itself.  A twist that may act is dehn_twist along
-    the rectangle itself, which reads the core from its crossings.
+    the rectangle itself, which reads the core from its crossings.  The
+    window test stays although a twist it passes reads the same transits
+    again: it stops at the first end inside, and calling dehn_twist on
+    every rectangle instead made certify slower on the benchmark's chains
+    and knots inputs (Python 3.11, 2-core x86-64 VM).
     """
     if power < 0:
         raise InvalidParameter("power must be non-negative; invert via left twists instead")

@@ -256,11 +256,15 @@ class TrefoilStep:
 
     before: BraidWord
     moves: tuple[RewriteMove, ...]
-    normalized: BraidWord
     m: int
     curve: tuple[int, ...]
     image: tuple[int, ...]
     after: BraidWord
+
+    @property
+    def normalized(self) -> BraidWord:
+        """The word the moves reach: the square s_m s_m, then the after-word."""
+        return BraidWord(self.after.strands, (self.m, self.m) + self.after.letters)
 
     def to_json(self):
         return {
@@ -296,22 +300,18 @@ class TrefoilDecomposition:
         }
 
 
-def _build_step(
-    before: BraidWord, moves: tuple[RewriteMove, ...], m: int
-) -> TrefoilStep:
-    """Replay the moves and compute every field of the step they define.
+def _deplumb(norm: BraidWord) -> tuple[tuple[int, ...], tuple[int, ...], BraidWord]:
+    """The top rectangle's curve R, its monodromy image and the after-word
+    of a knot word that starts with a square s_m s_m.
 
-    The one routine behind trefoil_step and validate_trefoil_step.  The
-    disjointness of the monodromy image from the top band is a theorem for
-    positive braid knots; its failure is fatal, not recoverable.
+    The deplumbing step both trefoil_step and validate_trefoil_step run.
+    The square gives the rectangle (m, 0, 1), m the first letter.  The
+    disjointness of the image from the top band, and a connected
+    after-word of b1 two less, are theorems for positive braid knots;
+    their failure is fatal, not recoverable.
     """
-    norm = replay_moves(before, list(moves))
-    if norm.letters[:2] != (m, m):
-        raise InternalConsistencyError("normalized word does not start with the square")
     surface = build_surface(norm)
-    rect = surface.rectangles[surface.rect_index[(m, 0)]]
-    if rect.bottom != 1:
-        raise InternalConsistencyError("square prefix must give the top rectangle (0, 1)")
+    rect = surface.rectangles[surface.rect_index[(norm.letters[0], 0)]]
     r_curve = cv.curve_from_rectangle(surface, rect)
     image = cv.apply_monodromy(surface, r_curve, 1)
     traversals = image.traverses(0)
@@ -324,33 +324,26 @@ def _build_step(
         raise InternalConsistencyError("square removal disconnected a knot word")
     if after.b1 != norm.b1 - 2:
         raise InternalConsistencyError("square removal must drop b1 by exactly 2")
-    return TrefoilStep(
-        before=before,
-        moves=moves,
-        normalized=norm,
-        m=m,
-        curve=r_curve.word,
-        image=image.word,
-        after=after,
-    )
+    return r_curve.word, image.word, after
 
 
 def trefoil_step(word: BraidWord) -> TrefoilStep:
     """Normalize to a square prefix, verify the deplumbing disjointness,
     and remove the square.
 
-    The step is built by the validator's own routine from the moves, so a
-    returned step passes validate_trefoil_step by construction.
+    The moves must replay to the normalized word, or the engine is at
+    fault; the step is then built by _deplumb, the routine the validator
+    runs, so a returned step passes validate_trefoil_step by construction.
     """
     if not word.is_knot:
         raise NotAKnot(f"closure has {word.components} components")
     if word.b1 == 0:
         raise TrivialKnot("genus zero: nothing to deplumb")
     res = square_normalization(word)
-    step = _build_step(word, res.moves, res.m)
-    if step.normalized != res.word:
+    if replay_moves(word, res.moves) != res.word:
         raise InternalConsistencyError("move replay does not reach the normalized word")
-    return step
+    curve, image, after = _deplumb(res.word)
+    return TrefoilStep(word, res.moves, res.m, curve, image, after)
 
 
 def trefoil_decompose(word: BraidWord) -> TrefoilDecomposition:
@@ -372,21 +365,21 @@ def trefoil_decompose(word: BraidWord) -> TrefoilDecomposition:
 
 
 def validate_trefoil_step(step: TrefoilStep) -> bool:
-    """Replay the moves and recompute every stored field of a step.
+    """Replay the moves, then recompute the step's curve and image.
 
-    A stored field that differs from the recomputed one raises
-    CertificateRejected; the theorem checks inside _build_step keep
-    InternalConsistencyError.
+    Moves that do not replay to the stored square and after-word, or a
+    stored curve or image other than the recomputed one, raise
+    CertificateRejected.  Only a word the replay has matched reaches
+    _deplumb, whose theorem checks keep InternalConsistencyError.
     """
-    fresh = _build_step(step.before, step.moves, step.m)
-    if fresh.normalized != step.normalized:
+    norm = step.normalized
+    if replay_moves(step.before, step.moves) != norm:
         raise CertificateRejected("move replay does not reach the normalized word")
-    if fresh.curve != step.curve:
+    curve, image, _ = _deplumb(norm)
+    if curve != step.curve:
         raise CertificateRejected("stored curve is not the top rectangle")
-    if fresh.image != step.image:
+    if image != step.image:
         raise CertificateRejected("stored image is not the monodromy image")
-    if fresh.after != step.after:
-        raise CertificateRejected("stored after-word is not the square removal")
     return True
 
 
@@ -435,19 +428,15 @@ def trefoil_decomposition_from_json(data) -> TrefoilDecomposition:
             move_from_json(mv, f"{where}moves[{k}].")
             for k, mv in enumerate(json_field(raw, "moves", "a list", where))
         )
-        m = json_field(raw, "m", "an integer", where)
-        # The normalized word is the square plus the after-word, on one
-        # strand fewer per destabilization; validate_trefoil_step replays
-        # the moves and compares.
+        # The after-word is on one strand fewer per destabilization;
+        # validate_trefoil_step replays the moves to the square plus it.
         strands = before.strands - sum(isinstance(mv, Destabilize) for mv in moves)
-        norm = BraidWord(strands, (m, m) + tuple(json_field(raw, "after", ints, where)))
-        after = BraidWord(strands, norm.letters[2:])
+        after = BraidWord(strands, tuple(json_field(raw, "after", ints, where)))
         steps.append(
             TrefoilStep(
                 before=before,
                 moves=moves,
-                normalized=norm,
-                m=m,
+                m=json_field(raw, "m", "an integer", where),
                 curve=tuple(json_field(raw, "R", ints, where)),
                 image=tuple(json_field(raw, "phiR", ints, where)),
                 after=after,

@@ -130,6 +130,11 @@ class TestMoves:
         back = replay_moves(BraidWord(3, (2, 1, 2)), [BraidRelation(0, -1)])
         assert back.letters == (1, 2, 1)
 
+    @pytest.mark.parametrize("direction", [7, 0])
+    def test_braid_relation_direction_must_be_unit(self, direction):
+        with pytest.raises(IllegalMove, match=f"direction {direction} does not fit"):
+            replay_moves(BraidWord(3, (1, 2, 1)), [BraidRelation(0, direction)])
+
     def test_cyclic(self):
         w = BraidWord(3, (1, 2, 2))
         assert replay_moves(w, [CyclicConjugate(1)]).letters == (2, 2, 1)

@@ -16,6 +16,8 @@ from braidplumb.braidwords import BraidWord, parse_braid
 from braidplumb.errors import (
     CertificateRejected,
     DisjointnessFailure,
+    DomainError,
+    IllegalMove,
     InternalConsistencyError,
     InvalidParameter,
     NotAKnot,
@@ -464,8 +466,7 @@ class TestLoaderContract:
         assert LOADERS[loader](json.loads(text))
         doc = json.loads(text)
         paths = list(json_paths(doc))
-        # A braid relation without a direction reads as direction +1.
-        droppable = [p for p in paths if isinstance(p[-1], str) and p[-1] != "direction"]
+        droppable = [p for p in paths if isinstance(p[-1], str)]
         path = data.draw(st.sampled_from(paths + droppable))
         *parents, last = path
         parent = functools.reduce(lambda node, key: node[key], parents, doc)
@@ -521,10 +522,10 @@ class TestTrefoilStep:
     @pytest.mark.parametrize(
         "field,message",
         [
-            ("normalized", "move replay does not reach the normalized word"),
             ("curve", "stored curve is not the top rectangle"),
             ("image", "stored image is not the monodromy image"),
-            ("after", "stored after-word is not the square removal"),
+            # The moves replay to the square plus the after-word.
+            ("after", "move replay does not reach the normalized word"),
         ],
     )
     def test_validator_compares_every_field(self, field, message):
@@ -581,9 +582,9 @@ class TestTrefoilDecompose:
         ],
     )
     def test_tampered_round_trip_rejected(self, tamper):
-        # The loader builds the normalized word from the stored m and
-        # after-word, so the validator's one replay checks the moves
-        # against the certificate, not against a second replay.  The
+        # A step's normalized word is its stored m's square followed by
+        # its stored after-word, so the validator's one replay checks the
+        # moves against the certificate, not against a second replay.  The
         # loader itself checks genus and ribbon_twists against the steps,
         # and refuses a mismatch as a malformed certificate.
         honest = trefoil_decompose(torus_braid(3, 4)).to_json()
@@ -609,12 +610,11 @@ class TestTrefoilDecompose:
         assert step != honest["steps"][0]
         back = trefoil_decomposition_from_json(data)
         # A stored field that differs from the replay is a rejected
-        # certificate.  A dropped move or another m fails _build_step's
-        # square-prefix check first, which still raises
-        # InternalConsistencyError for the validator as for the producer.
+        # certificate.  Moves, m and the after-word are checked together:
+        # the moves must replay to the square s_m s_m plus the after-word.
         expected = {
-            "drop_move": (InternalConsistencyError, "does not start with the square"),
-            "change_m": (InternalConsistencyError, "does not start with the square"),
+            "drop_move": (CertificateRejected, "move replay does not reach"),
+            "change_m": (CertificateRejected, "move replay does not reach"),
             "change_after": (CertificateRejected, "move replay does not reach"),
             "change_phiR": (CertificateRejected, "stored image is not the monodromy image"),
         }
@@ -622,6 +622,59 @@ class TestTrefoilDecompose:
         with pytest.raises(error, match=message) as info:
             validate_trefoil_decomposition(back)
         assert type(info.value) is error
+
+    @settings(max_examples=150, deadline=None)
+    @given(knot_words(), st.data())
+    def test_tampered_step_is_accepted_or_a_domain_error(self, w, data):
+        # Whatever one step's moves, m, after-word, R or phiR say, loading
+        # and validating ends in acceptance or a DomainError (exit 2);
+        # InternalConsistencyError (exit 3) is left for engine bugs.
+        doc = json.loads(json.dumps(trefoil_decompose(w).to_json()))
+        if not doc["steps"]:
+            return
+        step = data.draw(st.sampled_from(doc["steps"]))
+        moves = step["moves"]
+        tampers = ["change_m", "shuffle_after", "flip_R", "flip_phiR"]
+        if moves:
+            tampers += ["drop_move", "duplicate_move"]
+        if any("position" in mv for mv in moves):
+            tampers.append("shift_position")
+        tamper = data.draw(st.sampled_from(tampers))
+        if tamper in ("drop_move", "duplicate_move"):
+            k = data.draw(st.integers(0, len(moves) - 1))
+            if tamper == "drop_move":
+                del moves[k]
+            else:
+                moves.insert(k, dict(moves[k]))
+        elif tamper == "change_m":
+            other = st.integers(-1, w.strands).filter(lambda m: m != step["m"])
+            step["m"] = data.draw(other)
+        elif tamper == "shift_position":
+            move = data.draw(st.sampled_from([mv for mv in moves if "position" in mv]))
+            move["position"] += data.draw(st.sampled_from([-2, -1, 1, 2]))
+        elif tamper == "shuffle_after":
+            step["after"] = data.draw(st.permutations(step["after"]))
+        else:
+            word = step["R" if tamper == "flip_R" else "phiR"]
+            k = data.draw(st.integers(0, len(word) - 1))
+            word[k] = -word[k]
+        try:
+            validate_trefoil_decomposition(trefoil_decomposition_from_json(doc))
+        except DomainError:
+            pass
+
+    @pytest.mark.parametrize("direction", [7, 0])
+    def test_braid_move_direction_must_be_unit(self, direction):
+        data = trefoil_decompose(torus_braid(3, 5)).to_json()
+        moves = [mv for step in data["steps"] for mv in step["moves"]]
+        move = next(mv for mv in moves if mv["kind"] == "braid")
+        move["direction"] = direction
+        back = trefoil_decomposition_from_json(data)
+        with pytest.raises(IllegalMove, match=f"direction {direction} does not fit"):
+            validate_trefoil_decomposition(back)
+        del move["direction"]
+        with pytest.raises(CertificateRejected, match=r"missing field .*\.direction'"):
+            trefoil_decomposition_from_json(data)
 
     def test_loaded_normalized_word_is_square_plus_after(self):
         dec = trefoil_decompose(parse_braid("1 1 1 2 1 3 2 3 3"))
@@ -665,8 +718,9 @@ class TestTrefoilDecompose:
         # Every step of this 2-component word replays, and its one step is
         # b1 // 2 = 1 of them, but the final word "1 1" is no unknot.
         word = parse_braid("1 1 1 1")
-        step = plumbing._build_step(word, (), 1)
-        dec = plumbing.TrefoilDecomposition(word=word, steps=(step,), final_word=step.after)
+        curve, image, after = plumbing._deplumb(word)
+        step = plumbing.TrefoilStep(word, (), 1, curve, image, after)
+        dec = plumbing.TrefoilDecomposition(word=word, steps=(step,), final_word=after)
         with pytest.raises(CertificateRejected, match="not a knot"):
             validate_trefoil_decomposition(dec)
 
