@@ -258,6 +258,16 @@ def json_field(data, key: str, shape: str, where: str = ""):
     raise CertificateRejected(f"field {where + key!r} must be {shape}")
 
 
+def field_word(strands: int, letters, field: str) -> BraidWord:
+    """BraidWord(strands, letters) for the certificate field of that name;
+    a letter outside the generator range is a CertificateRejected that
+    names the field."""
+    try:
+        return BraidWord(strands, tuple(letters))
+    except InvalidGenerator as exc:
+        raise CertificateRejected(f"field {field!r}: {exc}") from None
+
+
 def move_from_json(data: dict, where: str = "") -> RewriteMove:
     kind = json_field(data, "kind", "a string", where)
     if kind == "cyclic":

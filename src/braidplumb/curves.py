@@ -26,7 +26,9 @@ a parallel copy of it, and a run of the curve along the core's bands
 counts once, at its entry.  The monodromy sweep skips the twist along a
 rectangle core when no transit end of the current curve lies in the
 core's window, the arc between the core's ends on its two strand disks:
-such a curve cannot cross the core (see _meets_window).  The window test,
+such a curve cannot cross the core (see _meets_window).  The sweep reads
+each rectangle as its (g, top, bottom) triple from the surface's columns
+and makes a RectangleCurve only for a twist that may act.  The window test,
 the push-off rule and the linked-pair scan read one index, the positions
 of the curve's transits per strand disk, built once per curve.  Two
 rectangles are paired in closed form from their crossings as well
@@ -47,7 +49,7 @@ from .errors import (
     NonEmbeddedCore,
     NotAPath,
 )
-from .fatgraph import FatGraphSurface, RectangleCurve
+from .fatgraph import FatGraphSurface, RectangleCurve, _record
 
 # Global handedness: with ring order taken as ascending end (word-position)
 # order, inserting the core with this orientation at a positively-linked
@@ -495,7 +497,9 @@ def dehn_twist(factor: TwistFactor | RectangleCurve, x: NormalCurve) -> NormalCu
     The factor is a TwistFactor, or a RectangleCurve of x's surface for the
     right-handed twist along that rectangle's core (_rectangle_twist, read
     from the rectangle's crossings with no core curve built).  A rectangle
-    that is not one of the surface's is refused.
+    (g, top, bottom) is one of the surface's exactly when the word holds
+    letter g at top and at bottom and nowhere between them; any other
+    triple is refused.
 
     For a TwistFactor, an oriented copy of the core is spliced into x at
     every forced crossing, the orientation given by the crossing sign and
@@ -503,8 +507,13 @@ def dehn_twist(factor: TwistFactor | RectangleCurve, x: NormalCurve) -> NormalCu
     """
     surface = x.surface
     if isinstance(factor, RectangleCurve):
-        idx = surface.rect_index.get((factor.column, factor.top))
-        if idx is None or surface.rectangles[idx].bottom != factor.bottom:
+        g, top, bottom = factor
+        letters = surface.word.letters
+        if not (
+            0 <= top < bottom < len(letters)
+            and letters[top] == g == letters[bottom]
+            and g not in letters[top + 1 : bottom]
+        ):
             raise NonEmbeddedCore(f"{factor} is not a rectangle of the curve's surface")
         return _rectangle_twist(factor, x)
     core = factor.core
@@ -585,7 +594,7 @@ def _rectangle_twist(rect: RectangleCurve, x: NormalCurve) -> NormalCurve:
     up to rotation, so reduction gives the image's word; the test suite
     checks it letter for letter against the linked-pair twist.
     """
-    g, top, bottom = rect.column, rect.top, rect.bottom
+    g, top, bottom = rect
     a, b = top + 1, bottom + 1
     wx, tx = x.word, x._transits
     last = len(wx) - 1
@@ -625,8 +634,9 @@ def _rectangle_twist(rect: RectangleCurve, x: NormalCurve) -> NormalCurve:
     return NormalCurve(x.surface, out, reduce=True)
 
 
-def _meets_window(x: NormalCurve, rect: RectangleCurve) -> bool:
-    """Whether a transit end of x lies in the rectangle core's window.
+def _meets_window(x: NormalCurve, window: tuple[int, int, int]) -> bool:
+    """Whether a transit end of x lies in the window of the rectangle core
+    (g, top, bottom), given as that triple or as its RectangleCurve.
 
     The core of rectangle (g, top, bottom) passes strand disks g and g + 1,
     with its ends on each at crossings top and bottom.  Ring order is word
@@ -635,10 +645,10 @@ def _meets_window(x: NormalCurve, rect: RectangleCurve) -> bool:
     has both germs on one side of the core's chord and cannot be linked
     with it; a curve with no end inside is left as it is by the twist.
     """
-    top, bottom = rect.top, rect.bottom
+    g, top, bottom = window
     tx = x._transits
     by_disk = _disk_positions(x)
-    for v in (rect.column, rect.column + 1):
+    for v in (g, g + 1):
         for j in by_disk.get(v, ()):
             _, inc, dep = tx[j]
             if top <= inc >> 1 <= bottom or top <= dep >> 1 <= bottom:
@@ -649,26 +659,27 @@ def _meets_window(x: NormalCurve, rect: RectangleCurve) -> bool:
 def apply_monodromy(surface: FatGraphSurface, x: NormalCurve, power: int = 1) -> NormalCurve:
     """Apply the full ordered product of right-handed rectangle twists.
 
-    A twist is skipped when no transit end of the current curve lies in
-    its core's window (_meets_window): dehn_twist would find no crossing
-    and return the curve itself.  A twist that may act is dehn_twist along
-    the rectangle itself, which reads the core from its crossings.  The
-    window test stays although a twist it passes reads the same transits
-    again: it stops at the first end inside, and calling dehn_twist on
-    every rectangle instead made certify slower on the benchmark's chains
-    and knots inputs (Python 3.11, 2-core x86-64 VM).
+    The sweep reads each rectangle as its (g, top, bottom) triple from the
+    surface's columns (twist_sweep), right to left and bottom to top.  A
+    twist is skipped when no transit end of the current curve lies in its
+    core's window (_meets_window): dehn_twist would find no crossing and
+    return the curve itself.  Only a twist that may act makes a
+    RectangleCurve, and goes to dehn_twist along it, which reads the core
+    from its crossings.  The window test stays although a twist it passes
+    reads the same transits again: it stops at the first end inside, and
+    calling dehn_twist on every rectangle instead made certify slower on
+    the benchmark's chains and knots inputs (Python 3.11, 2-core x86-64
+    VM).
     """
     if power < 0:
         raise InvalidParameter("power must be non-negative; invert via left twists instead")
-    order = surface.twist_ordering
+    sweep = surface.twist_sweep
     # dehn_twist refuses a curve from another surface; test it before any
     # window test can skip that twist.
-    if power and order and x.surface is not surface:
+    if power and sweep and x.surface is not surface:
         raise NonEmbeddedCore("core and curve live on different surfaces")
-    rects = surface.rectangles
     for _ in range(power):
-        for idx in order:
-            rect = rects[idx]
-            if _meets_window(x, rect):
-                x = dehn_twist(rect, x)
+        for window in sweep:
+            if _meets_window(x, window):
+                x = dehn_twist(_record(RectangleCurve, window), x)
     return x

@@ -18,18 +18,27 @@ compares ends around a disk by the end indices themselves.  It reads the
 surface through three flat tables: each end's strand (end_vertex) and each
 signed traversal's source and target end (src_end, tgt_end), indexed by
 the traversal itself.
+
+The brick diagram is its columns: columns[g - 1] lists the word positions
+of generator g, and the rectangles of column g are its consecutive pairs.
+A surface is built from the columns, the three end tables and the boundary
+check alone.  The monodromy sweep reads the (column, top, bottom) triples
+of twist_sweep; the RectangleCurve records and their index are built on
+first use, for the readers that want them.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+from itertools import repeat
+from typing import NamedTuple
 
 from .braidwords import BraidWord
 from .errors import DisconnectedWord, InternalConsistencyError, TrivialLink
 
 
-@dataclasses.dataclass(frozen=True)
-class RectangleCurve:
+class RectangleCurve(NamedTuple):
     """Two consecutive crossings in one column; bounds an embedded circle."""
 
     column: int
@@ -38,6 +47,40 @@ class RectangleCurve:
 
     def to_json(self):
         return {"column": self.column, "top": self.top, "bottom": self.bottom}
+
+
+# _record(RectangleCurve, (column, top, bottom)) makes the record without
+# the Python-level __new__ of RectangleCurve(...), at about half its cost.
+_record = tuple.__new__
+
+
+def _columns(word: BraidWord) -> tuple[tuple[int, ...], ...]:
+    """columns[g - 1] = word positions of generator g, ascending."""
+    cols: list[list[int]] = [[] for _ in range(word.strands - 1)]
+    for pos, g in enumerate(word.letters):
+        cols[g - 1].append(pos)
+    return tuple(map(tuple, cols))
+
+
+@functools.lru_cache(maxsize=128)
+def _traversal_ends(c: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Source and target end of each signed traversal t of a c-crossing
+    word, indexed by t itself: +t at t, -t at 2c + 1 - t, where a negative
+    index lands.  Slot 0 is unused (there is no traversal 0).  The tables
+    depend on c alone, so words of one length share them; the cache keeps
+    the 128 lengths used last, so its size stays bounded."""
+    src = (0, *range(0, 2 * c, 2), *range(2 * c - 1, 0, -2))
+    tgt = (0, *range(1, 2 * c, 2), *range(2 * c - 2, -1, -2))
+    return src, tgt
+
+
+def _rectangles(columns) -> tuple[RectangleCurve, ...]:
+    """Rectangle records column by column, top to bottom in each."""
+    return tuple(
+        _record(RectangleCurve, rect)
+        for g, col in enumerate(columns, start=1)
+        for rect in zip(repeat(g), col, col[1:])
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -49,65 +92,95 @@ class BrickDiagram:
 
     @classmethod
     def from_word(cls, word: BraidWord) -> "BrickDiagram":
-        cols: list[list[int]] = [[] for _ in range(word.strands - 1)]
-        for pos, g in enumerate(word.letters):
-            cols[g - 1].append(pos)
-        rects = []
-        for i, col in enumerate(cols, start=1):
-            for a, b in zip(col, col[1:]):
-                rects.append(RectangleCurve(i, a, b))
-        return cls(tuple(tuple(c) for c in cols), tuple(rects))
+        columns = _columns(word)
+        return cls(columns, _rectangles(columns))
 
 
 class FatGraphSurface:
     """Fibre surface of a connected positive braid word, as a fatgraph.
 
-    Exposes the brick diagram, the rectangle basis of the cycle space, the
-    plumbing order of the monodromy twists, and the half-edge tables of the
-    curve engine.
+    Exposes the brick diagram's columns, the rectangle basis of the cycle
+    space, the plumbing order of the monodromy twists, and the half-edge
+    tables of the curve engine.
     """
 
     __slots__ = (
         "word",
-        "brick",
-        "rectangles",
-        "rect_index",
-        "twist_ordering",
+        "columns",
         "end_vertex",
         "src_end",
         "tgt_end",
         "boundary_count",
+        "_sweep",
+        "_rectangles",
+        "_rect_index",
     )
 
     def __init__(self, word: BraidWord):
         if not word.is_connected:
             raise DisconnectedWord("the fibre surface needs every generator present")
         self.word = word
-        self.brick = BrickDiagram.from_word(word)
-        self.rectangles = self.brick.rectangles
-        self.rect_index = {(r.column, r.top): i for i, r in enumerate(self.rectangles)}
+        self.columns = _columns(word)
+        self._sweep = self._rectangles = self._rect_index = None
 
-        # Action order of the monodromy twists: columns right to left,
-        # bottom to top inside each column; the first entry acts first.
-        # Rectangles are listed column by column, top to bottom, so that is
-        # the rectangle list reversed.
-        self.twist_ordering = tuple(range(len(self.rectangles) - 1, -1, -1))
-
-        # The strand of each end: 2j on word[j], 2j+1 on word[j] + 1.  Built
-        # from a list: tuple() of a generator grows by reallocation, and that
-        # raised the peak RSS of repeated knots passes by about 0.8 MB.
-        c = word.length
-        self.end_vertex = tuple([g + k for g in word.letters for k in (0, 1)])
-        # Source and target end of each signed traversal t, indexed by t
-        # itself: +t at t, -t at 2c + 1 - t, where a negative index lands.
-        # Slot 0 is unused (there is no traversal 0).
-        self.src_end = (0, *range(0, 2 * c, 2), *range(2 * c - 1, 0, -2))
-        self.tgt_end = (0, *range(1, 2 * c, 2), *range(2 * c - 2, -1, -2))
+        # The strand of each end: 2j on word[j], 2j+1 on word[j] + 1, filled
+        # by two strided slice assignments.
+        letters = word.letters
+        ends = [0] * (2 * len(letters))
+        ends[::2] = letters
+        ends[1::2] = [g + 1 for g in letters]
+        self.end_vertex = tuple(ends)
+        self.src_end, self.tgt_end = _traversal_ends(word.length)
         self.boundary_count = self._trace_boundary()
         if self.boundary_count != word.components:
             raise InternalConsistencyError(
                 "fatgraph boundary count disagrees with the closure permutation"
             )
+
+    # -- rectangles ---------------------------------------------------------
+
+    @property
+    def twist_sweep(self) -> tuple[tuple[int, int, int], ...]:
+        """(column, top, bottom) of each rectangle in the action order of
+        the monodromy twists: columns right to left, bottom to top inside
+        each column; the first entry acts first.  Built on first use."""
+        if self._sweep is None:
+            # A plain loop: columns are short, and zip and slices per column
+            # cost more than they save.
+            sweep = []
+            cols = self.columns
+            for g in range(len(cols), 0, -1):
+                col = cols[g - 1]
+                for k in range(len(col) - 2, -1, -1):
+                    sweep.append((g, col[k], col[k + 1]))
+            self._sweep = tuple(sweep)
+        return self._sweep
+
+    @property
+    def rectangles(self) -> tuple[RectangleCurve, ...]:
+        """The rectangle basis, column by column, top to bottom in each;
+        built on first use."""
+        if self._rectangles is None:
+            self._rectangles = _rectangles(self.columns)
+        return self._rectangles
+
+    @property
+    def rect_index(self) -> dict[tuple[int, int], int]:
+        """(column, top) -> index in rectangles; built on first use."""
+        if self._rect_index is None:
+            self._rect_index = {
+                (r.column, r.top): i for i, r in enumerate(self.rectangles)
+            }
+        return self._rect_index
+
+    @property
+    def twist_ordering(self) -> tuple[int, ...]:
+        """Indices into rectangles in the action order of twist_sweep.
+
+        Rectangles are listed column by column, top to bottom, so that is
+        the rectangle list reversed.
+        """
+        return tuple(range(self.b1 - 1, -1, -1))
 
     # -- basic invariants ---------------------------------------------------
 
@@ -124,26 +197,40 @@ class FatGraphSurface:
         return (2 - self.euler_characteristic - self.boundary_count) // 2
 
     def _trace_boundary(self) -> int:
-        """Count face orbits of (cyclic successor at vertex) o (other end)."""
-        n_ends = 2 * self.word.length
-        # Ring order is end order: each strand's ring lists its ends ascending.
-        rings: list[list[int]] = [[] for _ in range(self.word.strands + 1)]
-        for end, v in enumerate(self.end_vertex):
-            rings[v].append(end)
-        succ = [0] * n_ends
-        for ring in rings:
-            for end, nxt in zip(ring, ring[1:] + ring[:1]):
-                succ[end] = nxt
-        seen = [False] * n_ends
-        cycles = 0
-        for start in range(n_ends):
-            if seen[start]:
-                continue
+        """Count face orbits of (next end on the strand) o (other end).
+
+        Ring order is end order, so the next end on a strand is the next
+        larger end index there, the largest wrapping to the smallest.  One
+        pass from the last end down fills that table: each end's successor
+        is the strand's lowest end seen so far, and the first end met on a
+        strand, its largest, gets the lowest one once the pass is over.
+        """
+        ends = self.end_vertex
+        n_ends = len(ends)
+        nxt = [0] * n_ends
+        lowest = [-1] * (self.word.strands + 1)
+        largest = []
+        for end in range(n_ends - 1, -1, -1):
+            v = ends[end]
+            if lowest[v] < 0:
+                largest.append(end)
+            else:
+                nxt[end] = lowest[v]
+            lowest[v] = end
+        for end in largest:
+            nxt[end] = lowest[ends[end]]
+        seen = bytearray(n_ends)
+        # A strand with no end (the one strand of the empty word) is a disk
+        # bounded by a face of its own.
+        cycles = lowest.count(-1) - 1
+        start = seen.find(0)  # -1 on a word with no crossing
+        while start >= 0:
             cycles += 1
             h = start
             while not seen[h]:
-                seen[h] = True
-                h = succ[h ^ 1]  # cross the edge, then step around the vertex
+                seen[h] = 1
+                h = nxt[h ^ 1]  # cross the edge, then step around the vertex
+            start = seen.find(0, start)  # -1 once every end is seen
         return cycles
 
     def rectangle_word(self, rect: RectangleCurve) -> tuple[int, int]:
@@ -168,17 +255,17 @@ class FatGraphSurface:
         """Coordinates of a cycle in the rectangle basis.
 
         counts maps word position -> net signed traversals.  Within each
-        column the rectangle coefficients are the partial sums; a nonzero
-        column total means the input was not a cycle.
+        column the rectangle coefficients are the partial sums, listed in
+        rectangle order; a nonzero column total means the input was not a
+        cycle.
         """
-        coords = [0] * len(self.rectangles)
-        for col_i, col in enumerate(self.brick.columns, start=1):
+        coords = []
+        for col in self.columns:
             running = 0
-            for a, b in zip(col, col[1:]):
+            for a in col[:-1]:
                 running += counts.get(a, 0)
-                coords[self.rect_index[(col_i, a)]] = running
-            total = running + counts.get(col[-1], 0)
-            if total != 0:
+                coords.append(running)
+            if running + counts.get(col[-1], 0):
                 raise InternalConsistencyError("edge counts do not form a cycle")
         return tuple(coords)
 

@@ -50,24 +50,28 @@ def _neighbour_pairs(surface: FatGraphSurface):
     Within a column, consecutive rectangles share a crossing.  A rectangle
     (top, bottom) of column i interleaves two rectangles of column i + 1
     at most: the one whose bottom is the first column-(i + 1) position
-    inside (top, bottom), and the one whose top is the last.
+    inside (top, bottom), and the one whose top is the last.  Rectangles
+    are listed column by column, top to bottom, so rectangle k of a column
+    (top = col[k]) has index start + k, start being the rectangle count of
+    the columns before it.
     """
-    columns = surface.brick.columns
-    index = surface.rect_index
+    columns = surface.columns
+    start = 0
     for i, col in enumerate(columns, start=1):
         nxt = columns[i] if i < len(columns) else ()
-        for top, bottom in zip(col, col[1:]):
-            a = index[(i, top)]
-            if bottom != col[-1]:
-                yield a, index[(i, bottom)]
+        nxt_start = start + len(col) - 1
+        for a, (top, bottom) in enumerate(zip(col, col[1:]), start):
+            if a + 1 < nxt_start:
+                yield a, a + 1
             lo = bisect(nxt, top)
             hi = bisect(nxt, bottom, lo)
             if lo == hi:
                 continue
             if lo:
-                yield a, index[(i + 1, nxt[lo - 1])]
+                yield a, nxt_start + lo - 1
             if hi < len(nxt):
-                yield a, index[(i + 1, nxt[hi - 1])]
+                yield a, nxt_start + hi - 1
+        start = nxt_start
 
 
 def intersection_form(surface: FatGraphSurface) -> list[list[int]]:

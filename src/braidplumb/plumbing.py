@@ -25,6 +25,7 @@ from .braidwords import (
     BraidWord,
     Destabilize,
     RewriteMove,
+    field_word,
     is_trivial_closure,
     json_field,
     min_rotation,
@@ -77,7 +78,7 @@ class ChainCertificate:
         """Load a certificate's JSON; CertificateRejected names a missing
         or wrongly typed field."""
         strands = json_field(data, "strands", "an integer")
-        word = BraidWord(strands, tuple(json_field(data, "word", "a list of integers")))
+        word = field_word(strands, json_field(data, "word", "a list of integers"), "word")
         seed = json_field(data, "seed", "a JSON object")
         return cls(
             word=word,
@@ -311,8 +312,7 @@ def _deplumb(norm: BraidWord) -> tuple[tuple[int, ...], tuple[int, ...], BraidWo
     their failure is fatal, not recoverable.
     """
     surface = build_surface(norm)
-    rect = surface.rectangles[surface.rect_index[(norm.letters[0], 0)]]
-    r_curve = cv.curve_from_rectangle(surface, rect)
+    r_curve = cv.curve_from_rectangle(surface, RectangleCurve(norm.letters[0], 0, 1))
     image = cv.apply_monodromy(surface, r_curve, 1)
     traversals = image.traverses(0)
     if traversals != 0:
@@ -410,11 +410,12 @@ def validate_trefoil_decomposition(dec: TrefoilDecomposition) -> bool:
 
 def trefoil_decomposition_from_json(data) -> TrefoilDecomposition:
     """Load a decomposition's JSON; CertificateRejected names a missing or
-    wrongly typed field, or a genus or ribbon twist count other than the
-    step count."""
+    wrongly typed field, a letter outside the generator range (in word,
+    before, m, after or final_word), or a genus or ribbon twist count other
+    than the step count."""
     ints = "a list of integers"
     strands = json_field(data, "strands", "an integer")
-    word = BraidWord(strands, tuple(json_field(data, "word", ints)))
+    word = field_word(strands, json_field(data, "word", ints), "word")
     steps = []
     w = word
     for i, raw in enumerate(json_field(data, "steps", "a list")):
@@ -423,7 +424,7 @@ def trefoil_decomposition_from_json(data) -> TrefoilDecomposition:
         # A step that chains starts from the previous step's after-word:
         # reuse it.  Any other before-word gets its own BraidWord, and
         # validate_trefoil_decomposition rejects it.
-        before = w if before == w.letters else BraidWord(w.strands, before)
+        before = w if before == w.letters else field_word(w.strands, before, where + "before")
         moves = tuple(
             move_from_json(mv, f"{where}moves[{k}].")
             for k, mv in enumerate(json_field(raw, "moves", "a list", where))
@@ -431,12 +432,18 @@ def trefoil_decomposition_from_json(data) -> TrefoilDecomposition:
         # The after-word is on one strand fewer per destabilization;
         # validate_trefoil_step replays the moves to the square plus it.
         strands = before.strands - sum(isinstance(mv, Destabilize) for mv in moves)
-        after = BraidWord(strands, tuple(json_field(raw, "after", ints, where)))
+        after = field_word(strands, json_field(raw, "after", ints, where), where + "after")
+        # m is a letter of the normalized word, which is on after's strands.
+        m = json_field(raw, "m", "an integer", where)
+        if not 0 < m < strands:
+            raise CertificateRejected(
+                f"field {where + 'm'!r}: letter {m} outside the generator range 1..{strands - 1}"
+            )
         steps.append(
             TrefoilStep(
                 before=before,
                 moves=moves,
-                m=json_field(raw, "m", "an integer", where),
+                m=m,
                 curve=tuple(json_field(raw, "R", ints, where)),
                 image=tuple(json_field(raw, "phiR", ints, where)),
                 after=after,
@@ -446,7 +453,7 @@ def trefoil_decomposition_from_json(data) -> TrefoilDecomposition:
     genus = json_field(data, "genus", "an integer")
     ribbon_twists = json_field(data, "ribbon_twists", "an integer")
     final = tuple(json_field(data, "final_word", ints))
-    final_word = w if final == w.letters else BraidWord(w.strands, final)
+    final_word = w if final == w.letters else field_word(w.strands, final, "final_word")
     if genus != len(steps) or ribbon_twists != len(steps):
         raise CertificateRejected("genus and ribbon twists must equal the step count")
     return TrefoilDecomposition(word=word, steps=tuple(steps), final_word=final_word)

@@ -211,6 +211,18 @@ class TestDefaultSeed:
         assert code == 2
         assert json.loads(out)["error"]["code"] == "TrivialLink"
 
+    def test_empty_one_strand_word_is_the_unknot(self, capsys):
+        # Its surface is a disk: one boundary circle, so no exit 3 from the
+        # boundary check, and no rectangle to seed a chain from.
+        code, out = run(capsys, "analyze", " ", "--strands", "1")
+        assert code == 0
+        data = json.loads(out)
+        assert (data["components"], data["genus"]) == (1, 0)
+        assert data["alexander"]["monodromy"] == data["alexander"]["burau"] == {"0": 1}
+        code, out = run(capsys, "chain", " ", "--strands", "1")
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "TrivialLink"
+
     def test_first_column_seed_unchanged(self, capsys):
         _, default = run(capsys, "chain", "1 2 1 2 1 2 1")
         _, explicit = run(capsys, "chain", "1 2 1 2 1 2 1", "--seed", "0")

@@ -673,6 +673,33 @@ class TestRectangleTwist:
         assert dehn_twist(twin.rectangles[1], x).word == dehn_twist(s.rectangles[1], x).word
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(connected_surfaces(max_length=14), st.data())
+    def test_refused_exactly_when_not_a_rectangle(self, s, data):
+        # Every triple with g a generator and top, bottom any position (in
+        # either order) or one step outside the word, on the curve's
+        # surface and on a twin built from the same word.
+        twin = build_surface(s.word)
+        rect = data.draw(st.sampled_from(s.rectangles))
+        x = apply_monodromy(s, curve_from_rectangle(s, rect), data.draw(st.integers(0, 2)))
+        x_twin = NormalCurve(twin, x.word, reduce=False)
+        rects = set(s.rectangles)
+        assert rects == set(twin.rectangles)
+        c = s.word.length
+        for g in range(1, s.word.strands):
+            for top, bottom in itertools.product(range(-1, c + 1), repeat=2):
+                triple = RectangleCurve(g, top, bottom)
+                images = []
+                for y in (x, x_twin):
+                    try:
+                        images.append(dehn_twist(triple, y).word)
+                    except NonEmbeddedCore as exc:
+                        assert str(exc) == f"{triple} is not a rectangle of the curve's surface"
+                        images.append(None)
+                assert (images[0] is not None) == (triple in rects), triple
+                assert images[0] == images[1]
+
+
 def check_rectangle_pairings(s):
     """The closed form against the event scan on the rectangle circles, for
     every ordered pair of rectangles."""

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -179,3 +180,51 @@ class TestTraversalTables:
         for w in random_connected_words(7, 500):
             s = build_surface(w)
             assert s.twist_ordering == scanned_twist_ordering(s)
+
+
+def ring_face_count(surface):
+    """The boundary trace before the next-end table: ring lists per strand,
+    a successor table from the rings, and a face walk from every end."""
+    n_ends = 2 * surface.word.length
+    rings = [[] for _ in range(surface.word.strands + 1)]
+    for end, v in enumerate(surface.end_vertex):
+        rings[v].append(end)
+    succ = [0] * n_ends
+    for ring in rings:
+        for end, nxt in zip(ring, ring[1:] + ring[:1]):
+            succ[end] = nxt
+    seen = [False] * n_ends
+    cycles = 0
+    for start in range(n_ends):
+        if seen[start]:
+            continue
+        cycles += 1
+        h = start
+        while not seen[h]:
+            seen[h] = True
+            h = succ[h ^ 1]
+    return cycles
+
+
+class TestBoundaryTrace:
+    def test_next_end_table_equals_the_ring_walk(self):
+        words = 0
+        for s in range(2, 5):
+            for c in range(s - 1, 9):
+                for letters in itertools.product(range(1, s), repeat=c):
+                    w = BraidWord(s, letters)
+                    if not w.is_connected:
+                        continue
+                    surf = build_surface(w)  # raises unless the trace is w.components
+                    assert surf.boundary_count == ring_face_count(surf) == w.components
+                    words += 1
+        assert words == 8836
+
+    def test_one_strand_disk_has_one_boundary_circle(self):
+        # The empty word on one strand closes to the unknot; its fibre
+        # surface is a disk with no band, whose one boundary circle has no
+        # end on it.  The ring walk finds no face there.
+        surf = build_surface(BraidWord(1, ()))
+        assert surf.boundary_count == 1 == surf.word.components
+        assert ring_face_count(surf) == 0
+        assert surf.genus == 0 and surf.rectangles == ()

@@ -482,6 +482,29 @@ class TestLoaderContract:
         assert re.sub(r"\[\d+\]", "", named).split(".")[-1] == field
 
 
+    @pytest.mark.parametrize(
+        "field", ["word", "steps[0].before", "steps[0].m", "steps[0].after", "final_word"]
+    )
+    def test_letter_out_of_range_names_the_field(self, field):
+        data = json.loads(json.dumps(trefoil_decompose(torus_braid(3, 4)).to_json()))
+        step = data["steps"][0]
+        if field == "steps[0].m":
+            step["m"], bad = 7, 7
+        else:
+            letters = step[field[len("steps[0].") :]] if "." in field else data[field]
+            letters.insert(0, 9)
+            bad = 9
+        message = f"field '{field}': letter {bad} outside the generator range 1.."
+        with pytest.raises(CertificateRejected, match="^" + re.escape(message)):
+            trefoil_decomposition_from_json(data)
+
+    def test_chain_letter_out_of_range_names_the_word(self):
+        data = json.loads(certificate_texts()[0][1])
+        data["word"].append(5)
+        with pytest.raises(CertificateRejected, match="^field 'word': letter 5 outside"):
+            ChainCertificate.from_json(data)
+
+
 class TestTrefoilStep:
     def test_trefoil(self):
         step = trefoil_step(parse_braid("1 1 1"))
