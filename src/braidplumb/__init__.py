@@ -56,7 +56,7 @@ from .errors import (
     TrivialLink,
     ZeroPolynomial,
 )
-from .fatgraph import BrickDiagram, FatGraphSurface, RectangleCurve, build_surface
+from .fatgraph import FatGraphSurface, RectangleCurve, build_surface
 from .monodromy import (
     alexander_from_monodromy,
     charpoly,

@@ -10,7 +10,7 @@ destabilization of a generator occurring exactly once.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
     CertificateRejected,
@@ -94,7 +94,13 @@ class BraidWord:
 
     @property
     def is_knot(self) -> bool:
-        """True when the cycle through strand 0 visits every strand."""
+        """True when the cycle through strand 0 visits every strand.
+
+        c transpositions leave at least s - c cycles, so a word on more
+        than c + 1 strands is no knot; its permutation is not built.
+        """
+        if self.strands > len(self.letters) + 1:
+            return False
         perm = self.permutation()
         v, size = perm[0], 1
         while v != 0:
@@ -344,7 +350,7 @@ def replay_moves(word: BraidWord, moves: Iterable[RewriteMove]) -> BraidWord:
 # ---------------------------------------------------------------------------
 
 
-def square_prefix_generator(letters: tuple[int, ...]) -> Optional[int]:
+def square_prefix_generator(letters: Sequence[int]) -> Optional[int]:
     """Return m when the word starts s_m s_m s_{m-1}^+ ... s_1^+, else None."""
     c = len(letters)
     if c < 2 or letters[0] != letters[1]:
@@ -366,13 +372,13 @@ class NormalizationResult:
     moves: tuple[RewriteMove, ...]
 
 
-def _destabilize_all(word: BraidWord, moves: list[RewriteMove]) -> BraidWord:
-    """Remove every generator occurring exactly once, repeatedly.
+def _destabilize_all(strands: int, letters: list[int], moves: list[RewriteMove]) -> int:
+    """Remove every generator occurring exactly once from `letters`, in
+    place and repeatedly; return the strand count.
 
     Destabilizing g keeps the count of every other generator (those above
     g move down one index), so one count pass serves the whole cascade.
     """
-    strands, letters = word.strands, list(word.letters)
     counts = [0] * strands
     for x in letters:
         counts[x] += 1
@@ -382,14 +388,16 @@ def _destabilize_all(word: BraidWord, moves: list[RewriteMove]) -> BraidWord:
         strands = _apply(strands, letters, move)
         moves.append(move)
         del counts[g]
-    return BraidWord(strands, tuple(letters))
+    return strands
 
 
 def is_trivial_closure(word: BraidWord) -> bool:
     """True when the closure is a trivial link (split union of unknots):
     destabilizing every generator that occurs once, repeatedly, leaves no
     letter."""
-    return not _destabilize_all(word, []).letters
+    letters = list(word.letters)
+    _destabilize_all(word.strands, letters, [])
+    return not letters
 
 
 def square_normalization(word: BraidWord) -> NormalizationResult:
@@ -411,6 +419,9 @@ def square_normalization(word: BraidWord) -> NormalizationResult:
     restarts are bounded by its starting value; passing that bound is an
     engine bug.  No move creates a generator, so a word without s_1 after
     destabilization (a split closure) has no square-prefix form.
+
+    One letter list is rewritten in place across the restarts, and the
+    result's word is built once, on return.
     """
     moves: list[RewriteMove] = []
 
@@ -424,14 +435,14 @@ def square_normalization(word: BraidWord) -> NormalizationResult:
         for p in range(src, dst, step):
             play(CommutationSwap(p if step > 0 else p - 1))
 
-    word = _destabilize_all(word, moves)
-    if not word.letters:
+    letters = list(word.letters)
+    strands = _destabilize_all(word.strands, letters, moves)
+    if not letters:
         raise TrivialLink("the closure destabilizes to a trivial link")
-    for _ in range(sum(word.strands - 1 - x for x in word.letters) + 1):
-        m = square_prefix_generator(word.letters)
+    for _ in range(sum(strands - 1 - x for x in letters) + 1):
+        m = square_prefix_generator(letters)
         if m is not None:
-            return NormalizationResult(word, m, tuple(moves))
-        strands, letters = word.strands, list(word.letters)
+            return NormalizationResult(BraidWord(strands, tuple(letters)), m, tuple(moves))
         if 1 not in letters:
             raise DisconnectedWord(
                 f"no s_1 on {strands} strands after destabilization: the closure"
@@ -452,16 +463,15 @@ def square_normalization(word: BraidWord) -> NormalizationResult:
             carry(a, q - 1)
             carry(b, q + 1)
             play(BraidRelation(q - 1, 1))
-            word = _destabilize_all(BraidWord(strands, tuple(letters)), moves)
+            strands = _destabilize_all(strands, letters, moves)
             continue
         carry(b, a + 1)
         if a:
             play(CyclicConjugate(a))
         for front, close in enumerate(reversed(closers), start=2):
             carry(close - a, front)
-        word = BraidWord(strands, tuple(letters))
-        if square_prefix_generator(word.letters) != k:
+        if square_prefix_generator(letters) != k:
             raise InternalConsistencyError("constructed word lacks the square prefix")
-        return NormalizationResult(word, k, tuple(moves))
+        return NormalizationResult(BraidWord(strands, tuple(letters)), k, tuple(moves))
     raise InternalConsistencyError("square-prefix construction passed its restart bound")
 

@@ -128,16 +128,9 @@ def _chain_payload(text, strands, seed_index, max_n):
 
 
 def _batch_worker(task):
-    index, line, kind, options = task
+    index, line, payload_fn, kwargs = task
     try:
-        if kind == "analyze":
-            payload = _analyze_payload(line, options["strands"])
-        elif kind == "decompose":
-            payload = _decompose_payload(line, options["strands"])
-        else:
-            payload = _chain_payload(
-                line, options["strands"], options["seed"], options["max_n"]
-            )
+        payload = payload_fn(line, **kwargs)
     except DomainError as exc:
         payload = {
             "input": line,
@@ -146,7 +139,9 @@ def _batch_worker(task):
     return index, payload
 
 
-def _run_batch(args, kind, options):
+def _run_batch(args, payload_fn, **kwargs):
+    """Run payload_fn(line, **kwargs) on each line of the --batch file in a
+    pool; payload_fn is module-level, so it pickles."""
     if not args.out_dir:
         raise DomainError("--batch needs --out-dir for the per-input JSON files")
     try:
@@ -154,7 +149,7 @@ def _run_batch(args, kind, options):
             lines = [line.strip() for line in fh if line.strip()]
     except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read the --batch file: {exc}") from exc
-    tasks = [(i, line, kind, options) for i, line in enumerate(lines)]
+    tasks = [(i, line, payload_fn, kwargs) for i, line in enumerate(lines)]
     with multiprocessing.Pool() as pool:
         try:
             os.makedirs(args.out_dir, exist_ok=True)
@@ -177,7 +172,7 @@ def _require_one_source(args):
 def _cmd_analyze(args):
     _require_one_source(args)
     if args.batch:
-        return _run_batch(args, "analyze", {"strands": args.strands})
+        return _run_batch(args, _analyze_payload, strands=args.strands)
     payload = _analyze_payload(args.word, args.strands)
     if args.svg:
         _svg(build_surface(parse_braid(args.word, args.strands)), [], args.svg)
@@ -187,7 +182,7 @@ def _cmd_analyze(args):
 def _cmd_decompose(args):
     _require_one_source(args)
     if args.batch:
-        return _run_batch(args, "decompose", {"strands": args.strands})
+        return _run_batch(args, _decompose_payload, strands=args.strands)
     return _decompose_payload(args.word, args.strands)
 
 
@@ -195,9 +190,7 @@ def _cmd_chain(args):
     _require_one_source(args)
     if args.batch:
         return _run_batch(
-            args,
-            "chain",
-            {"strands": args.strands, "seed": args.seed, "max_n": args.max_n},
+            args, _chain_payload, strands=args.strands, seed_index=args.seed, max_n=args.max_n
         )
     payload = _chain_payload(args.word, args.strands, args.seed, args.max_n)
     if args.svg:

@@ -29,7 +29,6 @@ first use, for the readers that want them.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from itertools import repeat
 from typing import NamedTuple
@@ -81,19 +80,6 @@ def _rectangles(columns) -> tuple[RectangleCurve, ...]:
         for g, col in enumerate(columns, start=1)
         for rect in zip(repeat(g), col, col[1:])
     )
-
-
-@dataclasses.dataclass(frozen=True)
-class BrickDiagram:
-    """Column occupancy of a positive word plus its rectangles."""
-
-    columns: tuple[tuple[int, ...], ...]  # columns[i-1] = positions of generator i
-    rectangles: tuple[RectangleCurve, ...]
-
-    @classmethod
-    def from_word(cls, word: BraidWord) -> "BrickDiagram":
-        columns = _columns(word)
-        return cls(columns, _rectangles(columns))
 
 
 class FatGraphSurface:

@@ -170,14 +170,16 @@ def detect_chain(
 def validate_chain_certificate(cert: ChainCertificate) -> bool:
     """Regrow the chain of a (possibly deserialized) certificate and compare.
 
-    After checking that the stored words are paths and the seed is a
+    After checking the stored curve count and that the seed is a
     rectangle, detect_chain regrows the chain from the seed, so the iterate
     property C_k = phi^k(C_0), embeddedness, the intersection pattern and
     the rank over Q are decided by the test that certifies them.  A stored
     length other than n, or a seed that is no rectangle, contradicts the
     certificate itself.  The regrown chain must reach n, every stored
-    curve must be isotopic to the regrown one, and the stored table and
-    rank must equal the regrown ones.  Each of these checks compares a
+    word must have the least rotation of the regrown curve, and the stored
+    table and rank must equal the regrown ones.  The regrown curves are
+    closed paths, so a stored word that is no path, or is empty, fails the
+    rotation comparison.  Each of these checks compares a
     stored field with the engine's own result, so each failure raises
     CertificateRejected.  Only the validator tests the cut independence of
     the transversal-arc functionals u H^{-k} (u pairs cycles with the
@@ -185,17 +187,16 @@ def validate_chain_certificate(cert: ChainCertificate) -> bool:
     chain's arcs leaves it connected.
     """
     surface = build_surface(cert.word)
-    chain = [cv.NormalCurve(surface, w, reduce=False) for w in cert.curve_words]
     n = cert.n
-    if len(chain) != n or n < 1:
+    if len(cert.curve_words) != n or n < 1:
         raise CertificateRejected("certificate length disagrees with n")
     if cert.seed not in surface.rectangles:
         raise CertificateRejected("seed is not a rectangle of the surface")
     fresh = detect_chain(surface, cert.seed, n)
     if fresh.n < n:
         raise CertificateRejected(f"the chain from the seed stops at n = {fresh.n}")
-    for k, word in enumerate(fresh.curve_words):
-        if chain[k].canonical() != min_rotation(word):
+    for k, (stored, word) in enumerate(zip(cert.curve_words, fresh.curve_words)):
+        if min_rotation(stored) != min_rotation(word):
             raise CertificateRejected(
                 f"C_{k} is not the monodromy image of C_{k-1}"
                 if k
@@ -262,11 +263,6 @@ class TrefoilStep:
     image: tuple[int, ...]
     after: BraidWord
 
-    @property
-    def normalized(self) -> BraidWord:
-        """The word the moves reach: the square s_m s_m, then the after-word."""
-        return BraidWord(self.after.strands, (self.m, self.m) + self.after.letters)
-
     def to_json(self):
         return {
             "before": list(self.before.letters),
@@ -308,8 +304,10 @@ def _deplumb(norm: BraidWord) -> tuple[tuple[int, ...], tuple[int, ...], BraidWo
     The deplumbing step both trefoil_step and validate_trefoil_step run.
     The square gives the rectangle (m, 0, 1), m the first letter.  The
     disjointness of the image from the top band, and a connected
-    after-word of b1 two less, are theorems for positive braid knots;
-    their failure is fatal, not recoverable.
+    after-word, are theorems for positive braid knots; their failure is
+    fatal, not recoverable.  A connected after-word has b1 two less: it is
+    the c-letter word minus two letters on the same s strands, so its b1
+    is c - 2 - s + 1.
     """
     surface = build_surface(norm)
     r_curve = cv.curve_from_rectangle(surface, RectangleCurve(norm.letters[0], 0, 1))
@@ -322,9 +320,16 @@ def _deplumb(norm: BraidWord) -> tuple[tuple[int, ...], tuple[int, ...], BraidWo
     after = BraidWord(norm.strands, norm.letters[2:])
     if not after.is_connected:
         raise InternalConsistencyError("square removal disconnected a knot word")
-    if after.b1 != norm.b1 - 2:
-        raise InternalConsistencyError("square removal must drop b1 by exactly 2")
     return r_curve.word, image.word, after
+
+
+def _require_knot(word: BraidWord) -> None:
+    """Raise NotAKnot unless the closure is a knot.  A word on s > c + 1
+    strands has at least s - c components, counted without its permutation."""
+    if not word.is_knot:
+        c = len(word.letters)
+        count = f"at least {word.strands - c}" if word.strands > c + 1 else word.components
+        raise NotAKnot(f"closure has {count} components")
 
 
 def trefoil_step(word: BraidWord) -> TrefoilStep:
@@ -335,8 +340,7 @@ def trefoil_step(word: BraidWord) -> TrefoilStep:
     fault; the step is then built by _deplumb, the routine the validator
     runs, so a returned step passes validate_trefoil_step by construction.
     """
-    if not word.is_knot:
-        raise NotAKnot(f"closure has {word.components} components")
+    _require_knot(word)
     if word.b1 == 0:
         raise TrivialKnot("genus zero: nothing to deplumb")
     res = square_normalization(word)
@@ -348,8 +352,7 @@ def trefoil_step(word: BraidWord) -> TrefoilStep:
 
 def trefoil_decompose(word: BraidWord) -> TrefoilDecomposition:
     """Iterate trefoil_step until genus zero; step count equals the genus."""
-    if not word.is_knot:
-        raise NotAKnot(f"closure has {word.components} components")
+    _require_knot(word)
     genus = word.b1 // 2
     steps = []
     w = word
@@ -367,13 +370,15 @@ def trefoil_decompose(word: BraidWord) -> TrefoilDecomposition:
 def validate_trefoil_step(step: TrefoilStep) -> bool:
     """Replay the moves, then recompute the step's curve and image.
 
-    Moves that do not replay to the stored square and after-word, or a
-    stored curve or image other than the recomputed one, raise
-    CertificateRejected.  Only a word the replay has matched reaches
-    _deplumb, whose theorem checks keep InternalConsistencyError.
+    Moves that do not replay to the stored square s_m s_m followed by the
+    stored after-word, on its strands, or a stored curve or image other
+    than the recomputed one, raise CertificateRejected.  Only a word the
+    replay has matched reaches _deplumb, whose theorem checks keep
+    InternalConsistencyError.
     """
-    norm = step.normalized
-    if replay_moves(step.before, step.moves) != norm:
+    norm = replay_moves(step.before, step.moves)
+    after = step.after
+    if norm.strands != after.strands or norm.letters != (step.m, step.m) + after.letters:
         raise CertificateRejected("move replay does not reach the normalized word")
     curve, image, _ = _deplumb(norm)
     if curve != step.curve:

@@ -8,7 +8,6 @@ PUBLIC = [
     "BraidPlumbError",
     "BraidRelation",
     "BraidWord",
-    "BrickDiagram",
     "CertificateRejected",
     "ChainCertificate",
     "CommutationSwap",

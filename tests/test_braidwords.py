@@ -27,6 +27,20 @@ from braidplumb.errors import (
 )
 
 
+def count_words(monkeypatch):
+    """Count BraidWord constructions from now on, by wrapping __post_init__;
+    the returned one-item list holds the count."""
+    built = [0]
+    check = BraidWord.__post_init__
+
+    def counted(self):
+        built[0] += 1
+        check(self)
+
+    monkeypatch.setattr(BraidWord, "__post_init__", counted)
+    return built
+
+
 def oracle_components(letters, strands):
     """Independent permutation-product oracle."""
     perm = list(range(strands))
@@ -103,6 +117,13 @@ class TestClosure:
             w = BraidWord(s, letters)
             assert w.components == oracle_components(letters, s)
             assert w.is_knot == (oracle_components(letters, s) == 1)
+
+    def test_more_strands_than_letters_plus_one_is_no_knot(self):
+        # c transpositions leave at least s - c cycles, so the answer needs
+        # no permutation; a 10**18-entry one could not be built.
+        assert not BraidWord(10**18, (1,)).is_knot
+        assert not BraidWord(10**18, ()).is_knot
+        assert BraidWord(2, (1,)).is_knot and BraidWord(1, ()).is_knot
 
 
 class TestInvariants:
@@ -277,6 +298,13 @@ class TestTrivialClosure:
         assert not is_trivial_closure(parse_braid("1 1"))
         assert not is_trivial_closure(BraidWord(4, (1, 3, 1, 3)))
 
+    def test_builds_no_word(self, monkeypatch):
+        # Destabilization works in place on a letter list.
+        words = [BraidWord(4, (1, 2, 3)), parse_braid("1 2 3 2 1 2"), BraidWord(4, (1, 3, 1, 3))]
+        built = count_words(monkeypatch)
+        assert [is_trivial_closure(w) for w in words] == [True, False, False]
+        assert built == [0]
+
     def test_split_block_detection(self):
         # Hopf link plus a free strand: nontrivial split link.
         assert not is_trivial_closure(BraidWord(3, (2, 2)))
@@ -316,6 +344,16 @@ class TestNormalization:
     def test_trivial_raises(self):
         with pytest.raises(TrivialLink):
             square_normalization(parse_braid("1 2"))
+
+    def test_restarts_build_one_word(self, monkeypatch):
+        # One letter list is rewritten across the restarts after each braid
+        # relation, and the result is the only word built.
+        word = BraidWord(5, (1, 2, 3, 4) * 6)  # T(5, 6)
+        built = count_words(monkeypatch)
+        res = square_normalization(word)
+        assert built == [1]
+        assert sum(isinstance(mv, BraidRelation) for mv in res.moves) == 6
+        assert replay_moves(word, res.moves) == res.word
 
     def test_moves_replay(self):
         rng = random.Random(77)

@@ -91,6 +91,17 @@ class TestDispatch:
         assert code == 2
         assert json.loads(out)["error"]["code"] == "NotAKnot"
 
+    def test_huge_strand_count_exit_2(self, capsys):
+        # One letter on 10**18 strands closes to at least 10**18 - 1
+        # components; the permutation of that many strands is never built.
+        code, out = run(capsys, "decompose", "1", "--strands", str(10**18))
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error == {
+            "code": "NotAKnot",
+            "message": f"closure has at least {10**18 - 1} components",
+        }
+
     def test_determinism(self, capsys):
         _, first = run(capsys, "torus", "3", "5")
         _, second = run(capsys, "torus", "3", "5")
@@ -378,6 +389,9 @@ def option_values(draw, lo, hi):
     return str(draw(st.integers(min_value=lo, max_value=hi)))
 
 
+# A strand count whose permutation no list could hold.
+HUGE_STRANDS = str(10**18)
+
 # Path placeholders, replaced in each example by paths in a fresh temporary
 # directory: a writable file (holding one word), a directory, and a file
 # whose parent directory does not exist.
@@ -424,7 +438,10 @@ def command_lines(draw):
         options["--power"] = (-1, 3)
     for flag, (lo, hi) in options.items():
         if _rarely(draw):
-            argv += [flag, draw(option_values(lo, hi))]
+            value = draw(option_values(lo, hi))
+            if flag == "--strands" and _rarely(draw):
+                value = HUGE_STRANDS
+            argv += [flag, value]
     if cmd == "bound" and _rarely(draw):
         argv += ["--torus", draw(option_values(-1, 6)), draw(option_values(-1, 6))]
     if _rarely(draw):

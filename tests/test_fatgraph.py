@@ -5,20 +5,21 @@ import pytest
 
 from braidplumb.braidwords import BraidWord, parse_braid
 from braidplumb.errors import DisconnectedWord, TrivialLink
-from braidplumb.fatgraph import BrickDiagram, build_surface
+from braidplumb.fatgraph import build_surface
 from braidplumb.plumbing import torus_braid
 
 
 class TestBrickDiagram:
+    # The brick diagram is the surface's columns and their rectangles.
     def test_columns_and_rectangles(self):
-        brick = BrickDiagram.from_word(parse_braid("3 1 2 2 3 1 2 1"))
-        assert brick.columns == ((1, 5, 7), (2, 3, 6), (0, 4))
+        surface = build_surface(parse_braid("3 1 2 2 3 1 2 1"))
+        assert surface.columns == ((1, 5, 7), (2, 3, 6), (0, 4))
         # rectangle count = c - (s - 1) = b1
-        assert len(brick.rectangles) == 8 - 3
+        assert len(surface.rectangles) == 8 - 3
 
     def test_rectangles_pair_consecutive_positions(self):
-        brick = BrickDiagram.from_word(parse_braid("1 1 1 1"))
-        assert [(r.top, r.bottom) for r in brick.rectangles] == [(0, 1), (1, 2), (2, 3)]
+        surface = build_surface(parse_braid("1 1 1 1"))
+        assert [(r.top, r.bottom) for r in surface.rectangles] == [(0, 1), (1, 2), (2, 3)]
 
 
 class TestSurface:

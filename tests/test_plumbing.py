@@ -17,10 +17,12 @@ from braidplumb.errors import (
     CertificateRejected,
     DisjointnessFailure,
     DomainError,
+    EmptyCurve,
     IllegalMove,
     InternalConsistencyError,
     InvalidParameter,
     NotAKnot,
+    NotAPath,
     TrivialKnot,
 )
 from braidplumb.fatgraph import RectangleCurve, build_surface
@@ -156,6 +158,22 @@ class TestDetectChain:
         )
         with pytest.raises(CertificateRejected, match="chain from the seed stops"):
             validate_chain_certificate(bad)
+
+    @pytest.mark.parametrize("stored,error", [((1, 3), NotAPath), ((), EmptyCurve)])
+    def test_stored_word_that_is_no_curve_rejected(self, stored, error):
+        # Stored words are compared with the regrown curves, which are
+        # closed paths, by least rotation alone: a word that is no path, or
+        # an empty one, is a rejected certificate like any other wrong curve.
+        s = build_surface(torus_braid(3, 5))
+        with pytest.raises(error):
+            cv.NormalCurve(s, stored, reduce=False)
+        cert = detect_chain(s, s.top_left_rectangle(), 6)
+        words = cert.curve_words
+        last = cert.n - 1
+        for k, message in ((0, "chain does not start"), (last, "is not the monodromy image")):
+            bad = dataclasses.replace(cert, curve_words=words[:k] + (stored,) + words[k + 1 :])
+            with pytest.raises(CertificateRejected, match=message):
+                validate_chain_certificate(bad)
 
     def test_chain_invariants_hold(self):
         s = build_surface(torus_braid(3, 8))
@@ -703,7 +721,7 @@ class TestTrefoilDecompose:
         dec = trefoil_decompose(parse_braid("1 1 1 2 1 3 2 3 3"))
         back = trefoil_decomposition_from_json(json.loads(json.dumps(dec.to_json())))
         for got, made in zip(back.steps, dec.steps):
-            assert got.normalized == made.normalized
+            assert (got.m, got.m) + got.after.letters == (made.m, made.m) + made.after.letters
             assert got.after == made.after
 
     def test_loader_reuses_the_chaining_words(self):
@@ -746,6 +764,17 @@ class TestTrefoilDecompose:
         dec = plumbing.TrefoilDecomposition(word=word, steps=(step,), final_word=after)
         with pytest.raises(CertificateRejected, match="not a knot"):
             validate_trefoil_decomposition(dec)
+
+    def test_huge_strand_count_rejected(self):
+        # c letters on s > c + 1 strands close to at least s - c components,
+        # so the word is no knot, and no 10**18-entry permutation is built.
+        data = trefoil_decompose(parse_braid("1 1 1")).to_json()
+        data["strands"] = 10**18
+        back = trefoil_decomposition_from_json(data)
+        with pytest.raises(CertificateRejected, match="not a knot"):
+            validate_trefoil_decomposition(back)
+        with pytest.raises(NotAKnot, match=f"^closure has at least {10**18 - 3} components$"):
+            trefoil_decompose(back.word)
 
     @settings(max_examples=120, deadline=None)
     @given(knot_words())
