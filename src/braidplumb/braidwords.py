@@ -171,8 +171,9 @@ def braid_invariants(word: BraidWord) -> InvariantReport:
     comps = word.components
     genus = None
     if comps == 1:
-        if b1 % 2:
-            raise AssertionError("knot closure with odd b1; impossible")
+        # b1 is even: the closure permutation of a knot is an s-cycle, of
+        # sign (-1)^(s-1), and a product of c transpositions has sign
+        # (-1)^c, so c = s - 1 (mod 2) and b1 = c - s + 1 is even.
         genus = b1 // 2
     return InvariantReport(
         c=word.length,

@@ -349,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")
     p.add_argument("--quick", action="store_true", help="shrink the big corpus")
-    p.add_argument("--json", dest="json_path", default=None)
     p.set_defaults(fn=_cmd_selftest)
 
     return parser

@@ -103,17 +103,7 @@ def _path_transits(surface: FatGraphSurface, word):
 class NormalCurve:
     """A free homotopy class, stored as its reduced cyclic edge word."""
 
-    __slots__ = (
-        "surface",
-        "word",
-        "_transits",
-        "_self_int",
-        "_homology",
-        "_canon",
-        "_ucanon",
-        "_root",
-        "_by_disk",
-    )
+    __slots__ = ("surface", "word", "_transits", "_homology", "_root", "_by_disk")
 
     def __init__(self, surface: FatGraphSurface, word, reduce: bool = True):
         word = tuple(word)
@@ -124,18 +114,13 @@ class NormalCurve:
         self._transits = _path_transits(surface, word)
         self.surface = surface
         self.word = word
-        self._self_int = None
         self._homology = None
-        self._canon = None
-        self._ucanon = None
         self._root = None
         self._by_disk = None
 
     def canonical(self) -> tuple[int, ...]:
         """Least rotation of the word; equality of classes keeps orientation."""
-        if self._canon is None:
-            self._canon = min_rotation(self.word)
-        return self._canon
+        return min_rotation(self.word)
 
     def primitive_root(self) -> tuple[tuple[int, ...], int]:
         """The word as root^power with the shortest root; cached."""
@@ -147,15 +132,12 @@ class NormalCurve:
         return tuple(-t for t in reversed(self.word))
 
     def unoriented_canonical(self) -> tuple[int, ...]:
-        if self._ucanon is None:
-            self._ucanon = min(self.canonical(), min_rotation(self.reversed_word()))
-        return self._ucanon
+        return min(self.canonical(), min_rotation(self.reversed_word()))
 
-    def is_isotopic(self, other: "NormalCurve", oriented: bool = False) -> bool:
+    def is_isotopic(self, other: "NormalCurve") -> bool:
+        """Unoriented isotopy; oriented isotopy is ==."""
         if self.surface is not other.surface:
             return False
-        if oriented:
-            return self.canonical() == other.canonical()
         return self.unoriented_canonical() == other.unoriented_canonical()
 
     def __eq__(self, other):
@@ -200,7 +182,9 @@ class NormalCurve:
 
 
 def curve_from_rectangle(surface: FatGraphSurface, rect: RectangleCurve) -> NormalCurve:
-    return NormalCurve(surface, surface.rectangle_word(rect), reduce=False)
+    """The rectangle circle: up through the top crossing, back down through
+    the bottom one."""
+    return NormalCurve(surface, (rect.top + 1, -(rect.bottom + 1)), reduce=False)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -364,6 +348,15 @@ def _primitive_root(word):
     return word, 1
 
 
+def _root_curve(x: NormalCurve) -> tuple[NormalCurve, int]:
+    """x as root^power: the primitive root as a curve (x itself when x is
+    primitive) and the power."""
+    root, power = x.primitive_root()
+    if power == 1:
+        return x, 1
+    return NormalCurve(x.surface, root, reduce=False), power
+
+
 def _same_unoriented_class(a: NormalCurve, b: NormalCurve) -> bool:
     if len(a.word) != len(b.word):
         return False
@@ -372,31 +365,22 @@ def _same_unoriented_class(a: NormalCurve, b: NormalCurve) -> bool:
 
 def self_intersection(x: NormalCurve) -> int:
     """Minimal self-crossing number of the class."""
-    if x._self_int is not None:
-        return x._self_int
     if len(_disk_positions(x)) == len(x.word):
         # Each strand disk is passed at most once: no pair of transits to link.
-        x._self_int = 0
         return 0
-    root, power = x.primitive_root()
+    base, power = _root_curve(x)
     if power > 1:
-        base = self_intersection(NormalCurve(x.surface, root, reduce=False))
-        x._self_int = power * power * base + (power - 1)
-        return x._self_int
-    events = _events(x.surface, x, x)
-    crossings = len(events)
+        return power * power * self_intersection(base) + (power - 1)
+    crossings = len(_events(x.surface, x, x))
     if crossings % 2:
         raise InternalConsistencyError("self-crossing events must pair up")
-    x._self_int = crossings // 2
-    return x._self_int
+    return crossings // 2
 
 
 def geometric_intersection(x: NormalCurve, y: NormalCurve) -> int:
     """Minimal transverse intersection number of the two classes."""
-    rx, px = x.primitive_root()
-    ry, py = y.primitive_root()
-    bx = NormalCurve(x.surface, rx, reduce=False) if px > 1 else x
-    by = NormalCurve(y.surface, ry, reduce=False) if py > 1 else y
+    bx, px = _root_curve(x)
+    by, py = _root_curve(y)
     if _same_unoriented_class(bx, by):
         return px * py * 2 * self_intersection(bx)
     return px * py * len(_events(x.surface, bx, by))
@@ -435,10 +419,8 @@ def signed_intersection(
         raise InvalidParameter("pair two RectangleCurves or two NormalCurves")
     if rect:
         return _rectangle_pairing(x, y)
-    rx, px = x.primitive_root()
-    ry, py = y.primitive_root()
-    bx = NormalCurve(x.surface, rx, reduce=False) if px > 1 else x
-    by = NormalCurve(y.surface, ry, reduce=False) if py > 1 else y
+    bx, px = _root_curve(x)
+    by, py = _root_curve(y)
     if _same_unoriented_class(bx, by):
         return 0
     total = sum(sign for (_, _, sign, _) in _events(x.surface, bx, by))

@@ -219,11 +219,6 @@ class FatGraphSurface:
             start = seen.find(0, start)  # -1 once every end is seen
         return cycles
 
-    def rectangle_word(self, rect: RectangleCurve) -> tuple[int, int]:
-        """Edge word of the rectangle circle: up through the top crossing,
-        back down through the bottom one."""
-        return (rect.top + 1, -(rect.bottom + 1))
-
     def top_left_rectangle(self) -> RectangleCurve:
         """Topmost rectangle of the leftmost column that has one.
 
@@ -254,17 +249,6 @@ class FatGraphSurface:
             if running + counts.get(col[-1], 0):
                 raise InternalConsistencyError("edge counts do not form a cycle")
         return tuple(coords)
-
-    def to_json(self):
-        return {
-            "word": list(self.word.letters),
-            "strands": self.word.strands,
-            "edges": [
-                {"position": j, "generator": g} for j, g in enumerate(self.word.letters)
-            ],
-            "rectangles": [r.to_json() for r in self.rectangles],
-            "boundary_components": self.boundary_count,
-        }
 
     def __repr__(self):
         return (

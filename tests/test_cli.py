@@ -193,6 +193,13 @@ class TestParameterContracts:
             assert error["code"] == "DomainError"
             assert error["message"].startswith("braidplumb")
 
+    def test_selftest_has_no_json_option(self, capsys, tmp_path):
+        target = tmp_path / "selftest.json"
+        code, out = run(capsys, "selftest", "--quick", "--json", str(target))
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "DomainError"
+        assert not target.exists()
+
     def test_orbit_negative_power_exit_2(self, capsys):
         code, out = run(capsys, "orbit", "1 1 1", "--power", "-1")
         assert code == 2

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import braidplumb.curves as cv
-from braidplumb.braidwords import BraidWord, parse_braid
+from braidplumb.braidwords import BraidWord, min_rotation, parse_braid
 from braidplumb.curves import (
     NormalCurve,
     TwistFactor,
@@ -212,7 +212,7 @@ class TestDehnTwist:
             x = random_curve(s, rng)
             y = dehn_twist(TwistFactor(gamma, right=True), x)
             z = dehn_twist(TwistFactor(gamma, right=False), y)
-            assert z.is_isotopic(x, oriented=True)
+            assert z == x
 
     def test_twists_preserve_intersections(self):
         rng = random.Random(33)
@@ -268,7 +268,7 @@ class TestMonodromyOrbits:
             for idx in reversed(s.twist_ordering):
                 core = curve_from_rectangle(s, s.rectangles[idx])
                 y = dehn_twist(TwistFactor(core, right=False), y)
-            assert y.is_isotopic(x, oriented=True)
+            assert y == x
 
     def test_negative_power_rejected(self):
         s = build_surface(torus_braid(3, 4))
@@ -527,6 +527,21 @@ class TestPrimitiveRoot:
         monkeypatch.setattr(cv, "_primitive_root", no_scan)
         got = [(geometric_intersection(a, b), signed_intersection(a, b)) for a, b in pairs]
         assert got == expected
+
+
+class TestIsotopy:
+    @settings(max_examples=60, deadline=None)
+    @given(connected_surfaces(), st.data())
+    def test_rotations_are_equal_and_the_reverse_is_isotopic(self, s, data):
+        seed = curve_from_rectangle(s, data.draw(st.sampled_from(s.rectangles)))
+        x = apply_monodromy(s, seed, data.draw(st.integers(min_value=0, max_value=3)))
+        w = x.word
+        for k in range(len(w)):
+            y = NormalCurve(s, w[k:] + w[:k], reduce=False)
+            assert y == x and hash(y) == hash(x)
+        back = NormalCurve(s, x.reversed_word(), reduce=False)
+        assert back.is_isotopic(x) and x.is_isotopic(back)
+        assert (back == x) == (min_rotation(back.word) == min_rotation(w))
 
 
 def full_sweep_step(s, factors, x, skipped):

@@ -82,12 +82,6 @@ class TestSurface:
             expect = tuple(1 if i == idx else 0 for i in range(len(s.rectangles)))
             assert coords == expect
 
-    def test_json_shape(self):
-        data = build_surface(parse_braid("1 1")).to_json()
-        assert data["strands"] == 2
-        assert data["boundary_components"] == 2
-        assert data["rectangles"] == [{"column": 1, "top": 0, "bottom": 1}]
-
     def test_rectangle_incidence_rank_is_b1(self):
         from fractions import Fraction
 

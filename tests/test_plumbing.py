@@ -224,13 +224,11 @@ def loop_validate_chain_certificate(cert):
     if cert.seed not in surface.rectangles:
         raise InternalConsistencyError("seed is not a rectangle of the surface")
     seed_curve = cv.curve_from_rectangle(surface, cert.seed)
-    if not chain[0].is_isotopic(seed_curve, oriented=True):
+    if chain[0] != seed_curve:
         raise InternalConsistencyError("chain does not start at the seed rectangle")
     for k in range(1, n):
         expected = cv.apply_monodromy(surface, chain[k - 1], 1)
-        if expected.word != chain[k].word and not expected.is_isotopic(
-            chain[k], oriented=True
-        ):
+        if expected != chain[k]:
             raise InternalConsistencyError(f"C_{k} is not the monodromy image of C_{k-1}")
     for a in range(n):
         if cv.self_intersection(chain[a]) != 0:
