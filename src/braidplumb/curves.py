@@ -13,33 +13,35 @@ through.  Germs entering the same band are ordered by their first
 divergence, and strand pairs sharing a run of bands are anchored at one
 designated end of the run so each crossing is counted exactly once.  A
 Dehn twist along a TwistFactor splices an oriented copy of the core into
-the curve at every counted crossing and reduces.  Every curve, a twist's
-output included, goes through the NormalCurve constructor, which checks
-that the word is a closed path and, in the same pass over the surface's
-traversal tables, builds the curve's transits.
+the curve at every counted crossing and reduces.
 
 The monodromy twists along rectangle cores, and those take no scan.  A
 rectangle's core passes only strand disks g and g + 1, so its twist is
 read in closed form from its crossings by the push-off rule
 (_rectangle_twist): a copy of the core goes in wherever the curve crosses
 a parallel copy of it, and a run of the curve along the core's bands
-counts once, at its entry.  The monodromy sweep skips the twist along a
-rectangle core when no transit end of the current curve lies in the
-core's window, the arc between the core's ends on its two strand disks:
-such a curve cannot cross the core (see _meets_window).  The sweep reads
-each rectangle as its (g, top, bottom) triple from the surface's columns
-and makes a RectangleCurve only for a twist that may act.  The window test,
-the push-off rule and the linked-pair scan read one index, the positions
-of the curve's transits per strand disk, built once per curve.  Two
-rectangles are paired in closed form from their crossings as well
-(signed_intersection), so the intersection form builds no curve.
+counts once, at its entry.  The sweep reads each rectangle as its
+(g, top, bottom) triple from the surface's columns and makes a
+RectangleCurve only for a twist that may act, one whose core's window
+(the arc between the core's ends on its two strand disks) holds a
+transit end of the current curve.  That test is one AND of the curve's
+band mask with the window mask the surface builds with the sweep
+(apply_monodromy says why the two agree).  Two rectangles are paired in
+closed form from their crossings as well (signed_intersection), so the
+intersection form builds no curve.
+
+Every curve, a twist's output included, goes through the NormalCurve
+constructor.  One pass over the word and the surface's traversal tables
+checks that the word is a closed path and builds the transits, the disk
+index (the transit positions per strand disk, read by the push-off rule
+and the linked-pair scan) and the band mask (bit p set when the word
+traverses crossing p).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-from collections import defaultdict
 
 from .braidwords import min_rotation
 from .errors import (
@@ -73,11 +75,14 @@ def reduce_cyclic(word) -> tuple[int, ...]:
 
 
 def _path_transits(surface: FatGraphSurface, word):
-    """Check that the word is a closed path and return its transits.
+    """Check that the word is a closed path; return its transits, its disk
+    index and its band mask, all built in that one pass.
 
     Transit i is (vertex, incoming end, outgoing end) between word[i-1] and
-    word[i].  A failing junction is named in word order: the closing one,
-    word[-1] -> word[0], comes last.
+    word[i].  The disk index maps each strand disk to the positions of the
+    transits on it, in word order.  Bit p of the band mask is set when the
+    word traverses crossing p.  A failing junction is named in word order:
+    the closing one, word[-1] -> word[0], comes last.
     """
     c = surface.word.length
     for t in word:
@@ -85,25 +90,28 @@ def _path_transits(surface: FatGraphSurface, word):
             raise NotAPath(f"traversal {t} outside the edge range 1..{c}")
     src, tgt, vertex = surface.src_end, surface.tgt_end, surface.end_vertex
     transits = []
+    by_disk: dict[int, list[int]] = {}
+    bands = 0
     inc = tgt[word[-1]]
-    for t in word:
+    for j, t in enumerate(word):
         dep = src[t]
         v = vertex[dep]
-        if vertex[inc] != v and transits:
-            prev = word[len(transits) - 1]
-            raise NotAPath(f"traversals {prev} -> {t} do not share a strand disk")
+        if vertex[inc] != v and j:
+            raise NotAPath(f"traversals {word[j - 1]} -> {t} do not share a strand disk")
         transits.append((v, inc, dep))
+        by_disk.setdefault(v, []).append(j)
+        bands |= 1 << (dep >> 1)
         inc = tgt[t]
     v, inc, _ = transits[0]
     if vertex[inc] != v:
         raise NotAPath(f"traversals {word[-1]} -> {word[0]} do not share a strand disk")
-    return transits
+    return transits, by_disk, bands
 
 
 class NormalCurve:
     """A free homotopy class, stored as its reduced cyclic edge word."""
 
-    __slots__ = ("surface", "word", "_transits", "_homology", "_root", "_by_disk")
+    __slots__ = ("surface", "word", "_transits", "_by_disk", "_bands", "_homology", "_root")
 
     def __init__(self, surface: FatGraphSurface, word, reduce: bool = True):
         word = tuple(word)
@@ -111,12 +119,11 @@ class NormalCurve:
             word = reduce_cyclic(word)
         if not word:
             raise EmptyCurve("the word reduces to nothing: null-homotopic curve")
-        self._transits = _path_transits(surface, word)
+        self._transits, self._by_disk, self._bands = _path_transits(surface, word)
         self.surface = surface
         self.word = word
         self._homology = None
         self._root = None
-        self._by_disk = None
 
     def canonical(self) -> tuple[int, ...]:
         """Least rotation of the word; equality of classes keeps orientation."""
@@ -173,9 +180,6 @@ class NormalCurve:
                 counts[abs(t) - 1] = counts.get(abs(t) - 1, 0) + (1 if t > 0 else -1)
             self._homology = self.surface.homology_from_edge_counts(counts)
         return self._homology
-
-    def to_json(self):
-        return list(self.word)
 
     def __repr__(self):
         return f"NormalCurve({list(self.word)})"
@@ -301,16 +305,6 @@ def _linked(xb, xf, yb, yf):
     return (1, _YB) if yb_inside else (-1, _YF)
 
 
-def _disk_positions(x: NormalCurve):
-    """Strand disk -> positions of x's transits on it; cached on the curve."""
-    if x._by_disk is None:
-        by_disk = defaultdict(list)
-        for j, t in enumerate(x._transits):
-            by_disk[t[0]].append(j)
-        x._by_disk = by_disk
-    return x._by_disk
-
-
 def _scan(surface, wx, tx, wy, ty, by_vertex, skip_diagonal=False):
     """Forced crossings between two words, given their transits and y's
     disk index, as (i, j, sign, inside_tag)."""
@@ -332,9 +326,7 @@ def _events(surface, x: NormalCurve, y: NormalCurve):
     if x.surface is not surface or y.surface is not surface:
         raise InternalConsistencyError("curves live on a different surface")
     # x is y: a transit never crosses itself.
-    return _scan(
-        surface, x.word, x._transits, y.word, y._transits, _disk_positions(y), x is y
-    )
+    return _scan(surface, x.word, x._transits, y.word, y._transits, y._by_disk, x is y)
 
 
 def _primitive_root(word):
@@ -365,7 +357,7 @@ def _same_unoriented_class(a: NormalCurve, b: NormalCurve) -> bool:
 
 def self_intersection(x: NormalCurve) -> int:
     """Minimal self-crossing number of the class."""
-    if len(_disk_positions(x)) == len(x.word):
+    if len(x._by_disk) == len(x.word):
         # Each strand disk is passed at most once: no pair of transits to link.
         return 0
     base, power = _root_curve(x)
@@ -506,7 +498,7 @@ def dehn_twist(factor: TwistFactor | RectangleCurve, x: NormalCurve) -> NormalCu
     wx, tx = x.word, x.transits()
     wc, tc = core.word, core.transits()
     hand = RIGHT_HANDED_SIGN if factor.right else -RIGHT_HANDED_SIGN
-    events = _scan(surface, wx, tx, wc, tc, _disk_positions(core))
+    events = _scan(surface, wx, tx, wc, tc, core._by_disk)
     if not events:
         return x
     if len(events) > 1:
@@ -580,7 +572,7 @@ def _rectangle_twist(rect: RectangleCurve, x: NormalCurve) -> NormalCurve:
     a, b = top + 1, bottom + 1
     wx, tx = x.word, x._transits
     last = len(wx) - 1
-    by_disk = _disk_positions(x)
+    by_disk = x._by_disk
     events = []
     for v in (g, g + 1):
         for j in by_disk.get(v, ()):
@@ -616,42 +608,25 @@ def _rectangle_twist(rect: RectangleCurve, x: NormalCurve) -> NormalCurve:
     return NormalCurve(x.surface, out, reduce=True)
 
 
-def _meets_window(x: NormalCurve, window: tuple[int, int, int]) -> bool:
-    """Whether a transit end of x lies in the window of the rectangle core
-    (g, top, bottom), given as that triple or as its RectangleCurve.
-
-    The core of rectangle (g, top, bottom) passes strand disks g and g + 1,
-    with its ends on each at crossings top and bottom.  Ring order is word
-    position order, so the closed arc between the core's ends holds exactly
-    the ends of crossings top..bottom.  A transit with both ends outside it
-    has both germs on one side of the core's chord and cannot be linked
-    with it; a curve with no end inside is left as it is by the twist.
-    """
-    g, top, bottom = window
-    tx = x._transits
-    by_disk = _disk_positions(x)
-    for v in (g, g + 1):
-        for j in by_disk.get(v, ()):
-            _, inc, dep = tx[j]
-            if top <= inc >> 1 <= bottom or top <= dep >> 1 <= bottom:
-                return True
-    return False
-
-
 def apply_monodromy(surface: FatGraphSurface, x: NormalCurve, power: int = 1) -> NormalCurve:
     """Apply the full ordered product of right-handed rectangle twists.
 
     The sweep reads each rectangle as its (g, top, bottom) triple from the
     surface's columns (twist_sweep), right to left and bottom to top.  A
     twist is skipped when no transit end of the current curve lies in its
-    core's window (_meets_window): dehn_twist would find no crossing and
-    return the curve itself.  Only a twist that may act makes a
+    core's window, the arc between the core's ends on disks g and g + 1,
+    which holds exactly the ends of crossings top..bottom (ring order is
+    word order).  A transit with both ends outside it cannot be linked
+    with the core, so dehn_twist would find no crossing and return the
+    curve itself.  The test is one AND of the curve's band mask with the
+    entry's window mask (window_masks): the curve has an end in the window
+    exactly when it traverses a crossing p in top..bottom whose letter is
+    g - 1, g or g + 1, since it then passes both ends of p, on disks
+    letter(p) and letter(p) + 1.  Only a twist that may act makes a
     RectangleCurve, and goes to dehn_twist along it, which reads the core
-    from its crossings.  The window test stays although a twist it passes
-    reads the same transits again: it stops at the first end inside, and
-    calling dehn_twist on every rectangle instead made certify slower on
-    the benchmark's chains and knots inputs (Python 3.11, 2-core x86-64
-    VM).
+    from its crossings.  Calling dehn_twist on every rectangle instead
+    made certify slower on the benchmark's chains and knots inputs
+    (Python 3.11, 2-core x86-64 VM).
     """
     if power < 0:
         raise InvalidParameter("power must be non-negative; invert via left twists instead")
@@ -660,8 +635,9 @@ def apply_monodromy(surface: FatGraphSurface, x: NormalCurve, power: int = 1) ->
     # window test can skip that twist.
     if power and sweep and x.surface is not surface:
         raise NonEmbeddedCore("core and curve live on different surfaces")
+    masks = surface.window_masks
     for _ in range(power):
-        for window in sweep:
-            if _meets_window(x, window):
+        for window, mask in zip(sweep, masks):
+            if x._bands & mask:
                 x = dehn_twist(_record(RectangleCurve, window), x)
     return x

@@ -23,7 +23,9 @@ The brick diagram is its columns: columns[g - 1] lists the word positions
 of generator g, and the rectangles of column g are its consecutive pairs.
 A surface is built from the columns, the three end tables and the boundary
 check alone.  The monodromy sweep reads the (column, top, bottom) triples
-of twist_sweep; the RectangleCurve records and their index are built on
+of twist_sweep and, built in the same loop, one window mask per triple:
+the crossings a curve must traverse to have a transit end between the
+core's ends.  The RectangleCurve records and their index are built on
 first use, for the readers that want them.
 """
 
@@ -98,6 +100,7 @@ class FatGraphSurface:
         "tgt_end",
         "boundary_count",
         "_sweep",
+        "_masks",
         "_rectangles",
         "_rect_index",
     )
@@ -107,7 +110,7 @@ class FatGraphSurface:
             raise DisconnectedWord("the fibre surface needs every generator present")
         self.word = word
         self.columns = _columns(word)
-        self._sweep = self._rectangles = self._rect_index = None
+        self._sweep = self._masks = self._rectangles = self._rect_index = None
 
         # The strand of each end: 2j on word[j], 2j+1 on word[j] + 1, filled
         # by two strided slice assignments.
@@ -129,18 +132,38 @@ class FatGraphSurface:
     def twist_sweep(self) -> tuple[tuple[int, int, int], ...]:
         """(column, top, bottom) of each rectangle in the action order of
         the monodromy twists: columns right to left, bottom to top inside
-        each column; the first entry acts first.  Built on first use."""
+        each column; the first entry acts first.  Built on first use, with
+        window_masks."""
         if self._sweep is None:
-            # A plain loop: columns are short, and zip and slices per column
-            # cost more than they save.
-            sweep = []
-            cols = self.columns
-            for g in range(len(cols), 0, -1):
-                col = cols[g - 1]
-                for k in range(len(col) - 2, -1, -1):
-                    sweep.append((g, col[k], col[k + 1]))
-            self._sweep = tuple(sweep)
+            self._build_sweep()
         return self._sweep
+
+    @property
+    def window_masks(self) -> tuple[int, ...]:
+        """Per twist_sweep entry (g, top, bottom), one int with bit p set
+        for the crossings top <= p <= bottom of letter g - 1, g or g + 1:
+        a curve traverses one of them exactly when it has a transit end in
+        the core's window (curves.apply_monodromy).  Built with the sweep."""
+        if self._sweep is None:
+            self._build_sweep()
+        return self._masks
+
+    def _build_sweep(self):
+        # Plain loops: columns are short, and zip and slices per column
+        # cost more than they save.
+        sweep, masks = [], []
+        cols = self.columns
+        bits = [0] * (len(cols) + 2)  # bits[g]: the positions of letter g
+        for p, g in enumerate(self.word.letters):
+            bits[g] |= 1 << p
+        for g in range(len(cols), 0, -1):
+            col = cols[g - 1]
+            near = bits[g - 1] | bits[g] | bits[g + 1]
+            for k in range(len(col) - 2, -1, -1):
+                top, bottom = col[k], col[k + 1]
+                sweep.append((g, top, bottom))
+                masks.append(near & ((2 << bottom) - (1 << top)))
+        self._sweep, self._masks = tuple(sweep), tuple(masks)
 
     @property
     def rectangles(self) -> tuple[RectangleCurve, ...]:

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -544,11 +545,43 @@ class TestIsotopy:
         assert (back == x) == (min_rotation(back.word) == min_rotation(w))
 
 
+def meets_window_oracle(x, window):
+    """Whether a transit end of x lies in the window of the rectangle core
+    (g, top, bottom), given as that triple or as its RectangleCurve.
+
+    The core passes strand disks g and g + 1, with its ends on each at
+    crossings top and bottom.  Ring order is word position order, so the
+    closed arc between the core's ends holds exactly the ends of crossings
+    top..bottom.  A transit with both ends outside it has both germs on one
+    side of the core's chord and cannot be linked with it; a curve with no
+    end inside is left as it is by the twist.
+    """
+    g, top, bottom = window
+    return any(
+        v in (g, g + 1) and (top <= inc >> 1 <= bottom or top <= dep >> 1 <= bottom)
+        for v, inc, dep in x.transits()
+    )
+
+
+def check_curve_indexes(x):
+    """The band mask and the disk index the constructor builds, against
+    their definitions."""
+    assert x._bands == sum({1 << (abs(t) - 1) for t in x.word})
+    by_disk = collections.defaultdict(list)
+    for j, (v, _, _) in enumerate(x.transits()):
+        by_disk[v].append(j)
+    assert x._by_disk == by_disk
+
+
 def full_sweep_step(s, factors, x, skipped):
     """One monodromy step by the sweep without the window rule: every
-    factor in twist order.  Twists the window rule skips go to `skipped`."""
-    for idx, f in zip(s.twist_ordering, factors):
-        if not cv._meets_window(fresh(x), s.rectangles[idx]):
+    factor in twist order.  Twists the window rule skips go to `skipped`;
+    the sweep's AND must skip the same ones."""
+    for idx, f, mask in zip(s.twist_ordering, factors, s.window_masks):
+        check_curve_indexes(x)
+        meets = meets_window_oracle(x, s.rectangles[idx])
+        assert bool(x._bands & mask) == meets
+        if not meets:
             skipped.append((f, x))
         x = dehn_twist(f, x)
     return x
@@ -591,11 +624,41 @@ class TestWindowSweep:
         s = surface("1 1 1")
         far = surface("1 1 1 1 1 1")
         x = curve_from_rectangle(far, far.rectangles[-1])  # crossings 4 and 5
-        assert not any(cv._meets_window(x, r) for r in s.rectangles)
+        assert not any(meets_window_oracle(x, r) for r in s.rectangles)
         with pytest.raises(NonEmbeddedCore, match="^core and curve live on different surfaces$"):
             apply_monodromy(s, x, 1)
         # b1 = 0: no twist, so nothing refuses the curve.
         assert apply_monodromy(surface("1 2"), x, 1) is x
+
+
+class TestWindowMasks:
+    def test_every_small_word(self):
+        # Every seed circle and its first two images, and every curve the
+        # sweep tests on the way: the AND against the oracle at each entry.
+        entries = hits = 0
+        for s in range(2, 5):
+            for c in range(s - 1, 8):
+                for letters in itertools.product(range(1, s), repeat=c):
+                    word = BraidWord(s, letters)
+                    if not word.is_connected:
+                        continue
+                    surf = build_surface(word)
+                    sweep = list(zip(surf.twist_sweep, surf.window_masks))
+                    assert len(sweep) == surf.b1
+                    for rect in surf.rectangles:
+                        x = curve_from_rectangle(surf, rect)
+                        for _ in range(3):
+                            image = apply_monodromy(surf, x, 1)
+                            for window, mask in sweep:
+                                check_curve_indexes(x)
+                                meets = meets_window_oracle(x, window)
+                                assert bool(x._bands & mask) == meets, (word, rect, window)
+                                if meets:
+                                    x = dehn_twist(RectangleCurve(*window), x)
+                                entries += 1
+                                hits += meets
+                            assert x.word == image.word
+        assert (entries, hits) == (116871, 77379)
 
 
 def rectangle_twist_inputs(s, seeds):
