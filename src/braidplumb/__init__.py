@@ -18,7 +18,7 @@ from .alexpoly import (
 from .braidwords import (
     BraidRelation,
     BraidWord,
-    CommutationSwap,
+    Carry,
     CyclicConjugate,
     Destabilize,
     braid_invariants,

@@ -3,8 +3,9 @@
 A word is a sequence of 1-based generator indices; letter i is one positive
 crossing of strands i and i+1, read top to bottom.  All rewriting moves
 preserve the closure link: cyclic conjugation, the braid relation
-s_i s_{i+1} s_i = s_{i+1} s_i s_{i+1}, distant commutation, and Markov
-destabilization of a generator occurring exactly once.
+s_i s_{i+1} s_i = s_{i+1} s_i s_{i+1}, a carry of one letter past letters
+that each differ from it by at least 2, and Markov destabilization of a
+generator occurring exactly once.
 """
 
 from __future__ import annotations
@@ -209,11 +210,15 @@ class BraidRelation:
 
 
 @dataclasses.dataclass(frozen=True)
-class CommutationSwap:
-    position: int
+class Carry:
+    """Move the letter at source to target, past letters that each commute
+    with it; a carry of length one is a single commutation."""
+
+    source: int
+    target: int
 
     def to_json(self):
-        return {"kind": "commute", "position": self.position}
+        return {"kind": "carry", "source": self.source, "target": self.target}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -224,7 +229,7 @@ class Destabilize:
         return {"kind": "destabilize", "generator": self.generator}
 
 
-RewriteMove = Union[CyclicConjugate, BraidRelation, CommutationSwap, Destabilize]
+RewriteMove = Union[CyclicConjugate, BraidRelation, Carry, Destabilize]
 
 
 _INT = frozenset((int,))  # JSON true and false are no integers
@@ -284,8 +289,11 @@ def move_from_json(data: dict, where: str = "") -> RewriteMove:
             json_field(data, "position", "an integer", where),
             json_field(data, "direction", "an integer", where),
         )
-    if kind == "commute":
-        return CommutationSwap(json_field(data, "position", "an integer", where))
+    if kind == "carry":
+        return Carry(
+            json_field(data, "source", "an integer", where),
+            json_field(data, "target", "an integer", where),
+        )
     if kind == "destabilize":
         return Destabilize(json_field(data, "generator", "an integer", where))
     raise IllegalMove(f"unknown move kind {kind!r}")
@@ -313,14 +321,19 @@ def _apply(strands: int, letters: list[int], move: RewriteMove) -> int:
             )
         letters[p : p + 3] = (b, a, b)
         return strands
-    if isinstance(move, CommutationSwap):
-        p = move.position
-        if p < 0 or p + 1 >= c:
-            raise IllegalMove(f"commutation needs positions {p}, {p+1} inside the word")
-        a, b = letters[p], letters[p + 1]
-        if abs(a - b) < 2:
-            raise IllegalMove(f"letters {a}, {b} do not commute")
-        letters[p], letters[p + 1] = b, a
+    if isinstance(move, Carry):
+        a, b = move.source, move.target
+        if not (0 <= a < c and 0 <= b < c):
+            raise IllegalMove(f"carry needs positions {a}, {b} inside the word")
+        x = letters[a]
+        # The letters passed, in the order the carried one meets them.
+        for p in range(a + 1, b + 1) if a < b else range(a - 1, b - 1, -1):
+            if -2 < letters[p] - x < 2:
+                raise IllegalMove(
+                    f"letters {x}, {letters[p]} do not commute:"
+                    f" position {p} blocks the carry from {a} to {b}"
+                )
+        letters.insert(b, letters.pop(a))
         return strands
     if isinstance(move, Destabilize):
         g = move.generator
@@ -414,6 +427,7 @@ def square_normalization(word: BraidWord) -> NormalizationResult:
     Behind the square s_m s_m the closing letters of levels m-1, ..., 1 are
     then commuted forward in turn; the level-k one passes only letters
     >= k+2, since its gap holds no s_{k+1} after the level-(k+1) pair.
+    Each letter commuted to a new position is one Carry move.
 
     Termination: a braid relation lowers the sum over letters x of
     (s - 1 - x) by one, and a destabilization never raises it, so the
@@ -431,10 +445,8 @@ def square_normalization(word: BraidWord) -> NormalizationResult:
         moves.append(move)
 
     def carry(src, dst):
-        """Commute letters[src] to position dst, one swap at a time."""
-        step = 1 if dst > src else -1
-        for p in range(src, dst, step):
-            play(CommutationSwap(p if step > 0 else p - 1))
+        if src != dst:
+            play(Carry(src, dst))
 
     letters = list(word.letters)
     strands = _destabilize_all(word.strands, letters, moves)

@@ -25,8 +25,8 @@ A surface is built from the columns, the three end tables and the boundary
 check alone.  The monodromy sweep reads the (column, top, bottom) triples
 of twist_sweep and, built in the same loop, one window mask per triple:
 the crossings a curve must traverse to have a transit end between the
-core's ends.  The RectangleCurve records and their index are built on
-first use, for the readers that want them.
+core's ends.  The RectangleCurve records are built on first use, for the
+readers that want them.
 """
 
 from __future__ import annotations
@@ -102,7 +102,6 @@ class FatGraphSurface:
         "_sweep",
         "_masks",
         "_rectangles",
-        "_rect_index",
     )
 
     def __init__(self, word: BraidWord):
@@ -110,7 +109,7 @@ class FatGraphSurface:
             raise DisconnectedWord("the fibre surface needs every generator present")
         self.word = word
         self.columns = _columns(word)
-        self._sweep = self._masks = self._rectangles = self._rect_index = None
+        self._sweep = self._masks = self._rectangles = None
 
         # The strand of each end: 2j on word[j], 2j+1 on word[j] + 1, filled
         # by two strided slice assignments.
@@ -172,15 +171,6 @@ class FatGraphSurface:
         if self._rectangles is None:
             self._rectangles = _rectangles(self.columns)
         return self._rectangles
-
-    @property
-    def rect_index(self) -> dict[tuple[int, int], int]:
-        """(column, top) -> index in rectangles; built on first use."""
-        if self._rect_index is None:
-            self._rect_index = {
-                (r.column, r.top): i for i, r in enumerate(self.rectangles)
-            }
-        return self._rect_index
 
     @property
     def twist_ordering(self) -> tuple[int, ...]:
@@ -251,9 +241,6 @@ class FatGraphSurface:
         if not self.rectangles:
             raise TrivialLink("b1 = 0: the fibre surface has no rectangle")
         return self.rectangles[0]
-
-    def column_rectangles(self, column: int) -> list[RectangleCurve]:
-        return [r for r in self.rectangles if r.column == column]
 
     def homology_from_edge_counts(self, counts: dict[int, int]) -> tuple[int, ...]:
         """Coordinates of a cycle in the rectangle basis.

@@ -523,7 +523,9 @@ def torus_summand_report(p: int, q: int) -> TorusSummandReport:
     surface = build_surface(word)
     cap = hironaka_bound + 2
     best = None
-    for seed in surface.column_rectangles(1):
+    for seed in surface.rectangles:
+        if seed.column != 1:
+            break  # rectangles are listed column by column
         cert = detect_chain(surface, seed, cap)
         if best is None or cert.n > best.n:
             best = cert

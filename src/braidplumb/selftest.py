@@ -24,7 +24,7 @@ from .alexpoly import (
 )
 from .braidwords import BraidWord
 from .errors import CertificateRejected, InternalConsistencyError
-from .fatgraph import build_surface
+from .fatgraph import RectangleCurve, build_surface
 from .monodromy import alexander_from_monodromy, intersection_form
 from .plumbing import (
     ChainCertificate,
@@ -350,26 +350,19 @@ def curve_property_suite() -> tuple[bool, str]:
             invariance_ok = False
             break
 
-    orbit_ok = True
-    s43 = build_surface(torus_braid(4, 3))
-    r = cv.curve_from_rectangle(s43, s43.top_left_rectangle())
-    for k in (1, 2):
-        image = cv.apply_monodromy(s43, r, k)
-        target = cv.curve_from_rectangle(
-            s43, s43.rectangles[s43.rect_index[(k + 1, k)]]
+    def reaches(surface, power, rect):
+        """The power-th monodromy image of the top-left rectangle is rect."""
+        start = cv.curve_from_rectangle(surface, surface.top_left_rectangle())
+        image = cv.apply_monodromy(surface, start, power)
+        return rect in surface.rectangles and image.is_isotopic(
+            cv.curve_from_rectangle(surface, rect)
         )
-        orbit_ok = orbit_ok and image.is_isotopic(target)
-    s38 = build_surface(torus_braid(3, 8))
-    r38 = cv.curve_from_rectangle(s38, s38.top_left_rectangle())
-    shifted = cv.apply_monodromy(s38, r38, 3)
-    orbit_ok = orbit_ok and shifted.is_isotopic(
-        cv.curve_from_rectangle(s38, s38.rectangles[s38.rect_index[(1, 6)]])
-    )
-    s57 = build_surface(torus_braid(5, 7))
-    r57 = cv.curve_from_rectangle(s57, s57.top_left_rectangle())
-    shifted57 = cv.apply_monodromy(s57, r57, 5)
-    orbit_ok = orbit_ok and shifted57.is_isotopic(
-        cv.curve_from_rectangle(s57, s57.rectangles[s57.rect_index[(1, 20)]])
+
+    s43 = build_surface(torus_braid(4, 3))
+    orbit_ok = (
+        all(reaches(s43, k, RectangleCurve(k + 1, k, k + 3)) for k in (1, 2))
+        and reaches(build_surface(torus_braid(3, 8)), 3, RectangleCurve(1, 6, 8))
+        and reaches(build_surface(torus_braid(5, 7)), 5, RectangleCurve(1, 20, 24))
     )
 
     return (

@@ -8,9 +8,9 @@ PUBLIC = [
     "BraidPlumbError",
     "BraidRelation",
     "BraidWord",
+    "Carry",
     "CertificateRejected",
     "ChainCertificate",
-    "CommutationSwap",
     "CyclicConjugate",
     "Destabilize",
     "DisconnectedWord",

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from braidplumb.braidwords import (
     BraidRelation,
     BraidWord,
-    CommutationSwap,
+    Carry,
     CyclicConjugate,
     Destabilize,
     braid_invariants,
@@ -162,9 +162,37 @@ class TestMoves:
 
     def test_commutation(self):
         w = BraidWord(4, (1, 3))
-        assert replay_moves(w, [CommutationSwap(0)]).letters == (3, 1)
+        assert replay_moves(w, [Carry(0, 1)]).letters == (3, 1)
         with pytest.raises(IllegalMove):
-            replay_moves(BraidWord(3, (1, 2)), [CommutationSwap(0)])
+            replay_moves(BraidWord(3, (1, 2)), [Carry(0, 1)])
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_carry_matches_adjacent_swaps(self, data):
+        letters = data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=12))
+        source, target = (
+            data.draw(st.integers(0, len(letters) - 1), label=name)
+            for name in ("source", "target")
+        )
+        w = BraidWord(9, tuple(letters))
+        want = carry_by_swaps(letters, source, target)
+        if isinstance(want, int):
+            with pytest.raises(IllegalMove, match=f" position {want} blocks "):
+                replay_moves(w, [Carry(source, target)])
+        else:
+            assert replay_moves(w, [Carry(source, target)]).letters == want
+
+    @pytest.mark.parametrize("source,target", [(-1, 0), (0, -1), (3, 0), (0, 3), (-3, 2)])
+    def test_carry_outside_the_word_is_illegal(self, source, target):
+        # Every pair of letters commutes, so a wrapped index would replay.
+        w = BraidWord(6, (1, 3, 5))
+        with pytest.raises(IllegalMove, match="inside the word"):
+            replay_moves(w, [Carry(source, target)])
+
+    def test_carry_in_place_is_a_no_op(self):
+        w = BraidWord(3, (1, 2, 1))
+        for p in range(3):
+            assert replay_moves(w, [Carry(p, p)]) == w
 
     def test_destabilize_needs_single_occurrence(self):
         with pytest.raises(IllegalMove):
@@ -182,7 +210,7 @@ class TestMoves:
         w = BraidWord(4, (1, 2, 1, 3, 1))
         moves = [
             BraidRelation(0, 1),
-            CommutationSwap(3),
+            Carry(3, 4),
             CyclicConjugate(-2),
             Destabilize(3),
         ]
@@ -195,7 +223,7 @@ class TestMoves:
     def test_replay_stops_at_illegal_move(self):
         w = BraidWord(4, (1, 3, 2, 2))
         with pytest.raises(IllegalMove, match="letters 1, 2 do not commute"):
-            replay_moves(w, [CommutationSwap(0), CommutationSwap(1)])
+            replay_moves(w, [Carry(0, 1), Carry(1, 2)])
 
     def test_moves_preserve_components_and_b1(self):
         rng = random.Random(3)
@@ -214,7 +242,7 @@ class TestMoves:
                     candidates.append(BraidRelation(p, 1 if b == a + 1 else -1))
             for p in range(c - 1):
                 if abs(w.letters[p] - w.letters[p + 1]) >= 2:
-                    candidates.append(CommutationSwap(p))
+                    candidates.append(Carry(p, p + 1))
             for g in set(w.letters):
                 if w.letters.count(g) == 1:
                     candidates.append(Destabilize(g))
@@ -223,6 +251,21 @@ class TestMoves:
                 assert w2.components == w.components
                 if w.is_connected and w2.is_connected:
                     assert w2.b1 == w.b1
+
+
+def carry_by_swaps(letters, source, target):
+    """Reference carry: adjacent transpositions from source towards target.
+
+    Returns the letters after the carry, or the first position whose letter
+    is within 1 of the carried one: the letter the carry cannot pass.
+    """
+    out = list(letters)
+    step = 1 if target > source else -1
+    for p in range(source, target, step):
+        if abs(out[p] - out[p + step]) < 2:
+            return p + step
+        out[p], out[p + step] = out[p + step], out[p]
+    return tuple(out)
 
 
 def all_rotations_minimum(letters):
@@ -394,6 +437,7 @@ class TestNormalization:
         assert square_prefix_generator(res.word.letters) == res.m
         assert res.word.components == w.components
         assert res.word.b1 == w.b1
+        assert all(mv.source != mv.target for mv in res.moves if isinstance(mv, Carry))
 
     def test_exhaustive_small_words(self):
         # Every connected positive word with c <= 7 and nontrivial closure

@@ -111,8 +111,10 @@ class TestGeometricIntersection:
 
     def test_far_columns_disjoint(self):
         s = surface("1 1 2 2 3 3 1 2 3")
-        col1 = curve_from_rectangle(s, s.rectangles[s.rect_index[(1, 0)]])
-        col3 = curve_from_rectangle(s, s.rectangles[s.rect_index[(3, 4)]])
+        rect1, rect3 = RectangleCurve(1, 0, 1), RectangleCurve(3, 4, 5)
+        assert rect1 in s.rectangles and rect3 in s.rectangles
+        col1 = curve_from_rectangle(s, rect1)
+        col3 = curve_from_rectangle(s, rect3)
         assert geometric_intersection(col1, col3) == 0
 
     def test_symmetry(self):
@@ -242,21 +244,27 @@ class TestMonodromyOrbits:
         r = curve_from_rectangle(s, s.top_left_rectangle())
         for k in (1, 2):
             image = apply_monodromy(s, r, k)
-            target = curve_from_rectangle(s, s.rectangles[s.rect_index[(k + 1, k)]])
+            rect = RectangleCurve(k + 1, k, k + 3)
+            assert rect in s.rectangles
+            target = curve_from_rectangle(s, rect)
             assert image.is_isotopic(target)
 
     def test_torus38_shift_three(self):
         s = build_surface(torus_braid(3, 8))
         r = curve_from_rectangle(s, s.top_left_rectangle())
         shifted = apply_monodromy(s, r, 3)
-        target = curve_from_rectangle(s, s.rectangles[s.rect_index[(1, 6)]])
+        rect = RectangleCurve(1, 6, 8)
+        assert rect in s.rectangles
+        target = curve_from_rectangle(s, rect)
         assert shifted.is_isotopic(target)
 
     def test_torus57_shift_five(self):
         s = build_surface(torus_braid(5, 7))
         r = curve_from_rectangle(s, s.top_left_rectangle())
         shifted = apply_monodromy(s, r, 5)
-        target = curve_from_rectangle(s, s.rectangles[s.rect_index[(1, 20)]])
+        rect = RectangleCurve(1, 20, 24)
+        assert rect in s.rectangles
+        target = curve_from_rectangle(s, rect)
         assert shifted.is_isotopic(target)
 
     def test_inverse_monodromy_inverts(self):
@@ -341,7 +349,9 @@ class TestTraversesBand:
     def test_figure_braid_image_avoids_top_band(self):
         s = build_surface(FIGURE_BRAID)
         assert FIGURE_BRAID.letters[0] == FIGURE_BRAID.letters[1] == 4
-        r = curve_from_rectangle(s, s.rectangles[s.rect_index[(4, 0)]])
+        rect = RectangleCurve(4, 0, 1)
+        assert rect in s.rectangles
+        r = curve_from_rectangle(s, rect)
         image = apply_monodromy(s, r, 1)
         assert image.traverses(0) == 0
 

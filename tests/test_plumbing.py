@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import braidplumb.curves as cv
 import braidplumb.plumbing as plumbing
 from braidplumb.alexpoly import burau_alexander, hironaka_max_n
-from braidplumb.braidwords import BraidWord, parse_braid
+from braidplumb.braidwords import BraidWord, Carry, parse_braid, replay_moves
 from braidplumb.errors import (
     CertificateRejected,
     DisjointnessFailure,
@@ -618,6 +618,7 @@ class TestTrefoilDecompose:
             "change_phiR",
             "change_genus",
             "change_ribbon_twists",
+            "block_carry",
         ],
     )
     def test_tampered_round_trip_rejected(self, tamper):
@@ -625,11 +626,28 @@ class TestTrefoilDecompose:
         # its stored after-word, so the validator's one replay checks the
         # moves against the certificate, not against a second replay.  The
         # loader itself checks genus and ribbon_twists against the steps,
-        # and refuses a mismatch as a malformed certificate.
-        honest = trefoil_decompose(torus_braid(3, 4)).to_json()
+        # and refuses a mismatch as a malformed certificate.  T(3,4) carries
+        # no letter; the 4-strand word's first step carries three.
+        if tamper == "block_carry":
+            dec = trefoil_decompose(parse_braid("1 2 1 3 2 3 3 1 2 2 3 1 3"))
+        else:
+            dec = trefoil_decompose(torus_braid(3, 4))
+        honest = dec.to_json()
         data = json.loads(json.dumps(honest))
         step = data["steps"][0]
-        if tamper == "drop_move":
+        if tamper == "block_carry":
+            # Retarget the first carry onto the letter within 1 of the
+            # carried one that lies nearest to it: the carry now passes it.
+            k, carry = next(
+                (k, mv) for k, mv in enumerate(dec.steps[0].moves) if isinstance(mv, Carry)
+            )
+            letters = replay_moves(dec.steps[0].before, dec.steps[0].moves[:k]).letters
+            x = letters[carry.source]
+            step["moves"][k]["target"] = min(
+                (p for p, y in enumerate(letters) if p != carry.source and abs(y - x) < 2),
+                key=lambda p: abs(p - carry.source),
+            )
+        elif tamper == "drop_move":
             del step["moves"][0]
         elif tamper == "change_m":
             step["m"] = 3 - step["m"]
@@ -656,11 +674,13 @@ class TestTrefoilDecompose:
             "change_m": (CertificateRejected, "move replay does not reach"),
             "change_after": (CertificateRejected, "move replay does not reach"),
             "change_phiR": (CertificateRejected, "stored image is not the monodromy image"),
+            "block_carry": (IllegalMove, r"do not commute: position \d+ blocks the carry"),
         }
         error, message = expected[tamper]
         with pytest.raises(error, match=message) as info:
             validate_trefoil_decomposition(back)
-        assert type(info.value) is error
+        # A tampered certificate is a domain error (exit 2), never exit 3.
+        assert type(info.value) is error and issubclass(error, DomainError)
 
     @settings(max_examples=150, deadline=None)
     @given(knot_words(), st.data())
@@ -676,7 +696,12 @@ class TestTrefoilDecompose:
         tampers = ["change_m", "shuffle_after", "flip_R", "flip_phiR"]
         if moves:
             tampers += ["drop_move", "duplicate_move"]
-        if any("position" in mv for mv in moves):
+        # The integer positions a move names: a braid relation's, and a
+        # carry's source and target.
+        shiftable = [
+            (mv, key) for mv in moves for key in ("position", "source", "target") if key in mv
+        ]
+        if shiftable:
             tampers.append("shift_position")
         tamper = data.draw(st.sampled_from(tampers))
         if tamper in ("drop_move", "duplicate_move"):
@@ -689,8 +714,8 @@ class TestTrefoilDecompose:
             other = st.integers(-1, w.strands).filter(lambda m: m != step["m"])
             step["m"] = data.draw(other)
         elif tamper == "shift_position":
-            move = data.draw(st.sampled_from([mv for mv in moves if "position" in mv]))
-            move["position"] += data.draw(st.sampled_from([-2, -1, 1, 2]))
+            move, key = data.draw(st.sampled_from(shiftable))
+            move[key] += data.draw(st.sampled_from([-2, -1, 1, 2]))
         elif tamper == "shuffle_after":
             step["after"] = data.draw(st.permutations(step["after"]))
         else:
@@ -713,6 +738,26 @@ class TestTrefoilDecompose:
             validate_trefoil_decomposition(back)
         del move["direction"]
         with pytest.raises(CertificateRejected, match=r"missing field .*\.direction'"):
+            trefoil_decomposition_from_json(data)
+
+    def test_carry_fields_are_checked_on_load(self):
+        data = trefoil_decompose(parse_braid("1 2 1 3 2 3 3 1 2 2 3 1 3")).to_json()
+        moves = data["steps"][0]["moves"]
+        k = next(k for k, mv in enumerate(moves) if mv["kind"] == "carry")
+        field = f"steps[0].moves[{k}]."
+        target = moves[k].pop("target")
+        with pytest.raises(CertificateRejected, match=re.escape(f"missing field '{field}target'")):
+            trefoil_decomposition_from_json(data)
+        moves[k].update(target=target, source=True)
+        with pytest.raises(
+            CertificateRejected, match=re.escape(f"field '{field}source' must be an integer")
+        ):
+            trefoil_decomposition_from_json(data)
+
+    def test_retired_commute_kind_is_unknown(self):
+        data = trefoil_decompose(parse_braid("1 2 1 3 2 3 3 1 2 2 3 1 3")).to_json()
+        data["steps"][0]["moves"][0] = {"kind": "commute", "position": 0}
+        with pytest.raises(IllegalMove, match=re.escape("unknown move kind 'commute'")):
             trefoil_decomposition_from_json(data)
 
     def test_loaded_normalized_word_is_square_plus_after(self):
@@ -831,9 +876,11 @@ class TestObstructionConsistency:
         for p, q in ((2, 5), (2, 6), (3, 4), (3, 5)):
             word = torus_braid(p, q)
             s = build_surface(word)
-            best = 0
-            for seed in s.column_rectangles(1):
-                best = max(best, detect_chain(s, seed, s.b1 + 1).n)
+            best = max(
+                detect_chain(s, seed, s.b1 + 1).n
+                for seed in s.rectangles
+                if seed.column == 1
+            )
             n_max, _ = hironaka_max_n(burau_alexander(word))
             assert n_max >= best + 1
 
