@@ -16,6 +16,7 @@ embeddedness and a rank rise; the rest of the table follows by induction
 from __future__ import annotations
 
 import dataclasses
+from itertools import compress
 from math import gcd
 from typing import Optional
 
@@ -221,14 +222,17 @@ def _arc_functionals_independent(
     the rows u H^{-k}, k < n; independence is exactly what keeps the cut
     surface connected.  Multiplying every row on the right by the
     invertible H^{n-1} turns them into the rows u H^k, k < n, and keeps
-    the rank, so the test needs only integer vector-matrix products.  H has
-    a few nonzeros per column, read once, so each product is a sum over
-    them: O(nnz(H)) instead of b1^2.  Each row is reduced against the ones
+    the rank, so the test needs only integer vector-matrix products.  One
+    scan of H's rows lists the nonzero entries of each; the next row is
+    then the sum, over the nonzero entries y at index r of the current row,
+    of y times row r of H, so each product costs O(nnz(H)) plus the current
+    row's support instead of b1^2.  Each row is reduced against the ones
     before it as it is formed (reduce_row), and the first dependent row
     decides.
     """
     h = homological_monodromy(surface)
-    cols = [[(r, x) for r, x in enumerate(col) if x] for col in zip(*h)]
+    span = range(len(h))
+    h_rows = [[(c, row[c]) for c in compress(span, row)] for row in h]
     u = [0] * len(surface.rectangles)
     for idx, rect in enumerate(surface.rectangles):
         if rect.top == seed.top:
@@ -244,7 +248,12 @@ def _arc_functionals_independent(
         echelon.append(entry)
         if len(echelon) == n:
             return True
-        row = [sum(row[r] * x for r, x in col) for col in cols]
+        nxt = [0] * len(h)
+        for r in compress(span, row):
+            y = row[r]
+            for c, x in h_rows[r]:
+                nxt[c] += y * x
+        row = nxt
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .alexpoly import (
 from .braidwords import BraidWord
 from .errors import CertificateRejected, InternalConsistencyError
 from .fatgraph import RectangleCurve, build_surface
-from .monodromy import alexander_from_monodromy, intersection_form
+from .monodromy import alexander_from_monodromy, homological_monodromy, intersection_form
 from .plumbing import (
     ChainCertificate,
     detect_chain,
@@ -286,10 +286,13 @@ def curve_property_suite() -> tuple[bool, str]:
     rectangle equals the linked-pair twist along its circle word for word,
     |pairing| <= geometric intersection, the monodromy keeps geometric and
     self-intersection numbers (the lemma behind detect_chain's orbit
-    criterion), and rectangle orbits of three torus knots.  J comes from
-    intersection_form, which reads the brick diagram and runs no part of
-    the curve engine, so the transvection and bound checks test the engine
-    against it."""
+    criterion), H meets the Seifert identity V^T H = V, and rectangle
+    orbits of three torus knots.  J comes from intersection_form, which
+    reads the brick diagram and runs no part of the curve engine, so the
+    transvection and bound checks test the engine against it.  V is 1 on
+    the diagonal and J[a][b] for a > b (rectangle a is twisted before b),
+    0 above it, so the identity checks homological_monodromy without its
+    transvection loop."""
     rng = random.Random(987123)
     surfaces = [
         build_surface(torus_braid(3, 5)),
@@ -350,6 +353,20 @@ def curve_property_suite() -> tuple[bool, str]:
             invariance_ok = False
             break
 
+    seifert_ok = True
+    for surface in surfaces:
+        j = forms[id(surface)]
+        h = homological_monodromy(surface)
+        n = len(j)
+        v = [[1 if a == b else j[a][b] if a > b else 0 for b in range(n)] for a in range(n)]
+        if any(
+            sum(v[k][a] * h[k][b] for k in range(n)) != v[a][b]
+            for a in range(n)
+            for b in range(n)
+        ):
+            seifert_ok = False
+            break
+
     def reaches(surface, power, rect):
         """The power-th monodromy image of the top-left rectangle is rect."""
         start = cv.curve_from_rectangle(surface, surface.top_left_rectangle())
@@ -366,9 +383,9 @@ def curve_property_suite() -> tuple[bool, str]:
     )
 
     return (
-        pl_ok and rect_ok and bound_ok and invariance_ok and orbit_ok,
+        pl_ok and rect_ok and bound_ok and invariance_ok and seifert_ok and orbit_ok,
         f"transvection={pl_ok} rect-twist={rect_ok} pairing-bound={bound_ok} "
-        f"monodromy-invariance={invariance_ok} orbits={orbit_ok}",
+        f"monodromy-invariance={invariance_ok} seifert={seifert_ok} orbits={orbit_ok}",
     )
 
 

@@ -96,6 +96,24 @@ def check_against_oracles(word):
     assert homological_monodromy(surface) == column_transvection_monodromy(surface, j)
 
 
+def assert_seifert_identity(surface):
+    """V^T H == V for the Seifert-type matrix V of the twist order.
+
+    V is 1 on the diagonal and J[a][b] below it: rectangle a comes before b
+    in twist_ordering exactly when a > b.  This checks H by a matrix
+    identity, independently of the transvection loop that builds it.
+    """
+    j = intersection_form(surface)
+    h = homological_monodromy(surface)
+    n = len(j)
+    v = [[1 if a == b else j[a][b] if a > b else 0 for b in range(n)] for a in range(n)]
+    vt_h = [
+        [sum(v[k][a] * h[k][b] for k in range(n) if v[k][a]) for b in range(n)]
+        for a in range(n)
+    ]
+    assert vt_h == v
+
+
 class TestIntersectionForm:
     def test_antisymmetric(self):
         s = build_surface(torus_braid(3, 5))
@@ -203,6 +221,14 @@ class TestHomologicalMonodromy:
                 for i in range(n)
             ]
             assert got == j
+
+    @settings(max_examples=200, deadline=None)
+    @given(connected_words(max_strands=7, max_length=30))
+    def test_seifert_identity(self, word):
+        assert_seifert_identity(build_surface(word))
+
+    def test_seifert_identity_large_torus(self):
+        assert_seifert_identity(build_surface(torus_braid(6, 13)))
 
     def test_determinant_is_unit(self):
         for word in (torus_braid(3, 4), torus_braid(4, 5), parse_braid("1 1 2 2 1 2")):

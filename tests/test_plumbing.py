@@ -4,6 +4,7 @@ import itertools
 import json
 import re
 import time
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -387,7 +388,8 @@ class TestOrbitCriterion:
 # ---------------------------------------------------------------------------
 
 
-def dense_arc_functionals_independent(surface, seed, n):
+def dense_arc_rows(surface, seed, n):
+    """The rows u H^k, k < n, by dense vector-matrix products."""
     h = homological_monodromy(surface)
     cols = list(zip(*h))
     u = [0] * len(surface.rectangles)
@@ -400,7 +402,11 @@ def dense_arc_functionals_independent(surface, seed, n):
     for _ in range(n - 1):
         row = rows[-1]
         rows.append([sum(x * y for x, y in zip(row, col)) for col in cols])
-    return fraction_rank(rows) == n
+    return rows
+
+
+def dense_arc_functionals_independent(surface, seed, n):
+    return fraction_rank(dense_arc_rows(surface, seed, n)) == n
 
 
 class TestSparseArcRows:
@@ -419,6 +425,27 @@ class TestSparseArcRows:
                 assert plumbing._arc_functionals_independent(
                     surface, seed, n
                 ) == dense_arc_functionals_independent(surface, seed, n)
+
+    def test_torus_chains_at_large_b1(self):
+        # The chains workload's torus knots, b1 up to 60, from evenly spaced
+        # seeds; the hypothesis test above stays below b1 = 20.  The chain
+        # lengths stop short of the rank of the Krylov rows u H^k, so the
+        # verdict is also checked where it turns False: at that rank + 1.
+        tori = [(p, q) for p in range(3, 7) for q in range(p + 1, 2 * p + 2) if gcd(p, q) == 1]
+        for p, q in tori:
+            surface = build_surface(torus_braid(p, q))
+            for k in range(3):
+                seed = surface.rectangles[k * surface.b1 // 3]
+                detected = detect_chain(surface, seed, surface.b1 + 1).n
+                # the Krylov rank is at most b1, so the rows up to k = b1 reach it
+                krylov = fraction_rank(dense_arc_rows(surface, seed, surface.b1 + 1))
+                assert detected <= krylov
+                for n in range(1, detected + 2):
+                    assert plumbing._arc_functionals_independent(
+                        surface, seed, n
+                    ) == dense_arc_functionals_independent(surface, seed, n), (p, q, k, n)
+                assert plumbing._arc_functionals_independent(surface, seed, krylov)
+                assert not plumbing._arc_functionals_independent(surface, seed, krylov + 1)
 
 
 # ---------------------------------------------------------------------------
