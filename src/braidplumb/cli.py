@@ -13,6 +13,7 @@ each result is written atomically to its own numbered JSON file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -196,9 +197,7 @@ def _cmd_chain(args):
     if args.svg:
         word = parse_braid(args.word, args.strands)
         surface = build_surface(word)
-        curves = [
-            cv.NormalCurve(surface, tuple(w), reduce=False) for w in payload["curves"]
-        ]
+        curves = [cv.NormalCurve(surface, w) for w in payload["curves"]]
         _svg(surface, curves, args.svg)
     return payload
 
@@ -221,16 +220,7 @@ def _cmd_bound(args):
         "delta_dense": delta.dense(),
         "n_max": n_max,
         "plumbing_bound": n_max - 1,
-        "table": [
-            {
-                "n": row.n,
-                "epsilon": row.epsilon,
-                "feasible": row.feasible,
-                "attained_degree": row.attained_degree,
-                "degree_budget": row.degree_budget,
-            }
-            for row in table
-        ],
+        "table": [dataclasses.asdict(row) for row in table],
     }
 
 
@@ -238,9 +228,7 @@ def _cmd_torus(args):
     rep = torus_summand_report(args.p, args.q)
     if args.svg and rep.certificate is not None:
         surface = build_surface(torus_braid(args.p, args.q))
-        curves = [
-            cv.NormalCurve(surface, w, reduce=False) for w in rep.certificate.curve_words
-        ]
+        curves = [cv.NormalCurve(surface, w) for w in rep.certificate.curve_words]
         _svg(surface, curves, args.svg)
     return rep.to_json()
 
@@ -256,7 +244,7 @@ def _cmd_orbit(args):
     x = cv.curve_from_rectangle(surface, seed)
     orbit = [x]
     for _ in range(args.power):
-        orbit.append(cv.apply_monodromy(surface, orbit[-1], 1))
+        orbit.append(cv.apply_monodromy(orbit[-1]))
     if args.svg:
         _svg(surface, orbit, args.svg)
     return {

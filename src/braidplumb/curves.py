@@ -20,22 +20,25 @@ rectangle's core passes only strand disks g and g + 1, so its twist is
 read in closed form from its crossings by the push-off rule
 (_rectangle_twist): a copy of the core goes in wherever the curve crosses
 a parallel copy of it, and a run of the curve along the core's bands
-counts once, at its entry.  The sweep reads each rectangle as its
-(g, top, bottom) triple from the surface's columns and makes a
-RectangleCurve only for a twist that may act, one whose core's window
-(the arc between the core's ends on its two strand disks) holds a
-transit end of the current curve.  That test is one AND of the curve's
-band mask with the window mask the surface builds with the sweep
-(apply_monodromy says why the two agree).  Two rectangles are paired in
-closed form from their crossings as well (signed_intersection), so the
-intersection form builds no curve.
+counts once, at its entry.  apply_monodromy(x, power) reads the sweep of
+x's own surface, each rectangle as its (g, top, bottom) triple, and hands
+dehn_twist the triple of a twist that may act, one whose core's window
+(the arc between the core's ends on its two strand disks) holds a transit
+end of the current curve.  That test is one AND of the curve's band mask
+with the window mask the surface builds with the sweep (apply_monodromy
+says why the two agree).  Two rectangles are paired in closed form from
+their crossings as well (signed_intersection), so the intersection form
+builds no curve.
 
 Every curve, a twist's output included, goes through the NormalCurve
-constructor.  One pass over the word and the surface's traversal tables
-checks that the word is a closed path and builds the transits, the disk
-index (the transit positions per strand disk, read by the push-off rule
-and the linked-pair scan) and the band mask (bit p set when the word
-traverses crossing p).
+constructor.  It cyclically reduces the word, and one pass over the word
+and the surface's traversal tables checks that it is a closed path and
+builds the transits, the disk index (the transit positions per strand
+disk, read by the push-off rule and the linked-pair scan) and the band
+mask (bit p set when the word traverses crossing p).  A curve knows its
+surface, so nothing takes a surface beside a curve; two curves of
+different surfaces are refused (InvalidParameter) wherever they meet:
+geometric_intersection, signed_intersection and a TwistFactor twist.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .errors import (
     NonEmbeddedCore,
     NotAPath,
 )
-from .fatgraph import FatGraphSurface, RectangleCurve, _record
+from .fatgraph import FatGraphSurface, RectangleCurve
 
 # Global handedness: with ring order taken as ascending end (word-position)
 # order, inserting the core with this orientation at a positively-linked
@@ -109,17 +112,20 @@ def _path_transits(surface: FatGraphSurface, word):
 
 
 class NormalCurve:
-    """A free homotopy class, stored as its reduced cyclic edge word."""
+    """A free homotopy class, stored as its reduced cyclic edge word.
 
-    __slots__ = ("surface", "word", "_transits", "_by_disk", "_bands", "_homology", "_root")
+    The constructor reduces the word it is given.  transits[i] is
+    (vertex, incoming end, outgoing end) between word[i-1] and word[i],
+    built by the path check.
+    """
 
-    def __init__(self, surface: FatGraphSurface, word, reduce: bool = True):
-        word = tuple(word)
-        if reduce:
-            word = reduce_cyclic(word)
+    __slots__ = ("surface", "word", "transits", "_by_disk", "_bands", "_homology", "_root")
+
+    def __init__(self, surface: FatGraphSurface, word):
+        word = reduce_cyclic(word)
         if not word:
             raise EmptyCurve("the word reduces to nothing: null-homotopic curve")
-        self._transits, self._by_disk, self._bands = _path_transits(surface, word)
+        self.transits, self._by_disk, self._bands = _path_transits(surface, word)
         self.surface = surface
         self.word = word
         self._homology = None
@@ -143,7 +149,7 @@ class NormalCurve:
 
     def is_isotopic(self, other: "NormalCurve") -> bool:
         """Unoriented isotopy; oriented isotopy is ==."""
-        if self.surface is not other.surface:
+        if self.surface is not other.surface or len(self.word) != len(other.word):
             return False
         return self.unoriented_canonical() == other.unoriented_canonical()
 
@@ -154,11 +160,6 @@ class NormalCurve:
 
     def __hash__(self):
         return hash((id(self.surface), self.canonical()))
-
-    def transits(self):
-        """Per position i: (vertex, incoming end, outgoing end) between
-        word[i-1] and word[i]; built by the path check."""
-        return self._transits
 
     @property
     def support(self) -> dict[int, int]:
@@ -188,7 +189,7 @@ class NormalCurve:
 def curve_from_rectangle(surface: FatGraphSurface, rect: RectangleCurve) -> NormalCurve:
     """The rectangle circle: up through the top crossing, back down through
     the bottom one."""
-    return NormalCurve(surface, (rect.top + 1, -(rect.bottom + 1)), reduce=False)
+    return NormalCurve(surface, (rect.top + 1, -(rect.bottom + 1)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -321,12 +322,18 @@ def _scan(surface, wx, tx, wy, ty, by_vertex, skip_diagonal=False):
     return out
 
 
-def _events(surface, x: NormalCurve, y: NormalCurve):
-    """All forced crossings between x and y as (i, j, sign, inside_tag)."""
-    if x.surface is not surface or y.surface is not surface:
-        raise InternalConsistencyError("curves live on a different surface")
+def _events(x: NormalCurve, y: NormalCurve):
+    """All forced crossings between x and y, two curves of one surface, as
+    (i, j, sign, inside_tag)."""
     # x is y: a transit never crosses itself.
-    return _scan(surface, x.word, x._transits, y.word, y._transits, y._by_disk, x is y)
+    return _scan(x.surface, x.word, x.transits, y.word, y.transits, y._by_disk, x is y)
+
+
+def _require_one_surface(x: NormalCurve, y: NormalCurve) -> None:
+    """Refuse two curves of different surfaces: no count or twist relates
+    them, even when their words are equal."""
+    if x.surface is not y.surface:
+        raise InvalidParameter("curves live on different surfaces")
 
 
 def _primitive_root(word):
@@ -346,13 +353,7 @@ def _root_curve(x: NormalCurve) -> tuple[NormalCurve, int]:
     root, power = x.primitive_root()
     if power == 1:
         return x, 1
-    return NormalCurve(x.surface, root, reduce=False), power
-
-
-def _same_unoriented_class(a: NormalCurve, b: NormalCurve) -> bool:
-    if len(a.word) != len(b.word):
-        return False
-    return a.unoriented_canonical() == b.unoriented_canonical()
+    return NormalCurve(x.surface, root), power
 
 
 def self_intersection(x: NormalCurve) -> int:
@@ -363,7 +364,7 @@ def self_intersection(x: NormalCurve) -> int:
     base, power = _root_curve(x)
     if power > 1:
         return power * power * self_intersection(base) + (power - 1)
-    crossings = len(_events(x.surface, x, x))
+    crossings = len(_events(x, x))
     if crossings % 2:
         raise InternalConsistencyError("self-crossing events must pair up")
     return crossings // 2
@@ -371,11 +372,12 @@ def self_intersection(x: NormalCurve) -> int:
 
 def geometric_intersection(x: NormalCurve, y: NormalCurve) -> int:
     """Minimal transverse intersection number of the two classes."""
+    _require_one_surface(x, y)
     bx, px = _root_curve(x)
     by, py = _root_curve(y)
-    if _same_unoriented_class(bx, by):
+    if bx.is_isotopic(by):
         return px * py * 2 * self_intersection(bx)
-    return px * py * len(_events(x.surface, bx, by))
+    return px * py * len(_events(bx, by))
 
 
 def signed_intersection(
@@ -383,7 +385,8 @@ def signed_intersection(
 ) -> int:
     """Algebraic intersection number (equals the homological pairing).
 
-    Two NormalCurves are paired by the event scan.  Two RectangleCurves of
+    Two NormalCurves of one surface are paired by the event scan; curves
+    of two surfaces are refused.  Two RectangleCurves of
     one surface are paired in closed form from their crossings; for a in
     column g:
 
@@ -411,11 +414,12 @@ def signed_intersection(
         raise InvalidParameter("pair two RectangleCurves or two NormalCurves")
     if rect:
         return _rectangle_pairing(x, y)
+    _require_one_surface(x, y)
     bx, px = _root_curve(x)
     by, py = _root_curve(y)
-    if _same_unoriented_class(bx, by):
+    if bx.is_isotopic(by):
         return 0
-    total = sum(sign for (_, _, sign, _) in _events(x.surface, bx, by))
+    total = sum(sign for (_, _, sign, _) in _events(bx, by))
     return px * py * total
 
 
@@ -465,22 +469,23 @@ def _insertion_order_key(surface, tx, wc, tc, bound):
     return functools.cmp_to_key(cmp)
 
 
-def dehn_twist(factor: TwistFactor | RectangleCurve, x: NormalCurve) -> NormalCurve:
+def dehn_twist(factor: TwistFactor | tuple[int, int, int], x: NormalCurve) -> NormalCurve:
     """Image of x under the twist; computed in minimal position.
 
-    The factor is a TwistFactor, or a RectangleCurve of x's surface for the
-    right-handed twist along that rectangle's core (_rectangle_twist, read
-    from the rectangle's crossings with no core curve built).  A rectangle
-    (g, top, bottom) is one of the surface's exactly when the word holds
-    letter g at top and at bottom and nowhere between them; any other
-    triple is refused.
+    The factor is a TwistFactor whose core lies on x's surface, or a
+    rectangle (g, top, bottom) of x's surface, as a RectangleCurve or a
+    plain triple, for the right-handed twist along that rectangle's core
+    (_rectangle_twist, read from the rectangle's crossings with no core
+    curve built).  A triple is one of the surface's rectangles exactly when
+    the word holds letter g at top and at bottom and nowhere between them;
+    any other triple is refused.
 
     For a TwistFactor, an oriented copy of the core is spliced into x at
     every forced crossing, the orientation given by the crossing sign and
     handedness, then the word is reduced.
     """
     surface = x.surface
-    if isinstance(factor, RectangleCurve):
+    if not isinstance(factor, TwistFactor):
         g, top, bottom = factor
         letters = surface.word.letters
         if not (
@@ -491,12 +496,11 @@ def dehn_twist(factor: TwistFactor | RectangleCurve, x: NormalCurve) -> NormalCu
             raise NonEmbeddedCore(f"{factor} is not a rectangle of the curve's surface")
         return _rectangle_twist(factor, x)
     core = factor.core
-    if core.surface is not surface:
-        raise NonEmbeddedCore("core and curve live on different surfaces")
-    if _same_unoriented_class(x, core):
+    _require_one_surface(x, core)
+    if x.is_isotopic(core):
         return x
-    wx, tx = x.word, x.transits()
-    wc, tc = core.word, core.transits()
+    wx, tx = x.word, x.transits
+    wc, tc = core.word, core.transits
     hand = RIGHT_HANDED_SIGN if factor.right else -RIGHT_HANDED_SIGN
     events = _scan(surface, wx, tx, wc, tc, core._by_disk)
     if not events:
@@ -515,10 +519,10 @@ def dehn_twist(factor: TwistFactor | RectangleCurve, x: NormalCurve) -> NormalCu
             out.extend(-t for t in reversed(rotated))
         prev = i
     out.extend(wx[prev:])
-    return NormalCurve(surface, out, reduce=True)
+    return NormalCurve(surface, out)
 
 
-def _rectangle_twist(rect: RectangleCurve, x: NormalCurve) -> NormalCurve:
+def _rectangle_twist(rect: tuple[int, int, int], x: NormalCurve) -> NormalCurve:
     """Right-handed twist along the core of rectangle (g, top, bottom) by
     the push-off rule.
 
@@ -570,7 +574,7 @@ def _rectangle_twist(rect: RectangleCurve, x: NormalCurve) -> NormalCurve:
     """
     g, top, bottom = rect
     a, b = top + 1, bottom + 1
-    wx, tx = x.word, x._transits
+    wx, tx = x.word, x.transits
     last = len(wx) - 1
     by_disk = x._by_disk
     events = []
@@ -605,11 +609,12 @@ def _rectangle_twist(rect: RectangleCurve, x: NormalCurve) -> NormalCurve:
         out.extend(copy if sign * RIGHT_HANDED_SIGN > 0 else (-copy[1], -copy[0]))
         prev = j
     out.extend(wx[prev:])
-    return NormalCurve(x.surface, out, reduce=True)
+    return NormalCurve(x.surface, out)
 
 
-def apply_monodromy(surface: FatGraphSurface, x: NormalCurve, power: int = 1) -> NormalCurve:
-    """Apply the full ordered product of right-handed rectangle twists.
+def apply_monodromy(x: NormalCurve, power: int = 1) -> NormalCurve:
+    """Apply the monodromy of x's surface power times: each time, the full
+    ordered product of its right-handed rectangle twists.
 
     The sweep reads each rectangle as its (g, top, bottom) triple from the
     surface's columns (twist_sweep), right to left and bottom to top.  A
@@ -622,22 +627,18 @@ def apply_monodromy(surface: FatGraphSurface, x: NormalCurve, power: int = 1) ->
     entry's window mask (window_masks): the curve has an end in the window
     exactly when it traverses a crossing p in top..bottom whose letter is
     g - 1, g or g + 1, since it then passes both ends of p, on disks
-    letter(p) and letter(p) + 1.  Only a twist that may act makes a
-    RectangleCurve, and goes to dehn_twist along it, which reads the core
-    from its crossings.  Calling dehn_twist on every rectangle instead
-    made certify slower on the benchmark's chains and knots inputs
-    (Python 3.11, 2-core x86-64 VM).
+    letter(p) and letter(p) + 1.  Only a twist that may act goes to
+    dehn_twist, as its triple, and dehn_twist reads the core from its
+    crossings.  Calling dehn_twist on every rectangle instead made certify
+    slower on the benchmark's chains and knots inputs (Python 3.11, 2-core
+    x86-64 VM).
     """
     if power < 0:
         raise InvalidParameter("power must be non-negative; invert via left twists instead")
-    sweep = surface.twist_sweep
-    # dehn_twist refuses a curve from another surface; test it before any
-    # window test can skip that twist.
-    if power and sweep and x.surface is not surface:
-        raise NonEmbeddedCore("core and curve live on different surfaces")
-    masks = surface.window_masks
+    surface = x.surface
+    sweep, masks = surface.twist_sweep, surface.window_masks
     for _ in range(power):
         for window, mask in zip(sweep, masks):
             if x._bands & mask:
-                x = dehn_twist(_record(RectangleCurve, window), x)
+                x = dehn_twist(window, x)
     return x

@@ -144,7 +144,7 @@ def detect_chain(
     echelon = [reduce_row(c0.homology, [])]  # a rectangle: a basis vector
     last = c0
     while len(chain) < max_n:
-        candidate = cv.apply_monodromy(surface, last, 1)
+        candidate = cv.apply_monodromy(last)
         entry = _chain_ok(candidate, chain, echelon)
         if entry is None:
             break
@@ -320,7 +320,7 @@ def _deplumb(norm: BraidWord) -> tuple[tuple[int, ...], tuple[int, ...], BraidWo
     """
     surface = build_surface(norm)
     r_curve = cv.curve_from_rectangle(surface, RectangleCurve(norm.letters[0], 0, 1))
-    image = cv.apply_monodromy(surface, r_curve, 1)
+    image = cv.apply_monodromy(r_curve)
     traversals = image.traverses(0)
     if traversals != 0:
         raise DisjointnessFailure(

@@ -12,7 +12,7 @@ import json
 import random
 import time
 from math import gcd
-from typing import Callable, Optional
+from typing import Callable
 
 from . import curves as cv
 from .alexpoly import (
@@ -149,7 +149,7 @@ def random_connected_word(rng: random.Random, c: int, s: int) -> BraidWord:
 
 def _random_curve(surface, rng: random.Random) -> cv.NormalCurve:
     x = cv.curve_from_rectangle(surface, rng.choice(surface.rectangles))
-    return cv.apply_monodromy(surface, x, rng.randint(0, 3))
+    return cv.apply_monodromy(x, rng.randint(0, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +171,7 @@ def torus37_identity() -> tuple[bool, str]:
 
 
 @_timed(30.0)
-def proposition1(cert_sink: Optional[list] = None) -> tuple[bool, str]:
+def proposition1(cert_sink: list) -> tuple[bool, str]:
     ok = True
     checked = []
     for k in range(1, 5):
@@ -188,13 +188,13 @@ def proposition1(cert_sink: Optional[list] = None) -> tuple[bool, str]:
             )
             ok = ok and good
             checked.append(f"T(3,{q}):{rep.detector_n}/{n_max}{'' if good else '!'}")
-            if cert_sink is not None and rep.certificate is not None:
+            if rep.certificate is not None:
                 cert_sink.append(rep.certificate)
     return ok, " ".join(checked)
 
 
 @_timed(30.0)
-def general_lower_bound(cert_sink: Optional[list] = None) -> tuple[bool, str]:
+def general_lower_bound(cert_sink: list) -> tuple[bool, str]:
     ok = True
     details = []
     for p in range(2, 6):
@@ -205,7 +205,7 @@ def general_lower_bound(cert_sink: Optional[list] = None) -> tuple[bool, str]:
             good = rep.detector_n >= p - 1
             ok = ok and good
             details.append(f"T({p},{q}):{rep.detector_n}{'' if good else '!'}")
-            if cert_sink is not None and rep.certificate is not None:
+            if rep.certificate is not None:
                 cert_sink.append(rep.certificate)
     for q in range(2, 10):
         surface = build_surface(torus_braid(2, q))
@@ -213,16 +213,14 @@ def general_lower_bound(cert_sink: Optional[list] = None) -> tuple[bool, str]:
         good = cert.n == q - 1
         ok = ok and good
         details.append(f"s1^{q}:{cert.n}{'' if good else '!'}")
-        if cert_sink is not None:
-            cert_sink.append(cert)
+        cert_sink.append(cert)
     return ok, " ".join(details)
 
 
 @_timed(60.0)
-def proposition2(cert_sink: Optional[list] = None) -> tuple[bool, str]:
+def proposition2(cert_sink: list) -> tuple[bool, str]:
     rep = torus_summand_report(5, 7)
-    if cert_sink is not None:
-        cert_sink.append(rep.certificate)
+    cert_sink.append(rep.certificate)
     return rep.detector_n >= 14, f"T(5,7) chain n={rep.detector_n} (need >= 14)"
 
 
@@ -346,8 +344,8 @@ def curve_property_suite() -> tuple[bool, str]:
         surface = rng.choice(surfaces)
         x = _random_curve(surface, rng)
         y = _random_curve(surface, rng)
-        fx = cv.apply_monodromy(surface, x, 1)
-        fy = cv.apply_monodromy(surface, y, 1)
+        fx = cv.apply_monodromy(x)
+        fy = cv.apply_monodromy(y)
         kept = cv.geometric_intersection(fx, fy) == cv.geometric_intersection(x, y)
         if not kept or cv.self_intersection(fx) != cv.self_intersection(x):
             invariance_ok = False
@@ -370,7 +368,7 @@ def curve_property_suite() -> tuple[bool, str]:
     def reaches(surface, power, rect):
         """The power-th monodromy image of the top-left rectangle is rect."""
         start = cv.curve_from_rectangle(surface, surface.top_left_rectangle())
-        image = cv.apply_monodromy(surface, start, power)
+        image = cv.apply_monodromy(start, power)
         return rect in surface.rectangles and image.is_isotopic(
             cv.curve_from_rectangle(surface, rect)
         )

@@ -265,7 +265,7 @@ class TestSvg:
     def test_highlight_outlines_staircase(self):
         s = build_surface(torus_braid(4, 3))
         r = cv.curve_from_rectangle(s, s.top_left_rectangle())
-        orbit1 = cv.apply_monodromy(s, r, 1)
+        orbit1 = cv.apply_monodromy(r, 1)
         svg = render_svg(s, [r, orbit1])
         assert svg.count('stroke="#c62828"') == 1
         assert svg.count('stroke="#1565c0"') == 1

@@ -41,6 +41,7 @@ from braidplumb.plumbing import (
     validate_trefoil_decomposition,
     validate_trefoil_step,
 )
+from braidplumb.selftest import reduced_knot_corpus
 from test_linalg import fraction_rank
 
 
@@ -153,7 +154,7 @@ class TestDetectChain:
         s = build_surface(torus_braid(3, 5))
         cert = detect_chain(s, s.top_left_rectangle(), 9)
         last = cv.NormalCurve(s, cert.curve_words[-1])
-        image = cv.apply_monodromy(s, last, 1)
+        image = cv.apply_monodromy(last, 1)
         bad = dataclasses.replace(
             cert, n=cert.n + 1, curve_words=cert.curve_words + (image.word,)
         )
@@ -167,7 +168,7 @@ class TestDetectChain:
         # an empty one, is a rejected certificate like any other wrong curve.
         s = build_surface(torus_braid(3, 5))
         with pytest.raises(error):
-            cv.NormalCurve(s, stored, reduce=False)
+            cv.NormalCurve(s, stored)
         cert = detect_chain(s, s.top_left_rectangle(), 6)
         words = cert.curve_words
         last = cert.n - 1
@@ -201,7 +202,7 @@ class TestDetectChain:
         surface = build_surface(BraidWord(s, tuple(data.draw(st.permutations(base)))))
         seed = data.draw(st.sampled_from(surface.rectangles))
         cert = detect_chain(surface, seed, surface.b1 + 1)
-        chain = [cv.NormalCurve(surface, w, reduce=False) for w in cert.curve_words]
+        chain = [cv.NormalCurve(surface, w) for w in cert.curve_words]
         n = cert.n
         for a in range(n):
             for b in range(n):
@@ -218,7 +219,7 @@ class TestDetectChain:
 
 def loop_validate_chain_certificate(cert):
     surface = build_surface(cert.word)
-    chain = [cv.NormalCurve(surface, w, reduce=False) for w in cert.curve_words]
+    chain = [cv.NormalCurve(surface, w) for w in cert.curve_words]
     n = cert.n
     if len(chain) != n or n < 1:
         raise InternalConsistencyError("certificate length disagrees with n")
@@ -228,7 +229,7 @@ def loop_validate_chain_certificate(cert):
     if chain[0] != seed_curve:
         raise InternalConsistencyError("chain does not start at the seed rectangle")
     for k in range(1, n):
-        expected = cv.apply_monodromy(surface, chain[k - 1], 1)
+        expected = cv.apply_monodromy(chain[k - 1], 1)
         if expected != chain[k]:
             raise InternalConsistencyError(f"C_{k} is not the monodromy image of C_{k-1}")
     for a in range(n):
@@ -278,7 +279,7 @@ def tampered_chains(surface, cert, data):
             intersections=chain_pattern(n - 1),
             rank=n - 1,
         )
-    image = cv.apply_monodromy(surface, cv.NormalCurve(surface, words[-1]), 1)
+    image = cv.apply_monodromy(cv.NormalCurve(surface, words[-1]), 1)
     yield dataclasses.replace(
         cert,
         n=n + 1,
@@ -335,7 +336,7 @@ def pairwise_detect_chain(surface, seed, max_n):
     chain = [c0]
     echelon = [reduce_row(c0.homology, [])]
     while len(chain) < max_n:
-        candidate = cv.apply_monodromy(surface, chain[-1], 1)
+        candidate = cv.apply_monodromy(chain[-1], 1)
         if not pairwise_pattern_ok(candidate, chain):
             break
         entry = reduce_row(candidate.homology, echelon)
@@ -446,6 +447,56 @@ class TestSparseArcRows:
                     ) == dense_arc_functionals_independent(surface, seed, n), (p, q, k, n)
                 assert plumbing._arc_functionals_independent(surface, seed, krylov)
                 assert not plumbing._arc_functionals_independent(surface, seed, krylov + 1)
+
+
+def cocore_readings(surface, seed):
+    """a_k = u . homology(C_k) on the chain detect_chain grows from the
+    seed, u the seed's cocore row (the arc test's first row)."""
+    u = dense_arc_rows(surface, seed, 1)[0]
+    cert = detect_chain(surface, seed, surface.b1 + 1)
+    return [
+        sum(x * y for x, y in zip(u, cv.NormalCurve(surface, w).homology))
+        for w in cert.curve_words
+    ]
+
+
+def check_cocore_criterion(surface):
+    """If a_k = 0 for 1 <= k < n, the arc test passes at n.  With
+    v_j = H^-j h_0, the matrix (u H^k v_j), k, j < n, holds a_(k-j) on and
+    below its diagonal; a_0 = 1 and the zeros make it triangular with a
+    unit diagonal, so the rows u H^k are independent.  Returns how many
+    prefixes with n >= 2 meet the criterion, and how many there are."""
+    met = total = 0
+    for seed in surface.rectangles:
+        a = cocore_readings(surface, seed)
+        assert a[0] == 1
+        for n in range(2, len(a) + 1):
+            total += 1
+            if not any(a[1:n]):
+                met += 1
+                assert plumbing._arc_functionals_independent(surface, seed, n), (seed, n)
+    return met, total
+
+
+class TestCocoreCriterion:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_zero_readings_pass_the_arc_test(self, data):
+        s = data.draw(st.integers(min_value=2, max_value=7))
+        c = data.draw(st.integers(min_value=s, max_value=20))
+        base = list(range(1, s)) + [
+            data.draw(st.integers(min_value=1, max_value=s - 1)) for _ in range(c - s + 1)
+        ]
+        check_cocore_criterion(build_surface(BraidWord(s, tuple(data.draw(st.permutations(base))))))
+
+    def test_knot_corpus(self):
+        # Every seed of every reduced positive knot word with c <= 8; most
+        # chain prefixes meet the criterion, so it decides most arc tests.
+        met = total = 0
+        for word in reduced_knot_corpus(8):
+            m, t = check_cocore_criterion(build_surface(word))
+            met, total = met + m, total + t
+        assert (met, total) == (733, 981)
 
 
 # ---------------------------------------------------------------------------
@@ -928,7 +979,7 @@ def rank_detect_chain(surface, seed, max_n):
     chain = [c0]
     homologies = [list(c0.homology)]
     while len(chain) < max_n:
-        candidate = cv.apply_monodromy(surface, chain[-1], 1)
+        candidate = cv.apply_monodromy(chain[-1], 1)
         if not rank_chain_ok(candidate, chain, homologies):
             break
         chain.append(candidate)
