@@ -4,24 +4,26 @@ A curve is a reduced cyclic word of oriented band traversals on the
 fatgraph spine; reduced cyclic words are canonical representatives of free
 homotopy classes, so equality testing is rotation equality.
 
-Geometric intersection numbers are computed by linked-pair counting.  Two
-strands can only be forced to cross where they pass a common vertex disk;
-a pair of passes is "linked" when the four path germs leaving the disk
-alternate around its boundary.  Ring order on a disk is the order of the
-end indices (see fatgraph), so germs are compared by the ends they leave
-through.  Germs entering the same band are ordered by their first
-divergence, and strand pairs sharing a run of bands are anchored at one
-designated end of the run so each crossing is counted exactly once.  A
-Dehn twist along a TwistFactor splices an oriented copy of the core into
-the curve at every counted crossing and reduces.
+Geometric intersection numbers of two curves are computed by linked-pair
+counting.  Two strands can only be forced to cross where they pass a
+common vertex disk; a pair of passes is "linked" when the four path germs
+leaving the disk alternate around its boundary.  Ring order on a disk is
+the order of the end indices (see fatgraph), so germs are compared by the
+ends they leave through.  Germs entering the same band are ordered by
+their first divergence, and strand pairs sharing a run of bands are
+anchored at one designated end of the run so each crossing is counted
+exactly once.  A Dehn twist along a TwistFactor splices an oriented copy
+of the core into the curve at every counted crossing and reduces.
 
-The monodromy twists along rectangle cores, and those take no scan.  A
-rectangle's core passes only strand disks g and g + 1, so its twist is
-read in closed form from its crossings by the push-off rule
-(_rectangle_twist): a copy of the core goes in wherever the curve crosses
-a parallel copy of it, and a run of the curve along the core's bands
-counts once, at its entry.  apply_monodromy(x, power) reads the sweep of
-x's own surface, each rectangle as its (g, top, bottom) triple, and hands
+Rectangles take no scan.  A rectangle's core passes only strand disks g
+and g + 1, so its crossings with a curve are read in closed form by the
+push-off rule (_push_off_events): the curve crosses a parallel copy of the
+core at a transit on those disks whose ends lie on opposite sides of it,
+and a run of the curve along the core's bands counts once, at its entry.
+dehn_twist along a rectangle splices a copy of the core in at each of
+those crossings, and geometric_intersection against a RectangleCurve
+counts them.  apply_monodromy(x, power) reads the sweep of x's own
+surface, each rectangle as its (g, top, bottom) triple, and hands
 dehn_twist the triple of a twist that may act, one whose core's window
 (the arc between the core's ends on its two strand disks) holds a transit
 end of the current curve.  That test is one AND of the curve's band mask
@@ -38,7 +40,10 @@ disk, read by the push-off rule and the linked-pair scan) and the band
 mask (bit p set when the word traverses crossing p).  A curve knows its
 surface, so nothing takes a surface beside a curve; two curves of
 different surfaces are refused (InvalidParameter) wherever they meet:
-geometric_intersection, signed_intersection and a TwistFactor twist.
+geometric_intersection, signed_intersection and a TwistFactor twist.  A
+rectangle has no surface of its own; one whose letters do not fit the
+curve's surface word is refused (NonEmbeddedCore) by dehn_twist and
+geometric_intersection.
 """
 
 from __future__ import annotations
@@ -370,8 +375,20 @@ def self_intersection(x: NormalCurve) -> int:
     return crossings // 2
 
 
-def geometric_intersection(x: NormalCurve, y: NormalCurve) -> int:
-    """Minimal transverse intersection number of the two classes."""
+def geometric_intersection(x: NormalCurve, y: NormalCurve | RectangleCurve) -> int:
+    """Minimal transverse intersection number of the two classes.
+
+    y is a curve of x's surface, or a rectangle of it as a RectangleCurve
+    for its circle.  Against a rectangle the count is the number of
+    push-off events of x (_push_off_events), read from the rectangle's
+    crossings with no circle built and no scan; a RectangleCurve that is
+    not a rectangle of x's surface is refused there (NonEmbeddedCore).
+    Two NormalCurves are counted by the linked-pair scan of their
+    primitive roots: i(r^p, s^q) = p q i(r, s), and two copies of one
+    class count twice the self-intersection of its root.
+    """
+    if isinstance(y, RectangleCurve):
+        return len(_push_off_events(y, x))
     _require_one_surface(x, y)
     bx, px = _root_curve(x)
     by, py = _root_curve(y)
@@ -474,11 +491,12 @@ def dehn_twist(factor: TwistFactor | tuple[int, int, int], x: NormalCurve) -> No
 
     The factor is a TwistFactor whose core lies on x's surface, or a
     rectangle (g, top, bottom) of x's surface, as a RectangleCurve or a
-    plain triple, for the right-handed twist along that rectangle's core
-    (_rectangle_twist, read from the rectangle's crossings with no core
-    curve built).  A triple is one of the surface's rectangles exactly when
-    the word holds letter g at top and at bottom and nowhere between them;
-    any other triple is refused.
+    plain triple, for the right-handed twist along that rectangle's core,
+    read from the rectangle's crossings with no core curve built: a copy
+    of the core goes in at each push-off event, (a, -b) on disk g and
+    (-b, a) on g + 1, a = top + 1, b = bottom + 1, reversed when x arrives
+    from the push-off's side.  _push_off_events refuses a triple that is
+    not one of the surface's rectangles and holds the proof.
 
     For a TwistFactor, an oriented copy of the core is spliced into x at
     every forced crossing, the orientation given by the crossing sign and
@@ -486,15 +504,24 @@ def dehn_twist(factor: TwistFactor | tuple[int, int, int], x: NormalCurve) -> No
     """
     surface = x.surface
     if not isinstance(factor, TwistFactor):
+        events = _push_off_events(factor, x)
+        if not events:
+            return x
+        events.sort()
         g, top, bottom = factor
-        letters = surface.word.letters
-        if not (
-            0 <= top < bottom < len(letters)
-            and letters[top] == g == letters[bottom]
-            and g not in letters[top + 1 : bottom]
-        ):
-            raise NonEmbeddedCore(f"{factor} is not a rectangle of the curve's surface")
-        return _rectangle_twist(factor, x)
+        a, b = top + 1, bottom + 1
+        wx = x.word
+        out: list[int] = []
+        prev = 0
+        for j, v, arrives in events:
+            out.extend(wx[prev:j])
+            copy = (a, -b) if v == g else (-b, a)
+            # The crossing's sign is +1 when x arrives from the push-off's side.
+            sign = 1 if arrives else -1
+            out.extend(copy if sign * RIGHT_HANDED_SIGN > 0 else (-copy[1], -copy[0]))
+            prev = j
+        out.extend(wx[prev:])
+        return NormalCurve(surface, out)
     core = factor.core
     _require_one_surface(x, core)
     if x.is_isotopic(core):
@@ -508,7 +535,7 @@ def dehn_twist(factor: TwistFactor | tuple[int, int, int], x: NormalCurve) -> No
     if len(events) > 1:
         bound = len(wx) + len(wc) + 2
         events.sort(key=_insertion_order_key(surface, tx, wc, tc, bound))
-    out: list[int] = []
+    out = []
     prev = 0
     for i, j, sign, _tag in events:
         out.extend(wx[prev:i])
@@ -522,9 +549,14 @@ def dehn_twist(factor: TwistFactor | tuple[int, int, int], x: NormalCurve) -> No
     return NormalCurve(surface, out)
 
 
-def _rectangle_twist(rect: tuple[int, int, int], x: NormalCurve) -> NormalCurve:
-    """Right-handed twist along the core of rectangle (g, top, bottom) by
-    the push-off rule.
+def _push_off_events(rect: tuple[int, int, int], x: NormalCurve) -> list[tuple[int, int, bool]]:
+    """The crossings of x with a push-off of the core of rectangle
+    (g, top, bottom), as (transit, disk, arrives from the push-off's side).
+
+    The rectangle must be one of x's surface's: its word holds letter g at
+    top and at bottom and nowhere between them.  Any other triple is
+    refused (NonEmbeddedCore); this is the one rectangle check of
+    dehn_twist and geometric_intersection.
 
     The core is the word (a, -b), a = top + 1, b = bottom + 1.  It crosses
     disk g from end 2 bottom to end 2 top and disk g + 1 from 2 top + 1 to
@@ -539,18 +571,15 @@ def _rectangle_twist(rect: tuple[int, int, int], x: NormalCurve) -> NormalCurve:
     (an earlier one).  The core's own four ends lie off A's side.
 
     Rule.  A transit of x on disk g or g + 1 whose incoming and outgoing
-    ends lie on opposite sides of A gets one copy of the core, rotated to
-    start on that disk: (a, -b) on g, (-b, a) on g + 1.  The copy is
-    reversed exactly when the transit arrives from A's side.  A maximal
-    run of x along the core's bands (transits whose ends are both the
-    core's) counts once, at its entry transit, the one that arrives by
-    another band and leaves along the core; it is decided by the entry's
-    incoming end against the exit's outgoing end.  The walk to the exit
-    ends within len(x) transits: the entry arrives by a band that is not
-    one of the core's, so the transit before it leaves by that band.  The
-    spliced word is reduced.
+    ends lie on opposite sides of A is an event.  A maximal run of x along
+    the core's bands (transits whose ends are both the core's) counts
+    once, at its entry transit, the one that arrives by another band and
+    leaves along the core; it is decided by the entry's incoming end
+    against the exit's outgoing end.  The walk to the exit ends within
+    len(x) transits: the entry arrives by a band that is not one of the
+    core's, so the transit before it leaves by that band.
 
-    Proof.  The twist along the core is the twist T_A along its isotopic
+    Twist.  The twist along the core is the twist T_A along its isotopic
     push-off, supported in a thin annulus around A.  Draw x as chords in
     the disks and strands along the bands, its strands on the core's bands
     beside the core, off A's side.  Then x meets A only in disks g and
@@ -566,16 +595,31 @@ def _rectangle_twist(rect: tuple[int, int, int], x: NormalCurve) -> NormalCurve:
     around s: a bigon with A, which cancels in the class.  With one, an
     insertion c' at the exit equals the insertion c at the entry, since
     c s = s c' when s is a prefix of a power of c or of its inverse and c'
-    is c rotated to start at the run's exit.  The linked-pair scan anchors
-    a shared run at the same entry (_pair_event).  The spliced word
-    represents T_A(x), and the cyclically reduced word of a class is unique
-    up to rotation, so reduction gives the image's word; the test suite
-    checks it letter for letter against the linked-pair twist.
+    is c rotated to start at the run's exit.  The spliced word represents
+    T_A(x), and the cyclically reduced word of a class is unique up to
+    rotation, so reduction gives the image's word; the test suite checks
+    it letter for letter against the linked-pair twist.
+
+    Count.  The events are the crossings of x with A in that drawing.  The
+    run rule leaves no bigon with A (a run that would meet A twice counts
+    nothing), and the linked-pair scan anchors a shared run at the same
+    entry (_pair_event), so the number of events is i(x, core).  A proper
+    power r^k passes the transits of r k times, so it gives k times the
+    count of r, as i(r^k, core) = k i(r, core) for the embedded core.  The
+    core itself, a power of it or its reverse arrives along a core band at
+    every transit, so it gives 0.  The test suite checks the count against
+    the linked-pair count of the rectangle circle.
     """
     g, top, bottom = rect
-    a, b = top + 1, bottom + 1
-    wx, tx = x.word, x.transits
-    last = len(wx) - 1
+    letters = x.surface.word.letters
+    if not (
+        0 <= top < bottom < len(letters)
+        and letters[top] == g == letters[bottom]
+        and g not in letters[top + 1 : bottom]
+    ):
+        raise NonEmbeddedCore(f"{rect} is not a rectangle of the curve's surface")
+    tx = x.transits
+    last = len(tx) - 1
     by_disk = x._by_disk
     events = []
     for v in (g, g + 1):
@@ -596,20 +640,7 @@ def _rectangle_twist(rect: tuple[int, int, int], x: NormalCurve) -> NormalCurve:
             leaves = top < q < bottom if w == g else not top <= q <= bottom
             if arrives != leaves:
                 events.append((j, v, arrives))
-    if not events:
-        return x
-    events.sort()
-    out: list[int] = []
-    prev = 0
-    for j, v, arrives in events:
-        out.extend(wx[prev:j])
-        copy = (a, -b) if v == g else (-b, a)
-        # The crossing's sign is +1 when x arrives from A's side.
-        sign = 1 if arrives else -1
-        out.extend(copy if sign * RIGHT_HANDED_SIGN > 0 else (-copy[1], -copy[0]))
-        prev = j
-    out.extend(wx[prev:])
-    return NormalCurve(x.surface, out)
+    return events
 
 
 def apply_monodromy(x: NormalCurve, power: int = 1) -> NormalCurve:

@@ -10,7 +10,9 @@ The chain is grown by the orbit criterion: phi keeps intersection
 numbers, so i(C_a, C_b) = i(C_{a-b}, C_0) for a > b, and each new iterate
 is tested against the seed curve C_0 alone (i = 1 for C_1, 0 after), plus
 embeddedness and a rank rise; the rest of the table follows by induction
-(proof in detect_chain).
+(proof in detect_chain).  C_0 is the circle of a rectangle, so that one
+intersection is read from the seed rectangle's crossings by the push-off
+rule (curves._push_off_events), with no linked-pair scan.
 """
 
 from __future__ import annotations
@@ -95,17 +97,19 @@ class ChainCertificate:
         )
 
 
-def _chain_ok(candidate, chain, echelon) -> Optional[tuple[int, list[int]]]:
+def _chain_ok(candidate, seed, k, echelon) -> Optional[tuple[int, list[int]]]:
     """The echelon entry of the candidate phi(C_k), or None when it does
     not extend the chain C_0, ..., C_k (the orbit criterion, see
     detect_chain).
 
     Cheapest test first: i(phi(C_k), C_0) must be 1 for k = 0 and 0
     afterwards, the candidate must be embedded, and its homology row must
-    raise the rank over Q by one.
+    raise the rank over Q by one.  C_0 is the circle of the seed
+    rectangle, so the first test is one intersection against the seed
+    rectangle itself: the push-off events of the candidate along it.
     """
-    expect = 1 if len(chain) == 1 else 0
-    if cv.geometric_intersection(candidate, chain[0]) != expect:
+    expect = 1 if k == 0 else 0
+    if cv.geometric_intersection(candidate, seed) != expect:
         return None
     if cv.self_intersection(candidate) != 0:
         return None
@@ -132,11 +136,17 @@ def detect_chain(
     asks; only the entry against C_0 is new.  And C_{k+1} is embedded
     because C_k is, so the embeddedness test can never fail on a chain; it
     stays as a cross-check of the engine.  Each candidate thus costs one
-    intersection against the seed curve instead of k + 1, and a failing
-    one is dropped after that single scan.
+    intersection against the seed curve instead of k + 1, read from the
+    seed rectangle's crossings (the push-off rule, no linked-pair scan),
+    and a failing one is dropped after that single count.
+
+    The count is sound for a rectangle of the surface only, so a seed
+    that is not in surface.rectangles is refused (InvalidParameter).
     """
     if max_n < 1:
         raise InvalidParameter(f"max_n must be at least 1, got {max_n}")
+    if seed not in surface.rectangles:
+        raise InvalidParameter(f"seed {tuple(seed)} is not a rectangle of the surface")
     c0 = cv.curve_from_rectangle(surface, seed)
     if cv.self_intersection(c0) != 0:
         raise InternalConsistencyError("rectangle curves must be embedded")
@@ -145,7 +155,7 @@ def detect_chain(
     last = c0
     while len(chain) < max_n:
         candidate = cv.apply_monodromy(last)
-        entry = _chain_ok(candidate, chain, echelon)
+        entry = _chain_ok(candidate, seed, len(chain) - 1, echelon)
         if entry is None:
             break
         chain.append(candidate)

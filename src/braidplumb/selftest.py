@@ -281,11 +281,12 @@ def alexander_three_way() -> tuple[bool, str]:
 @_timed(60.0)
 def curve_property_suite() -> tuple[bool, str]:
     """Twists act on homology as transvections, the push-off twist along a
-    rectangle equals the linked-pair twist along its circle word for word,
-    |pairing| <= geometric intersection, the monodromy keeps geometric and
-    self-intersection numbers (the lemma behind detect_chain's orbit
-    criterion), H meets the Seifert identity V^T H = V, and rectangle
-    orbits of three torus knots.  J comes from intersection_form, which
+    rectangle equals the linked-pair twist along its circle word for word
+    and the push-off count equals the linked-pair count against the
+    circle, |pairing| <= geometric intersection, the monodromy keeps
+    geometric and self-intersection numbers (the lemma behind
+    detect_chain's orbit criterion), H meets the Seifert identity
+    V^T H = V, and rectangle orbits of three torus knots.  J comes from intersection_form, which
     reads the brick diagram and runs no part of the curve engine, so the
     transvection and bound checks test the engine against it.  V is 1 on
     the diagonal and J[a][b] for a > b (rectangle a is twisted before b),
@@ -300,7 +301,7 @@ def curve_property_suite() -> tuple[bool, str]:
     ]
     forms = {id(s): intersection_form(s) for s in surfaces}
 
-    pl_ok = rect_ok = True
+    pl_ok = rect_ok = count_ok = True
     for _ in range(1000):
         surface = rng.choice(surfaces)
         j = forms[id(surface)]
@@ -311,6 +312,9 @@ def curve_property_suite() -> tuple[bool, str]:
         tw = cv.dehn_twist(cv.TwistFactor(gamma, right=right), x)
         linked = tw if right else cv.dehn_twist(cv.TwistFactor(gamma), x)
         rect_ok = rect_ok and cv.dehn_twist(rect, x).word == linked.word
+        count_ok = count_ok and (
+            cv.geometric_intersection(x, rect) == cv.geometric_intersection(x, gamma)
+        )
         n = len(j)
         pairing = sum(
             x.homology[a] * j[a][b] * gamma.homology[b]
@@ -381,9 +385,10 @@ def curve_property_suite() -> tuple[bool, str]:
     )
 
     return (
-        pl_ok and rect_ok and bound_ok and invariance_ok and seifert_ok and orbit_ok,
-        f"transvection={pl_ok} rect-twist={rect_ok} pairing-bound={bound_ok} "
-        f"monodromy-invariance={invariance_ok} seifert={seifert_ok} orbits={orbit_ok}",
+        pl_ok and rect_ok and count_ok and bound_ok and invariance_ok and seifert_ok and orbit_ok,
+        f"transvection={pl_ok} rect-twist={rect_ok} rect-count={count_ok} "
+        f"pairing-bound={bound_ok} monodromy-invariance={invariance_ok} "
+        f"seifert={seifert_ok} orbits={orbit_ok}",
     )
 
 

@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import braidplumb.curves as cv
@@ -757,6 +757,7 @@ class TestRectangleTwist:
         assert dehn_twist(TwistFactor(core), fresh(x)).word == image
 
     def test_rectangle_of_another_surface_is_refused(self):
+        # The twist and the count share one rectangle check.
         s = surface("1 1 1")
         x = curve_from_rectangle(s, s.rectangles[0])
         other = surface("1 2 1 2")  # (1, 0, 2) and (2, 1, 3)
@@ -764,10 +765,13 @@ class TestRectangleTwist:
         for rect in list(other.rectangles) + made_up:
             with pytest.raises(NonEmbeddedCore, match="is not a rectangle of the curve's surface$"):
                 dehn_twist(rect, x)
+            with pytest.raises(NonEmbeddedCore, match="is not a rectangle of the curve's surface$"):
+                geometric_intersection(x, rect)
         # The same crossings on another surface of the same word are a
         # rectangle of this one.
         twin = build_surface(s.word)
         assert dehn_twist(twin.rectangles[1], x).word == dehn_twist(s.rectangles[1], x).word
+        assert geometric_intersection(x, twin.rectangles[1]) == 1
 
 
     @settings(max_examples=40, deadline=None)
@@ -786,15 +790,100 @@ class TestRectangleTwist:
         for g in range(1, s.word.strands):
             for top, bottom in itertools.product(range(-1, c + 1), repeat=2):
                 triple = RectangleCurve(g, top, bottom)
-                images = []
+                images, counts = [], []
                 for y in (x, x_twin):
-                    try:
-                        images.append(dehn_twist(triple, y).word)
-                    except NonEmbeddedCore as exc:
-                        assert str(exc) == f"{triple} is not a rectangle of the curve's surface"
-                        images.append(None)
+                    for call, out in ((dehn_twist, images), (rectangle_count, counts)):
+                        try:
+                            out.append(call(triple, y))
+                        except NonEmbeddedCore as exc:
+                            assert str(exc) == f"{triple} is not a rectangle of the curve's surface"
+                            out.append(None)
                 assert (images[0] is not None) == (triple in rects), triple
-                assert images[0] == images[1]
+                assert (counts[0] is not None) == (triple in rects), triple
+                if triple in rects:
+                    assert images[0].word == images[1].word
+                    assert counts[0] == counts[1]
+                    assert counts[0] == geometric_intersection(x, curve_from_rectangle(s, triple))
+                else:
+                    assert images == counts == [None, None]
+
+
+def rectangle_count(rect, x):
+    """geometric_intersection against a rectangle, in dehn_twist's
+    argument order."""
+    return geometric_intersection(x, rect)
+
+
+def drawn_closed_path(s, data):
+    """A reduced closed edge path drawn at random: a walk of traversals,
+    each leaving the disk the one before it reached and, where the disk
+    allows, not undoing it, closed by a shortest walk back to its first
+    disk."""
+    c = s.word.length
+    src, tgt, vertex = s.src_end, s.tgt_end, s.end_vertex
+    traversals = [t for e in range(1, c + 1) for t in (e, -e)]
+    leaving = collections.defaultdict(list)
+    for t in traversals:
+        leaving[vertex[src[t]]].append(t)
+    walk = [data.draw(st.sampled_from(traversals))]
+    for _ in range(data.draw(st.integers(min_value=0, max_value=12))):
+        here = leaving[vertex[tgt[walk[-1]]]]
+        walk.append(data.draw(st.sampled_from([t for t in here if t != -walk[-1]] or here)))
+    start, end = vertex[src[walk[0]]], vertex[tgt[walk[-1]]]
+    back = {end: ()}
+    frontier = [end]
+    while start not in back:
+        reached = []
+        for v in frontier:
+            for t in leaving[v]:
+                w = vertex[tgt[t]]
+                if w not in back:
+                    back[w] = back[v] + (t,)
+                    reached.append(w)
+        frontier = reached
+    return reduce_cyclic(tuple(walk) + back[start])
+
+
+def check_rectangle_counts(s, curves):
+    """geometric_intersection against each rectangle, the push-off count,
+    against the linked-pair count on its circle, for every curve; returns
+    the pair count."""
+    circles = [curve_from_rectangle(s, r) for r in s.rectangles]
+    for x in curves:
+        for rect, circle in zip(s.rectangles, circles):
+            got = geometric_intersection(x, rect)
+            assert got == geometric_intersection(x, circle), (s.word.letters, rect, x.word)
+    return len(curves) * len(circles)
+
+
+class TestRectangleCount:
+    @settings(max_examples=100, deadline=None)
+    @given(small_surfaces(), st.data())
+    def test_closed_paths_their_powers_and_images(self, s, data):
+        word = drawn_closed_path(s, data)
+        assume(word)
+        x = NormalCurve(s, word)
+        curves = [x, NormalCurve(s, x.word * 2), NormalCurve(s, x.word * 3)]
+        curves += [apply_monodromy(x, k) for k in (1, 2)]
+        check_rectangle_counts(s, curves)
+
+    def test_every_small_word(self):
+        # Every rectangle circle and its first three monodromy images,
+        # against every rectangle.
+        pairs = 0
+        for s in range(2, 5):
+            for c in range(s - 1, 8):
+                for letters in itertools.product(range(1, s), repeat=c):
+                    word = BraidWord(s, letters)
+                    if word.is_connected:
+                        surf = build_surface(word)
+                        curves = [
+                            apply_monodromy(curve_from_rectangle(surf, r), k)
+                            for r in surf.rectangles
+                            for k in range(4)
+                        ]
+                        pairs += check_rectangle_counts(surf, curves)
+        assert pairs == 4 * 38957
 
 
 def check_rectangle_pairings(s):

@@ -147,6 +147,18 @@ class TestDetectChain:
         with pytest.raises(CertificateRejected, match="seed is not a rectangle"):
             validate_chain_certificate(bad)
 
+    @pytest.mark.parametrize("seed", [(1, 0, 4), (1, 1, 0), (2, 0, 1)])
+    def test_detector_refuses_a_seed_that_is_no_rectangle(self, seed):
+        # Each triple's circle is a closed path on "1 1 1 1 1", but none
+        # is a rectangle.  The seed test counts crossings along the seed
+        # rectangle, which is sound for a rectangle of the surface only,
+        # and the validator rejects such a seed.
+        s = build_surface(parse_braid("1 1 1 1 1"))
+        seed = RectangleCurve(*seed)
+        cv.curve_from_rectangle(s, seed)  # a closed path: NotAPath is not raised
+        with pytest.raises(InvalidParameter, match=r"^seed .* is not a rectangle of the surface$"):
+            detect_chain(s, seed, s.b1 + 1)
+
     def test_curve_beyond_the_regrown_chain_rejected(self):
         # The appended image breaks the chain; the table and rank are left
         # as the detector wrote them for the shorter chain, so only the
