@@ -21,8 +21,8 @@ push-off rule (_push_off_events): the curve crosses a parallel copy of the
 core at a transit on those disks whose ends lie on opposite sides of it,
 and a run of the curve along the core's bands counts once, at its entry.
 dehn_twist along a rectangle splices a copy of the core in at each of
-those crossings, and geometric_intersection against a RectangleCurve
-counts them.  apply_monodromy(x, power) reads the sweep of x's own
+those crossings, and geometric_intersection against a rectangle counts
+them.  apply_monodromy(x, power) reads the sweep of x's own
 surface, each rectangle as its (g, top, bottom) triple, and hands
 dehn_twist the triple of a twist that may act, one whose core's window
 (the arc between the core's ends on its two strand disks) holds a transit
@@ -40,10 +40,11 @@ disk, read by the push-off rule and the linked-pair scan) and the band
 mask (bit p set when the word traverses crossing p).  A curve knows its
 surface, so nothing takes a surface beside a curve; two curves of
 different surfaces are refused (InvalidParameter) wherever they meet:
-geometric_intersection, signed_intersection and a TwistFactor twist.  A
-rectangle has no surface of its own; one whose letters do not fit the
-curve's surface word is refused (NonEmbeddedCore) by dehn_twist and
-geometric_intersection.
+geometric_intersection, signed_intersection and a TwistFactor twist.
+Where a rectangle may stand for a curve, whatever is not a NormalCurve is
+a rectangle (g, top, bottom), read by position.  It has no surface of its
+own; one whose letters do not fit the curve's surface word is refused
+(NonEmbeddedCore) by dehn_twist and geometric_intersection.
 """
 
 from __future__ import annotations
@@ -375,19 +376,22 @@ def self_intersection(x: NormalCurve) -> int:
     return crossings // 2
 
 
-def geometric_intersection(x: NormalCurve, y: NormalCurve | RectangleCurve) -> int:
+def geometric_intersection(x: NormalCurve, y: NormalCurve | tuple[int, int, int]) -> int:
     """Minimal transverse intersection number of the two classes.
 
-    y is a curve of x's surface, or a rectangle of it as a RectangleCurve
-    for its circle.  Against a rectangle the count is the number of
-    push-off events of x (_push_off_events), read from the rectangle's
-    crossings with no circle built and no scan; a RectangleCurve that is
-    not a rectangle of x's surface is refused there (NonEmbeddedCore).
+    x is a curve (anything else is refused, InvalidParameter); y is a
+    curve of x's surface, or a rectangle (g, top, bottom) of it for its
+    circle.  Against a rectangle the count is the number of push-off
+    events of x (_push_off_events), read from the rectangle's crossings
+    with no circle built and no scan; a triple that is not a rectangle of
+    x's surface is refused there (NonEmbeddedCore).
     Two NormalCurves are counted by the linked-pair scan of their
     primitive roots: i(r^p, s^q) = p q i(r, s), and two copies of one
     class count twice the self-intersection of its root.
     """
-    if isinstance(y, RectangleCurve):
+    if not isinstance(x, NormalCurve):
+        raise InvalidParameter("the first argument must be a NormalCurve")
+    if not isinstance(y, NormalCurve):
         return len(_push_off_events(y, x))
     _require_one_surface(x, y)
     bx, px = _root_curve(x)
@@ -398,13 +402,13 @@ def geometric_intersection(x: NormalCurve, y: NormalCurve | RectangleCurve) -> i
 
 
 def signed_intersection(
-    x: NormalCurve | RectangleCurve, y: NormalCurve | RectangleCurve
+    x: NormalCurve | tuple[int, int, int], y: NormalCurve | tuple[int, int, int]
 ) -> int:
     """Algebraic intersection number (equals the homological pairing).
 
     Two NormalCurves of one surface are paired by the event scan; curves
-    of two surfaces are refused.  Two RectangleCurves of
-    one surface are paired in closed form from their crossings; for a in
+    of two surfaces are refused.  Two rectangles (g, top, bottom) of one
+    surface are paired in closed form from their crossings; for a in
     column g:
 
     - b in column g: +1 if a.bottom == b.top, -1 if b.bottom == a.top,
@@ -423,13 +427,13 @@ def signed_intersection(
     chords.  The signs are those the event scan gives the two rectangle
     circles (tests compare the two on every ordered pair of rectangles of
     every connected word with s <= 4 and c <= 7).  Which surface the
-    rectangles belong to is the caller's to keep; a RectangleCurve paired
-    with a NormalCurve is refused.
+    rectangles belong to is the caller's to keep; a rectangle paired with
+    a NormalCurve is refused (InvalidParameter).
     """
-    rect = isinstance(x, RectangleCurve)
-    if rect != isinstance(y, RectangleCurve):
-        raise InvalidParameter("pair two RectangleCurves or two NormalCurves")
-    if rect:
+    curve = isinstance(x, NormalCurve)
+    if curve != isinstance(y, NormalCurve):
+        raise InvalidParameter("pair two rectangles or two NormalCurves")
+    if not curve:
         return _rectangle_pairing(x, y)
     _require_one_surface(x, y)
     bx, px = _root_curve(x)
@@ -440,16 +444,17 @@ def signed_intersection(
     return px * py * total
 
 
-def _rectangle_pairing(a: RectangleCurve, b: RectangleCurve) -> int:
+def _rectangle_pairing(a: tuple[int, int, int], b: tuple[int, int, int]) -> int:
     """signed_intersection of two rectangle circles, from their crossings."""
-    step = b.column - a.column
+    (ga, a_top, a_bottom), (gb, b_top, b_bottom) = a, b
+    step = gb - ga
     if step == 0:
-        return (a.bottom == b.top) - (b.bottom == a.top)
+        return (a_bottom == b_top) - (b_bottom == a_top)
     if step == -1:
         return -_rectangle_pairing(b, a)
     if step != 1:
         return 0
-    return (b.top < a.top < b.bottom < a.bottom) - (a.top < b.top < a.bottom < b.bottom)
+    return (b_top < a_top < b_bottom < a_bottom) - (a_top < b_top < a_bottom < b_bottom)
 
 
 # ---------------------------------------------------------------------------

@@ -1,30 +1,32 @@
 """Exact integer linear algebra: characteristic polynomial, determinant,
 incremental row reduction.
 
-charpoly works modulo one Mersenne prime p.  The coefficient c_k of
-t^(n-k) in det(tI - M) is (-1)^k times the sum of the k x k principal
-minors of M.  By Hadamard's inequality the minor on the index set S is at
-most prod_{j in S} nu_j in absolute value, nu_j the Euclidean norm of
-column j, so |c_k| <= e_k(nu) <= prod_j (1 + nu_j): expanding the product
-gives every e_k(nu) among its non-negative terms.  M^T has the same
-principal minors, so the row norms give a second bound, and B is the
-smaller of the two, each factor rounded up in 16-bit fixed point.  With
-p > 2B the symmetric residues are the integer coefficients themselves.
-The bound used before, prod_j (2 + isqrt(|col_j|^2)), rounded every
-factor up by as much as a whole unit; B takes a narrower prime on 116 of
-the 300 `alexander` matrices of seeds 1-3 (107 -> 89 or 89 -> 61 bits on
-105 of them).
+charpoly and hadamard_bound take M as sparse rows, one column -> entry
+dict of the nonzero entries per row, as monodromy builds H, and read only
+the stored entries.  charpoly works modulo one Mersenne prime p.  The
+coefficient c_k of t^(n-k) in det(tI - M) is (-1)^k times the sum of the
+k x k principal minors of M.  By Hadamard's inequality the minor on the
+index set S is at most prod_{j in S} nu_j in absolute value, nu_j the
+Euclidean norm of column j, so |c_k| <= e_k(nu) <= prod_j (1 + nu_j):
+expanding the product gives every e_k(nu) among its non-negative terms.
+M^T has the same principal minors, so the row norms give a second bound,
+and B is the smaller of the two, each factor rounded up in 16-bit fixed
+point.  With p > 2B the symmetric residues are the integer coefficients
+themselves.  The bound used before, prod_j (2 + isqrt(|col_j|^2)),
+rounded every factor up by as much as a whole unit; B takes a narrower
+prime on 116 of the 300 `alexander` matrices of seeds 1-3 (107 -> 89 or
+89 -> 61 bits on 105 of them).
 
-Krylov chains bring M to upper Hessenberg form, a chain
-closing on a zero residual, so a derogatory M takes the same path, and
-the Hessenberg recurrence (Cohen, A Course in Computational Algebraic
-Number Theory, Alg. 2.2.9) runs as the chains grow.  With each vector
-and polynomial packed into one int, that is O(n^2) big-integer
-multiply-adds.  Against the Gaussian similarity reduction it replaced
-(Python 3.11, 2-core x86-64 VM), it is 1.7-2.3x faster on monodromies of
-random words with n = 16-60 and 1.1-1.2x at n = 115-143, but 1.2x slower
-at n <= 15 and 1.2-3.5x slower on torus-knot monodromies, which stay
-sparse under Gaussian elimination while Krylov vectors fill in.
+Krylov chains bring M to upper Hessenberg form, a chain closing on a
+zero residual, so a derogatory M takes the same path, and the Hessenberg
+recurrence (Cohen, A Course in Computational Algebraic Number Theory,
+Alg. 2.2.9) runs as the chains grow.  With each vector and polynomial
+packed into one int, that is O(n^2) big-integer multiply-adds.  Against
+the Gaussian similarity reduction it replaced (Python 3.11, 2-core
+x86-64 VM), it is 1.7-2.3x faster on monodromies of random words with
+n = 16-60 and 1.1-1.2x at n = 115-143, but 1.2x slower at n <= 15 and
+1.2-3.5x slower on torus-knot monodromies, which stay sparse under
+Gaussian elimination while Krylov vectors fill in.
 
 A slot is a whole number of 64-bit limbs, so a vector is packed by
 strided slice assignments into an array('Q') and unpacked by strided
@@ -35,14 +37,15 @@ of 300, n = 8-48), whose slots were 128 bits already; where p has 89 bits
 (101, n = 39-60) a slot widens from 184 to 192 bits and charpoly took
 1-2% longer.
 
-det is fraction-free Gaussian elimination (Bareiss): every division is
-exact, so the entries stay integers bounded by minors of the input, and
-the last pivot of a nonsingular matrix is its determinant up to the sign
-of the row swaps.  It is the kernel of the Burau route in alexpoly, which
-evaluates a polynomial matrix at t = 2^K.  reduce_row eliminates one row
-at a time against an echelon form, for a rank that grows by one row per
-step: the chain detector and the chain validator's arc test in plumbing
-both decide independence with it.
+det is fraction-free Gaussian elimination (Bareiss) on a dense matrix,
+as the Burau matrix is: every division is exact, so the entries stay
+integers bounded by minors of the input, and the last pivot of a
+nonsingular matrix is its determinant up to the sign of the row swaps.
+It is the kernel of the Burau route in alexpoly, which evaluates a
+polynomial matrix at t = 2^K.  reduce_row eliminates one dense row at a
+time against an echelon form, for a rank that grows by one row per step:
+the chain detector and the chain validator's arc test in plumbing both
+decide independence with it.
 
 This module depends on no other part of the package at import time;
 charpoly imports LaurentPolynomial when it is called, because alexpoly
@@ -54,7 +57,6 @@ from __future__ import annotations
 import sys
 from array import array
 from math import gcd, isqrt
-from operator import mul
 from typing import Optional
 
 from .errors import DomainError
@@ -68,29 +70,32 @@ _LIMB = (1 << 64) - 1
 _LITTLE_ENDIAN = sys.byteorder == "little"  # a packed int's bytes are then its limbs
 
 
-def hadamard_bound(matrix: list[list[int]]) -> int:
-    """Bound on the absolute value of every coefficient of det(tI - M).
+def hadamard_bound(rows: list[dict[int, int]]) -> int:
+    """Bound on every coefficient of det(tI - M) in absolute value, M as sparse rows.
 
     The smaller of prod_j (1 + |col_j|) and prod_i (1 + |row_i|), each
     factor rounded up in 16-bit fixed point and the product rounded up
     once (see the module docstring).
     """
-    n = len(matrix)
-    return min(_norm_product(matrix, n), _norm_product(zip(*matrix), n))
+    col_sums = [0] * len(rows)
+    for row in rows:
+        for k, x in row.items():
+            col_sums[k] += x * x
+    row_sums = [sum(x * x for x in row.values()) for row in rows]
+    return min(_norm_product(col_sums), _norm_product(row_sums))
 
 
-def _norm_product(vectors, n: int) -> int:
-    """Ceiling of prod (1 + |v|_2) over the n vectors.
+def _norm_product(sums: list[int]) -> int:
+    """Ceiling of prod (1 + sqrt(s)) over the sums of squares s.
 
-    Each factor is 2^16 + ceil(2^16 |v|), which is at least 2^16 (1 + |v|):
-    for s = |v|^2 >= 1, ceil(sqrt(s << 32)) = isqrt((s << 32) - 1) + 1.
+    Each factor is 2^16 + ceil(2^16 sqrt(s)), which is at least
+    2^16 (1 + sqrt(s)): for s >= 1, ceil(sqrt(s << 32)) = isqrt((s << 32) - 1) + 1.
     """
     one = 1 << 16
     prod = 1
-    for v in vectors:
-        s = sum(map(mul, v, v))
+    for s in sums:
         prod *= one + isqrt((s << 32) - 1) + 1 if s else one
-    shift = 16 * n
+    shift = 16 * len(sums)
     return (prod + (1 << shift) - 1) >> shift
 
 
@@ -105,17 +110,17 @@ def mersenne_modulus(bound: int) -> int:
     )
 
 
-def charpoly(matrix: list[list[int]]):
-    """det(tI - M) of a square integer matrix, exact, as a LaurentPolynomial."""
+def charpoly(rows: list[dict[int, int]]):
+    """det(tI - M) of an integer matrix given by sparse rows, exact, as a LaurentPolynomial."""
     from .alexpoly import LaurentPolynomial
 
-    p = mersenne_modulus(hadamard_bound(matrix))
-    coeffs = _krylov_charpoly(matrix, p)
+    p = mersenne_modulus(hadamard_bound(rows))
+    coeffs = _krylov_charpoly(rows, p)
     half = p >> 1
     return LaurentPolynomial.from_dense(c - p if c > half else c for c in coeffs)
 
 
-def _krylov_charpoly(matrix: list[list[int]], p: int) -> list[int]:
+def _krylov_charpoly(rows: list[dict[int, int]], p: int) -> list[int]:
     """Coefficients (constant term first) of det(tI - M) mod p = 2^e - 1.
 
     Builds a basis b_0, b_1, ... of Krylov chains in which M is upper
@@ -144,7 +149,7 @@ def _krylov_charpoly(matrix: list[list[int]], p: int) -> list[int]:
     big-endian host a slot is converted by itself through to_bytes /
     from_bytes.
     """
-    n = len(matrix)
+    n = len(rows)
     e = p.bit_length()
     limbs = (2 * e + (n + 1).bit_length() + 63) >> 6
     w = 64 * limbs
@@ -185,13 +190,13 @@ def _krylov_charpoly(matrix: list[list[int]], p: int) -> list[int]:
 
     # Column k of M as its +1 rows, its -1 rows and its other (row, entry).
     cols: list[tuple[list, list, list]] = [([], [], []) for _ in range(n)]
-    for i, row in enumerate(matrix):
-        for k, x in enumerate(row):
+    for i, row in enumerate(rows):
+        for k, x in row.items():
             if x == 1:
                 cols[k][0].append(i)
             elif x == -1:
                 cols[k][1].append(i)
-            elif x:
+            else:
                 cols[k][2].append((i, x))
     basis: list[tuple[int, int, int]] = []  # (pivot's bit offset, 1 / pivot entry, b_j >> it)
     pivots: set[int] = set()

@@ -17,12 +17,13 @@ the two rectangles' crossings.  No curve is built, so J does not depend on
 the curve engine, and tests/test_curves.py and
 selftest.curve_property_suite check the engine against it.  The twist
 engine builds no circles either: it reads each rectangle's core from its
-crossings.  A transvection changes one
-coordinate, so the monodromy is built as one row update per twist,
-starting from I: row r gains sign * J[a][r] * row a for each neighbour a
-of r.  The rows stay sparse (a few nonzeros each, every one +-1 on the
-surfaces measured), so they are kept as column -> entry maps while the
-twists act and written out as the dense matrix once, at the end.
+crossings.  A transvection changes one coordinate, so the monodromy is
+built as one row update per twist, starting from I: row r gains
+sign * J[a][r] * row a for each neighbour a of r, read from J's row r as
+J[a][r] = -J[r][a].  The rows stay sparse (a few nonzeros each, every one
++-1 on the surfaces measured), so J and H are kept as sparse rows, one
+column -> entry map of the nonzero entries each, up to charpoly and the
+arc test.
 
 charpoly is the exact kernel of linalg: a Hessenberg form built from
 Krylov chains of H and the Hessenberg recurrence, modulo the smallest
@@ -74,47 +75,39 @@ def _neighbour_pairs(surface: FatGraphSurface):
         start = nxt_start
 
 
-def intersection_form(surface: FatGraphSurface) -> list[list[int]]:
-    """Antisymmetric pairing matrix of the rectangle basis.
+def intersection_form(surface: FatGraphSurface) -> list[dict[int, int]]:
+    """Antisymmetric pairing matrix of the rectangle basis, as sparse rows
+    (j[a][b] = J[a][b], nonzero entries only).
 
     signed_intersection pairs each rectangle with each of its neighbours
     in closed form, from their crossings; no circle is built.
     """
     rects = surface.rectangles
-    n = len(rects)
-    j = [[0] * n for _ in range(n)]
+    j: list[dict[int, int]] = [{} for _ in rects]
     for a, b in _neighbour_pairs(surface):
         val = signed_intersection(rects[a], rects[b])
-        j[a][b] = val
-        j[b][a] = -val
+        if val:
+            j[a][b] = val
+            j[b][a] = -val
     return j
 
 
-def homological_monodromy(surface: FatGraphSurface) -> list[list[int]]:
-    """Matrix of the monodromy on the rectangle basis (columns = images)."""
+def homological_monodromy(surface: FatGraphSurface) -> list[dict[int, int]]:
+    """Matrix of the monodromy on the rectangle basis (columns = images),
+    as sparse rows (h[r][c] = H[r][c], nonzero entries only)."""
     j = intersection_form(surface)
-    n = len(j)
-    pairing: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for a, b in _neighbour_pairs(surface):
-        if j[a][b]:
-            pairing[b].append((a, RIGHT_HANDED_SIGN * j[a][b]))
-            pairing[a].append((b, RIGHT_HANDED_SIGN * j[b][a]))
-    rows = [{r: 1} for r in range(n)]
+    rows = [{r: 1} for r in range(len(j))]
     for idx in surface.twist_ordering:
         row = rows[idx]
-        for a, coeff in pairing[idx]:
+        for a, val in j[idx].items():
+            coeff = -RIGHT_HANDED_SIGN * val
             for c, y in rows[a].items():
                 x = row.get(c, 0) + coeff * y
                 if x:
                     row[c] = x
                 else:
                     del row[c]
-        rows[idx] = row
-    h = [[0] * n for _ in range(n)]
-    for dense, row in zip(h, rows):
-        for c, x in row.items():
-            dense[c] = x
-    return h
+    return rows
 
 
 def alexander_from_monodromy(surface: FatGraphSurface) -> LaurentPolynomial:

@@ -232,23 +232,17 @@ def _arc_functionals_independent(
     the rows u H^{-k}, k < n; independence is exactly what keeps the cut
     surface connected.  Multiplying every row on the right by the
     invertible H^{n-1} turns them into the rows u H^k, k < n, and keeps
-    the rank, so the test needs only integer vector-matrix products.  One
-    scan of H's rows lists the nonzero entries of each; the next row is
-    then the sum, over the nonzero entries y at index r of the current row,
-    of y times row r of H, so each product costs O(nnz(H)) plus the current
+    the rank, so the test needs only integer vector-matrix products.  H
+    comes as sparse rows of its nonzero entries, so the next row is the
+    sum, over the nonzero entries y at index r of the current row, of y
+    times row r of H, and each product costs O(nnz(H)) plus the current
     row's support instead of b1^2.  Each row is reduced against the ones
     before it as it is formed (reduce_row), and the first dependent row
     decides.
     """
     h = homological_monodromy(surface)
     span = range(len(h))
-    h_rows = [[(c, row[c]) for c in compress(span, row)] for row in h]
-    u = [0] * len(surface.rectangles)
-    for idx, rect in enumerate(surface.rectangles):
-        if rect.top == seed.top:
-            u[idx] += 1
-        if rect.bottom == seed.top:
-            u[idx] -= 1
+    u = [(rect.top == seed.top) - (rect.bottom == seed.top) for rect in surface.rectangles]
     echelon = []
     row = u
     while True:
@@ -261,7 +255,7 @@ def _arc_functionals_independent(
         nxt = [0] * len(h)
         for r in compress(span, row):
             y = row[r]
-            for c, x in h_rows[r]:
+            for c, x in h[r].items():
                 nxt[c] += y * x
         row = nxt
 

@@ -152,6 +152,29 @@ def _random_curve(surface, rng: random.Random) -> cv.NormalCurve:
     return cv.apply_monodromy(x, rng.randint(0, 3))
 
 
+def _pairing(x: cv.NormalCurve, j, y: cv.NormalCurve) -> int:
+    """The homology of x and y paired by J, given by sparse rows."""
+    hx, hy = x.homology, y.homology
+    return sum(hx[a] * val * hy[b] for a, row in enumerate(j) if hx[a] for b, val in row.items())
+
+
+def _seifert_identity(j, h) -> bool:
+    """V^T H = V from the sparse rows of J and H.  Row a of V^T H is H[a]
+    plus J[k][a] H[k] over the k > a, and J[k][a] = -J[a][k]."""
+    for a, row in enumerate(j):
+        vt_h = dict(h[a])
+        v_row = {a: 1}
+        for k, val in row.items():
+            if k < a:
+                v_row[k] = val
+                continue
+            for b, x in h[k].items():
+                vt_h[b] = vt_h.get(b, 0) - val * x
+        if {b: x for b, x in vt_h.items() if x} != v_row:
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Criteria
 # ---------------------------------------------------------------------------
@@ -315,16 +338,9 @@ def curve_property_suite() -> tuple[bool, str]:
         count_ok = count_ok and (
             cv.geometric_intersection(x, rect) == cv.geometric_intersection(x, gamma)
         )
-        n = len(j)
-        pairing = sum(
-            x.homology[a] * j[a][b] * gamma.homology[b]
-            for a in range(n)
-            for b in range(n)
-        )
+        pairing = _pairing(x, j, gamma)
         sign = cv.RIGHT_HANDED_SIGN if right else -cv.RIGHT_HANDED_SIGN
-        expect = tuple(
-            x.homology[k] + sign * pairing * gamma.homology[k] for k in range(n)
-        )
+        expect = tuple(a + sign * pairing * b for a, b in zip(x.homology, gamma.homology))
         if tw.homology != expect:
             pl_ok = False
             break
@@ -335,11 +351,7 @@ def curve_property_suite() -> tuple[bool, str]:
         j = forms[id(surface)]
         x = _random_curve(surface, rng)
         y = _random_curve(surface, rng)
-        n = len(j)
-        pairing = sum(
-            x.homology[a] * j[a][b] * y.homology[b] for a in range(n) for b in range(n)
-        )
-        if abs(pairing) > cv.geometric_intersection(x, y):
+        if abs(_pairing(x, j, y)) > cv.geometric_intersection(x, y):
             bound_ok = False
             break
 
@@ -355,19 +367,9 @@ def curve_property_suite() -> tuple[bool, str]:
             invariance_ok = False
             break
 
-    seifert_ok = True
-    for surface in surfaces:
-        j = forms[id(surface)]
-        h = homological_monodromy(surface)
-        n = len(j)
-        v = [[1 if a == b else j[a][b] if a > b else 0 for b in range(n)] for a in range(n)]
-        if any(
-            sum(v[k][a] * h[k][b] for k in range(n)) != v[a][b]
-            for a in range(n)
-            for b in range(n)
-        ):
-            seifert_ok = False
-            break
+    seifert_ok = all(
+        _seifert_identity(forms[id(s)], homological_monodromy(s)) for s in surfaces
+    )
 
     def reaches(surface, power, rect):
         """The power-th monodromy image of the top-left rectangle is rect."""

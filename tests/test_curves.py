@@ -36,6 +36,11 @@ def random_curve(s, rng):
     return apply_monodromy(x, rng.randint(0, 3))
 
 
+def dense(rows):
+    """The dense matrix of sparse rows (rows[r][c] = M[r][c], zeros left out)."""
+    return [[row.get(c, 0) for c in range(len(rows))] for row in rows]
+
+
 class TestReduce:
     def test_cancellation(self):
         s = surface("1 1 1")
@@ -127,7 +132,7 @@ class TestGeometricIntersection:
     def test_homological_bound(self):
         rng = random.Random(10)
         s = build_surface(torus_braid(3, 5))
-        j = intersection_form(s)
+        j = dense(intersection_form(s))
         n = len(j)
         for _ in range(200):
             x, y = random_curve(s, rng), random_curve(s, rng)
@@ -170,7 +175,7 @@ class TestDehnTwist:
 
     def test_trefoil_twists_match_transvections(self):
         s = surface("1 1 1")
-        j = intersection_form(s)
+        j = dense(intersection_form(s))
         bottom = TwistFactor(curve_from_rectangle(s, s.rectangles[1]))
         top = TwistFactor(curve_from_rectangle(s, s.rectangles[0]))
         r1 = curve_from_rectangle(s, s.rectangles[0])
@@ -189,7 +194,7 @@ class TestDehnTwist:
     def test_transvection_property_random(self):
         rng = random.Random(31)
         s = build_surface(torus_braid(3, 4))
-        j = intersection_form(s)
+        j = dense(intersection_form(s))
         n = len(j)
         for _ in range(300):
             gamma = curve_from_rectangle(s, rng.choice(s.rectangles))
@@ -930,6 +935,58 @@ class TestRectanglePairing:
         for x, y in ((rect, circle), (circle, rect)):
             with pytest.raises(InvalidParameter):
                 signed_intersection(x, y)
+
+
+class TestRectangleDispatch:
+    """A NormalCurve is a curve, and anything else is a rectangle
+    (g, top, bottom) read by position: a RectangleCurve or a plain triple."""
+
+    WORDS = ("1 1 1", "1 2 1 3 2 3 3 1 2 2 3 1 3")
+
+    def curves(self, s):
+        circles = [curve_from_rectangle(s, r) for r in s.rectangles]
+        return circles + [apply_monodromy(c) for c in circles]
+
+    def test_count_refuses_a_rectangle_first(self):
+        for text in self.WORDS:
+            s = surface(text)
+            for x in self.curves(s):
+                for rect in s.rectangles:
+                    for first in (rect, tuple(rect)):
+                        with pytest.raises(InvalidParameter, match="first argument"):
+                            geometric_intersection(first, x)
+
+    def test_count_against_a_plain_triple(self):
+        for text in self.WORDS:
+            s = surface(text)
+            for x in self.curves(s):
+                for rect in s.rectangles:
+                    got = geometric_intersection(x, tuple(rect))
+                    assert got == geometric_intersection(x, rect)
+                    assert got == geometric_intersection(x, curve_from_rectangle(s, rect))
+
+    def test_pairing_refuses_a_curve_and_a_plain_triple(self):
+        for text in self.WORDS:
+            s = surface(text)
+            for x in self.curves(s):
+                for rect in s.rectangles:
+                    with pytest.raises(InvalidParameter, match="pair two rectangles"):
+                        signed_intersection(x, tuple(rect))
+
+    def test_pairing_refuses_a_plain_triple_and_a_curve(self):
+        for text in self.WORDS:
+            s = surface(text)
+            for x in self.curves(s):
+                for rect in s.rectangles:
+                    with pytest.raises(InvalidParameter, match="pair two rectangles"):
+                        signed_intersection(tuple(rect), x)
+
+    def test_pairing_of_plain_triples(self):
+        for text in self.WORDS:
+            s = surface(text)
+            for a in s.rectangles:
+                for b in s.rectangles:
+                    assert signed_intersection(tuple(a), tuple(b)) == signed_intersection(a, b)
 
 
 class TestPathErrors:

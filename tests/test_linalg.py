@@ -38,6 +38,33 @@ from braidplumb.plumbing import (
 # ---------------------------------------------------------------------------
 
 
+def rows_of(matrix):
+    """The sparse rows charpoly and hadamard_bound take: {column: entry},
+    nonzero entries only."""
+    return [{c: x for c, x in enumerate(row) if x} for row in matrix]
+
+
+def dense(rows):
+    """The dense matrix of sparse rows."""
+    return [[row.get(c, 0) for c in range(len(rows))] for row in rows]
+
+
+def dense_hadamard_bound(matrix):
+    """The bound as computed on the dense matrix before the kernel took
+    sparse rows: the smaller of prod (1 + |v|) over the columns and over
+    the rows, each factor 2^16 + ceil(2^16 |v|), the product rounded up."""
+
+    def norm_product(vectors):
+        prod = 1
+        for v in vectors:
+            s = sum(x * x for x in v)
+            prod *= (1 << 16) + isqrt((s << 32) - 1) + 1 if s else 1 << 16
+        shift = 16 * len(matrix)
+        return (prod + (1 << shift) - 1) >> shift
+
+    return min(norm_product(zip(*matrix)), norm_product(matrix))
+
+
 def faddeev_leverrier(matrix):
     """det(tI - M) by the O(n^4) Faddeev-LeVerrier recursion."""
     n = len(matrix)
@@ -61,7 +88,7 @@ def faddeev_leverrier(matrix):
 def gaussian_charpoly(matrix):
     """det(tI - M) by Gaussian Hessenberg reduction and the list recurrence,
     modulo the prime charpoly picks; the kernel before the Krylov chains."""
-    p = mersenne_modulus(hadamard_bound(matrix))
+    p = mersenne_modulus(hadamard_bound(rows_of(matrix)))
     h = [[x % p for x in row] for row in matrix]
     hessenberg_reduce(h, p)
     coeffs = hessenberg_recurrence(h, p)
@@ -159,7 +186,7 @@ def fraction_inverse(matrix):
 
 def inverse_arc_rank_ok(surface, seed, n):
     """The cut-connectivity test as first stated: rank of u H^{-k}, k < n."""
-    h_inv = fraction_inverse(homological_monodromy(surface))
+    h_inv = fraction_inverse(dense(homological_monodromy(surface)))
     u = [Fraction(0)] * len(surface.rectangles)
     for idx, rect in enumerate(surface.rectangles):
         if rect.top == seed.top:
@@ -331,7 +358,7 @@ class TestCharpoly:
         )
     )
     def test_matches_faddeev_leverrier(self, m):
-        assert charpoly(m) == faddeev_leverrier(m)
+        assert charpoly(rows_of(m)) == faddeev_leverrier(m)
 
     def test_empty_matrix(self):
         assert charpoly([]) == LaurentPolynomial.one()
@@ -345,8 +372,8 @@ class TestCharpoly:
                 row + [-x for x in row] for row in sylvester
             ]
         m = [[60 * x for x in row] for row in sylvester]
-        poly = charpoly(m)
-        assert abs(poly[0]) == (60 * 60 * 8) ** 4 <= hadamard_bound(m)
+        poly = charpoly(rows_of(m))
+        assert abs(poly[0]) == (60 * 60 * 8) ** 4 <= hadamard_bound(rows_of(m))
         assert poly == faddeev_leverrier(m)
 
     @pytest.mark.parametrize("p, q", [(8, 17), (9, 19)])
@@ -386,24 +413,44 @@ class TestHadamardBound:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(dense_matrices(), sparse_sign_matrices()))
     def test_sound_symmetric_and_below_the_old_bound(self, m):
-        bound = hadamard_bound(m)
+        bound = hadamard_bound(rows_of(m))
         poly = faddeev_leverrier(m)
         assert all(abs(poly[k]) <= bound for k in range(len(m) + 1))
-        assert bound == hadamard_bound([list(col) for col in zip(*m)])
+        assert bound == hadamard_bound(rows_of(zip(*m)))
         assert bound <= column_bound_before(m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(dense_matrices(), sparse_sign_matrices()))
+    def test_sparse_rows_give_the_dense_bound(self, m):
+        assert hadamard_bound(rows_of(m)) == dense_hadamard_bound(m)
+
+    def test_sparse_rows_give_the_dense_bound_at_every_prime(self):
+        # Wide integer matrices and monodromies, whose bounds pick primes
+        # from 61 to 521 bits: the same bound keeps every charpoly output.
+        rng = random.Random(22)
+        moduli = set()
+        for n in range(6, 95, 4):
+            m = sparse_sign_matrix(n, rng)
+            for _ in range(n):
+                m[rng.randrange(n)][rng.randrange(n)] = rng.randint(-9, 9)
+            for case in (m, dense(homological_monodromy(build_surface(torus_braid(3, n))))):
+                bound = hadamard_bound(rows_of(case))
+                assert bound == dense_hadamard_bound(case), n
+                moduli.add(mersenne_modulus(bound).bit_length())
+        assert {61, 89, 107, 127, 521} <= moduli
 
     def test_exact_on_integer_norms(self):
         # Every factor 1 + |v| is an integer here, so no rounding shows.
         for n in range(6):
             identity = [[int(i == k) for k in range(n)] for i in range(n)]
-            assert hadamard_bound(identity) == 2**n
-            assert hadamard_bound([[0] * n for _ in range(n)]) == 1
-        assert hadamard_bound([[3, 0], [4, 0]]) == 6  # columns 5, 0; rows 3, 4: 20
+            assert hadamard_bound(rows_of(identity)) == 2**n
+            assert hadamard_bound([{} for _ in range(n)]) == 1
+        assert hadamard_bound([{0: 3}, {0: 4}]) == 6  # columns 5, 0; rows 3, 4: 20
 
     def test_rounds_up(self):
         # 1 + sqrt(2) = 2.414...: the ceiling of the product, not of each factor.
-        assert hadamard_bound([[1, 1], [-1, 1]]) == 6  # (1 + sqrt 2)^2 = 5.83
-        assert hadamard_bound([[1]]) == 2
+        assert hadamard_bound([{0: 1, 1: 1}, {0: -1, 1: 1}]) == 6  # (1 + sqrt 2)^2 = 5.83
+        assert hadamard_bound([{0: 1}]) == 2
 
 
 class TestKrylovChains:
@@ -414,17 +461,17 @@ class TestKrylovChains:
     @given(repeated_block_sums())
     def test_repeated_block_closes_chains_early(self, case):
         block, reps, m = case
-        poly = charpoly(m)
+        poly = charpoly(rows_of(m))
         assert poly == gaussian_charpoly(m)
-        assert poly == charpoly(block) ** reps
+        assert poly == charpoly(rows_of(block)) ** reps
 
     @settings(max_examples=150, deadline=None)
     @given(block_triangular_matrices())
     def test_block_triangular_zero_subdiagonal(self, case):
         top, bottom, m = case
-        poly = charpoly(m)
+        poly = charpoly(rows_of(m))
         assert poly == gaussian_charpoly(m)
-        assert poly == charpoly(top) * charpoly(bottom)
+        assert poly == charpoly(rows_of(top)) * charpoly(rows_of(bottom))
 
     def test_sparse_sign_matrices_across_the_modulus_step(self):
         rng = random.Random(20)
@@ -432,8 +479,8 @@ class TestKrylovChains:
         # The bound reaches 127 bits at n = 70 and 521 at n = 80.
         for n in range(20, 87, 2):
             m = sparse_sign_matrix(n, rng)
-            moduli.add(mersenne_modulus(hadamard_bound(m)).bit_length())
-            assert charpoly(m) == gaussian_charpoly(m), n
+            moduli.add(mersenne_modulus(hadamard_bound(rows_of(m))).bit_length())
+            assert charpoly(rows_of(m)) == gaussian_charpoly(m), n
         assert {127, 521} <= moduli
 
     def test_every_slot_layout_has_an_oracle(self, monkeypatch):
@@ -444,7 +491,7 @@ class TestKrylovChains:
         layouts = {}
         for n in range(6, 95, 2):
             m = sparse_sign_matrix(n, rng)
-            layouts.setdefault(mersenne_modulus(hadamard_bound(m)), m)
+            layouts.setdefault(mersenne_modulus(hadamard_bound(rows_of(m))), m)
         assert {61, 89, 107, 127, 521} <= {p.bit_length() for p in layouts}
         cases = list(layouts.items())
         # n = 100 with few nonzeros keeps p at 61 bits in 192-bit slots, so
@@ -452,18 +499,18 @@ class TestKrylovChains:
         wide = [[0] * 100 for _ in range(100)]
         for _ in range(40):
             wide[rng.randrange(100)][rng.randrange(100)] = rng.choice((1, -1, 2, -3))
-        assert mersenne_modulus(hadamard_bound(wide)).bit_length() == 61
+        assert mersenne_modulus(hadamard_bound(rows_of(wide))).bit_length() == 61
         cases.append(((1 << 61) - 1, wide))
         limb_path = []
         for p, m in cases:
-            assert charpoly(m) == gaussian_charpoly(m), (p.bit_length(), len(m))
-            limb_path.append(_krylov_charpoly(m, p))
+            assert charpoly(rows_of(m)) == gaussian_charpoly(m), (p.bit_length(), len(m))
+            limb_path.append(_krylov_charpoly(rows_of(m), p))
         # The big-endian path, which converts slot by slot: with no array
         # type the limb path cannot run.
         monkeypatch.setattr(linalg, "_LITTLE_ENDIAN", False)
         monkeypatch.setattr(linalg, "array", None)
         for (p, m), coeffs in zip(cases, limb_path):
-            assert _krylov_charpoly(m, p) == coeffs, (p.bit_length(), len(m))
+            assert _krylov_charpoly(rows_of(m), p) == coeffs, (p.bit_length(), len(m))
 
     @settings(max_examples=15, deadline=None)
     @given(wide_connected_words())

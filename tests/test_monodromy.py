@@ -36,6 +36,11 @@ def random_connected(rng, c, s):
 # ---------------------------------------------------------------------------
 
 
+def dense(rows):
+    """The dense matrix of sparse rows (rows[r][c] = M[r][c], zeros left out)."""
+    return [[row.get(c, 0) for c in range(len(rows))] for row in rows]
+
+
 def dense_intersection_form(surface):
     """The curve engine's signed_intersection on every pair of rectangle
     circles, independent of the closed form intersection_form reads."""
@@ -87,13 +92,13 @@ def connected_words(draw, max_strands=9, max_length=40):
 
 def check_against_oracles(word):
     surface = build_surface(word)
-    j = intersection_form(surface)
+    j = dense(intersection_form(surface))
     assert j == dense_intersection_form(surface)
     nonzero = sum(1 for row in j for v in row if v) // 2
     pairs = list(_neighbour_pairs(surface))
     assert nonzero <= len(pairs) <= 3 * surface.b1
     assert len(set(pairs)) == len(pairs) and all(a < b for a, b in pairs)
-    assert homological_monodromy(surface) == column_transvection_monodromy(surface, j)
+    assert dense(homological_monodromy(surface)) == column_transvection_monodromy(surface, j)
 
 
 def assert_seifert_identity(surface):
@@ -103,8 +108,8 @@ def assert_seifert_identity(surface):
     in twist_ordering exactly when a > b.  This checks H by a matrix
     identity, independently of the transvection loop that builds it.
     """
-    j = intersection_form(surface)
-    h = homological_monodromy(surface)
+    j = dense(intersection_form(surface))
+    h = dense(homological_monodromy(surface))
     n = len(j)
     v = [[1 if a == b else j[a][b] if a > b else 0 for b in range(n)] for a in range(n)]
     vt_h = [
@@ -117,7 +122,7 @@ def assert_seifert_identity(surface):
 class TestIntersectionForm:
     def test_antisymmetric(self):
         s = build_surface(torus_braid(3, 5))
-        j = intersection_form(s)
+        j = dense(intersection_form(s))
         n = len(j)
         for a in range(n):
             assert j[a][a] == 0
@@ -128,7 +133,7 @@ class TestIntersectionForm:
         # nonzero exactly for same-column neighbours or interleaved
         # adjacent-column rectangles, and then +-1
         s = build_surface(BraidWord(4, (3, 1, 2, 2, 3, 1, 2, 1)))
-        j = intersection_form(s)
+        j = dense(intersection_form(s))
         rects = s.rectangles
         for a in range(len(rects)):
             for b in range(len(rects)):
@@ -178,6 +183,31 @@ class TestSparseOracles:
         assert monodromy_s < 1.0 and burau_s < 1.0
 
 
+def check_sparse_rows(surface):
+    """J and H store no zero, and J is antisymmetric with at most 3 * b1 pairs."""
+    j = intersection_form(surface)
+    h = homological_monodromy(surface)
+    assert len(j) == len(h) == surface.b1
+    assert all(x for rows in (j, h) for row in rows for x in row.values())
+    assert all(j[b].get(a) == -x for a, row in enumerate(j) for b, x in row.items())
+    assert sum(map(len, j)) <= 6 * surface.b1
+
+
+class TestSparseRows:
+    def test_every_small_word(self):
+        for word in all_connected_words(4, 7):
+            check_sparse_rows(build_surface(word))
+
+    @settings(max_examples=100, deadline=None)
+    @given(connected_words())
+    def test_random_words(self, word):
+        check_sparse_rows(build_surface(word))
+
+    def test_torus_knots(self):
+        for p, q in ((3, 5), (6, 13), (8, 17)):
+            check_sparse_rows(build_surface(torus_braid(p, q)))
+
+
 class TestFormPairs:
     @settings(max_examples=60, deadline=None)
     @given(connected_words(max_strands=7, max_length=20))
@@ -191,7 +221,7 @@ class TestFormPairs:
 
         with mock.patch.object(monodromy, "signed_intersection", recording):
             j = intersection_form(surface)
-        assert j == dense_intersection_form(surface)
+        assert dense(j) == dense_intersection_form(surface)
         rects = surface.rectangles
         assert paired == [(rects[a], rects[b]) for a, b in _neighbour_pairs(surface)]
 
@@ -199,7 +229,7 @@ class TestFormPairs:
 class TestHomologicalMonodromy:
     def test_hopf_band_fixes_its_class(self):
         s = build_surface(parse_braid("1 1"))
-        assert homological_monodromy(s) == [[1]]
+        assert homological_monodromy(s) == [{0: 1}]
 
     def test_trefoil_charpoly(self):
         s = build_surface(parse_braid("1 1 1"))
@@ -210,8 +240,8 @@ class TestHomologicalMonodromy:
     def test_preserves_intersection_form(self):
         for word in (torus_braid(3, 4), BraidWord(4, (3, 1, 2, 2, 3, 1, 2, 1))):
             s = build_surface(word)
-            j = intersection_form(s)
-            h = homological_monodromy(s)
+            j = dense(intersection_form(s))
+            h = dense(homological_monodromy(s))
             n = len(j)
             got = [
                 [

@@ -404,7 +404,7 @@ class TestOrbitCriterion:
 def dense_arc_rows(surface, seed, n):
     """The rows u H^k, k < n, by dense vector-matrix products."""
     h = homological_monodromy(surface)
-    cols = list(zip(*h))
+    cols = [[row.get(c, 0) for row in h] for c in range(len(h))]
     u = [0] * len(surface.rectangles)
     for idx, rect in enumerate(surface.rectangles):
         if rect.top == seed.top:
