@@ -42,9 +42,10 @@ surface, so nothing takes a surface beside a curve; two curves of
 different surfaces are refused (InvalidParameter) wherever they meet:
 geometric_intersection, signed_intersection and a TwistFactor twist.
 Where a rectangle may stand for a curve, whatever is not a NormalCurve is
-a rectangle (g, top, bottom), read by position.  It has no surface of its
-own; one whose letters do not fit the curve's surface word is refused
-(NonEmbeddedCore) by dehn_twist and geometric_intersection.
+a rectangle (g, top, bottom), read by position.  One that is not three
+integers is refused (InvalidParameter) wherever it is read.  It has no
+surface of its own; one whose letters do not fit the curve's surface word
+is refused (NonEmbeddedCore) by dehn_twist and geometric_intersection.
 """
 
 from __future__ import annotations
@@ -428,7 +429,8 @@ def signed_intersection(
     circles (tests compare the two on every ordered pair of rectangles of
     every connected word with s <= 4 and c <= 7).  Which surface the
     rectangles belong to is the caller's to keep; a rectangle paired with
-    a NormalCurve is refused (InvalidParameter).
+    a NormalCurve, or one that is not three entries, is refused
+    (InvalidParameter).
     """
     curve = isinstance(x, NormalCurve)
     if curve != isinstance(y, NormalCurve):
@@ -446,7 +448,12 @@ def signed_intersection(
 
 def _rectangle_pairing(a: tuple[int, int, int], b: tuple[int, int, int]) -> int:
     """signed_intersection of two rectangle circles, from their crossings."""
-    (ga, a_top, a_bottom), (gb, b_top, b_bottom) = a, b
+    try:
+        (ga, a_top, a_bottom), (gb, b_top, b_bottom) = a, b
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameter(
+            f"a rectangle is three integers (g, top, bottom), got {a!r} and {b!r}"
+        ) from exc
     step = gb - ga
     if step == 0:
         return (a_bottom == b_top) - (b_bottom == a_top)
@@ -560,8 +567,9 @@ def _push_off_events(rect: tuple[int, int, int], x: NormalCurve) -> list[tuple[i
 
     The rectangle must be one of x's surface's: its word holds letter g at
     top and at bottom and nowhere between them.  Any other triple is
-    refused (NonEmbeddedCore); this is the one rectangle check of
-    dehn_twist and geometric_intersection.
+    refused (NonEmbeddedCore), and an argument that is not three integers
+    (InvalidParameter); this is the one rectangle check of dehn_twist and
+    geometric_intersection.
 
     The core is the word (a, -b), a = top + 1, b = bottom + 1.  It crosses
     disk g from end 2 bottom to end 2 top and disk g + 1 from 2 top + 1 to
@@ -615,13 +623,19 @@ def _push_off_events(rect: tuple[int, int, int], x: NormalCurve) -> list[tuple[i
     every transit, so it gives 0.  The test suite checks the count against
     the linked-pair count of the rectangle circle.
     """
-    g, top, bottom = rect
     letters = x.surface.word.letters
-    if not (
-        0 <= top < bottom < len(letters)
-        and letters[top] == g == letters[bottom]
-        and g not in letters[top + 1 : bottom]
-    ):
+    try:
+        g, top, bottom = rect
+        embedded = (
+            0 <= top < bottom < len(letters)
+            and letters[top] == g == letters[bottom]
+            and g not in letters[top + 1 : bottom]
+        )
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameter(
+            f"a rectangle is three integers (g, top, bottom), got {rect!r}"
+        ) from exc
+    if not embedded:
         raise NonEmbeddedCore(f"{rect} is not a rectangle of the curve's surface")
     tx = x.transits
     last = len(tx) - 1

@@ -13,6 +13,14 @@ embeddedness and a rank rise; the rest of the table follows by induction
 (proof in detect_chain).  C_0 is the circle of a rectangle, so that one
 intersection is read from the seed rectangle's crossings by the push-off
 rule (curves._push_off_events), with no linked-pair scan.
+
+A trefoil step removes the square s_m s_m of a word in square-prefix form
+s_m s_m s_{m-1}^+ ... s_1^+ w.  Its certificate stores the monodromy image
+phi(R) of the top rectangle's circle.  trefoil_step constructs that image
+from the word's letters in one scan (_top_rectangle_image, whose docstring
+proves it), with no surface and no Dehn twist; validate_trefoil_step
+recomputes it with the twist engine (_deplumb), so every certificate is
+still checked against the engine.
 """
 
 from __future__ import annotations
@@ -310,17 +318,149 @@ class TrefoilDecomposition:
         }
 
 
+def _after_word(norm: BraidWord) -> BraidWord:
+    """The after-word w of a knot word s_m s_m w: the square removed, on
+    the same strands.
+
+    Both trefoil_step and validate_trefoil_step (through _deplumb) take
+    the after-word from here.  A connected after-word is a theorem for
+    positive braid knots, so a disconnected one is fatal, not recoverable.
+    A connected after-word has b1 two less: it is the c-letter word minus
+    two letters on the same s strands, so its b1 is c - 2 - s + 1.
+    """
+    after = BraidWord(norm.strands, norm.letters[2:])
+    if not after.is_connected:
+        raise InternalConsistencyError("square removal disconnected a knot word")
+    return after
+
+
+def _top_rectangle_image(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The word of phi(R), read from the letters L of a knot word in the
+    square-prefix form s_m s_m s_{m-1}^+ ... s_1^+ w with w connected; R is
+    the circle (1, -2) of the top rectangle (m, 0, 1), m = L[0] = L[1].
+
+    Lemma.  Let d_m = 1 and, for g = m - 1, ..., 1, let d_g be the first
+    position of the prefix's s_g run.  Let u_m be the first position p >= 2
+    with L[p] = m and, for g = m - 1, ..., 1, let u_g be the first position
+    after u_{g+1} with L[p] = g, while there is one; h is the last level
+    whose u_h is found.  Then apply_monodromy of the curve R has the word
+
+        (-(d_m + 1), ..., -(d_h + 1), u_h + 1, ..., u_m + 1),
+
+    letter for letter, its rotation included.  Read cyclically, the
+    search for u_g, g < h, would wrap onto the prefix's own s_g run, the
+    first s_g of L, and so give u_g = d_g for every g < h: the same word is
+    reduce_cyclic of all m downs and m ups, whose pairs -(d_g + 1),
+    d_g + 1 cancel.  No letter is 1 or -1, since d_g >= 1 and u_g >= 2, so
+    the image misses the top band: the deplumbing disjointness holds by
+    construction.
+
+    Proof.  Write X_k for (-(d_m + 1), ..., -(d_k + 1), u_k + 1, ...,
+    u_m + 1); the claim is that the image is X_h.  The proof traces the
+    sweep of apply_monodromy: the right-handed rectangle twists, columns
+    s - 1 down to 1, bottom to top in each.  A twist whose push-off rule
+    (curves._push_off_events) finds no event returns the curve unchanged,
+    so only the twists with an event matter.  For the twist along
+    (g, t, b) the rule reads the transits on disks g and g + 1.  The
+    push-off's side A holds, on disk g, the ends of the crossings strictly
+    between t and b and, on disk g + 1, those strictly outside [t, b].  A
+    transit is an event when its two ends lie on opposite sides of A.  A run along the core's bands t and b counts
+    once, at its entry, decided by the entry's incoming end against the
+    exit's outgoing end.  An event on disk g + 1 that arrives from A
+    inserts (-(t + 1), b + 1) before the transit's outgoing letter, and
+    the word is reduced.
+
+    u_m exists: w is connected, so it holds an s_m, and the prefix's
+    positions 2, ..., e - 1 hold letters below m, so u_m >= e, where e is
+    the first position after the prefix.  So every u_g found is at least
+    e, above every d_g.
+
+    Columns g >= m + 2: R = (1, -2) passes disks m and m + 1 only, so
+    nothing lies on disks g and g + 1.  Column m + 1: R has nothing on
+    disk m + 2, and on disk m + 1 A holds the crossings strictly between
+    t and b, where t >= 2, so the ends of crossings 0 and 1 of R's transit
+    there are both off A.
+
+    Column m, with crossings 0, 1, u_m, ...  For t >= u_m, R's transit on
+    disk m (crossing 1 to 0) has both ends off A and its transit on disk
+    m + 1 (0 to 1) both on A.  For (m, 1, u_m), the transit on disk m
+    arrives along band 1.  The one on disk m + 1 enters the run of band 1
+    from crossing 0, which lies on A, and the run leaves on disk m by
+    crossing 0, which lies off A.  That one event inserts (-2, u_m + 1)
+    and gives (1, -2, u_m + 1, -2).  Last, R itself, (m, 0, 1): every
+    transit but the one from u_m to -2 on disk m + 1 arrives along band
+    0 or 1.  That one enters the run -2, 1, -2 from u_m, on A on disk
+    m + 1, and leaves it on disk m by u_m, off A there.  Inserting (-1, 2)
+    before the last -2 and reducing gives (-2, u_m + 1) = X_m.
+
+    Column g < m.  Before it the curve is X_{g+1}.  Its transits are the
+    turns between consecutive letters: two downs -(d_{k+1} + 1),
+    -(d_k + 1) meet on disk k + 1, two ups u_k + 1, u_{k+1} + 1 meet on
+    disk k + 1, and the closing turn u_m to d_m lies on disk m + 1.  So
+    only the turn from d_{g+1} to u_{g+1} lies on disk g + 1, and nothing
+    lies on disk g.
+    Let P_0 < P_1 < ... be the crossings of letter g.  None lies before
+    the prefix's s_g run, so P_0 = d_g > d_{g+1}, and P_0 < e <= u_{g+1}.
+    Neither end of the turn is a band of column g, so for (g, P_{i-1}, P_i)
+    it is an event exactly when u_{g+1} lies between P_{i-1} and P_i; the
+    end at d_{g+1} is always on A.
+    - No P_i lies after u_{g+1}, so u_g is not found and h = g + 1: no
+      twist of column g has an event.  The curve still has nothing on disk
+      g, so no twist of column g - 1 has one either, and so on: the image
+      is X_{g+1}.
+    - Otherwise u_g = P_i, the first crossing of letter g after u_{g+1},
+      and i >= 1.  The twists with t >= u_g have no event.
+      (g, P_{i-1}, u_g) has the one event, arriving from A, and inserts
+      (-(P_{i-1} + 1), u_g + 1) between -(d_{g+1} + 1) and u_{g+1} + 1,
+      where nothing cancels.  Then for j = i - 1, ..., 1 the curve holds
+      -(d_{g+1} + 1), -(P_j + 1), u_g + 1, u_{g+1} + 1, and the twist along
+      (g, P_{j-1}, P_j) meets it only in these turns.  The turn from P_j
+      to u_g, on disk g, arrives along band P_j.  The turn from d_{g+1} to
+      P_j, on disk g + 1, enters that run from A and leaves it by u_g > P_j,
+      off A on disk g: one event.  It inserts (-(P_{j-1} + 1), P_j + 1)
+      before -(P_j + 1), and P_j + 1 cancels against -(P_j + 1), so the
+      down letter moves up to P_{j-1}.  The turn from u_g to u_{g+1} has
+      both ends after P_j, on A.  After j = 1 the curve is X_g.
+
+    Rotation: the engine's X_m starts with -2, each later insertion goes
+    in at an index of at least 1, and the first letter -2 and the last
+    u_m + 1 >= 3 never cancel, so reduce_cyclic keeps the rotation.  So
+    the image is X_h.  QED.
+
+    validate_trefoil_step recomputes every image with the twist engine
+    (_deplumb), and the selftest's criterion 5 does so on every step of
+    the knot corpus.
+    """
+    m = letters[0]
+    ups = []
+    p = 1
+    for g in range(m, 0, -1):
+        try:
+            p = letters.index(g, p + 1)
+        except ValueError:
+            break
+        ups.append(p + 1)
+    downs = [-2]
+    d = 2  # d_{m-1}, then each run's end is the next run's start
+    for g in range(m - 1, m - len(ups), -1):
+        downs.append(-(d + 1))
+        while letters[d] == g:
+            d += 1
+    ups.reverse()
+    return (*downs, *ups)
+
+
 def _deplumb(norm: BraidWord) -> tuple[tuple[int, ...], tuple[int, ...], BraidWord]:
     """The top rectangle's curve R, its monodromy image and the after-word
-    of a knot word that starts with a square s_m s_m.
+    of a knot word that starts with a square s_m s_m, by the twist engine.
 
-    The deplumbing step both trefoil_step and validate_trefoil_step run.
-    The square gives the rectangle (m, 0, 1), m the first letter.  The
-    disjointness of the image from the top band, and a connected
-    after-word, are theorems for positive braid knots; their failure is
-    fatal, not recoverable.  A connected after-word has b1 two less: it is
-    the c-letter word minus two letters on the same s strands, so its b1
-    is c - 2 - s + 1.
+    The validator's deplumbing routine: it builds the surface, applies
+    the monodromy to the circle of the rectangle (m, 0, 1), m the first
+    letter, and takes the after-word from _after_word.  trefoil_step
+    constructs the image from the letters instead (_top_rectangle_image),
+    so this is the engine's check of that construction.  The disjointness
+    of the image from the top band is a theorem for positive braid knots;
+    its failure is fatal, not recoverable.
     """
     surface = build_surface(norm)
     r_curve = cv.curve_from_rectangle(surface, RectangleCurve(norm.letters[0], 0, 1))
@@ -330,10 +470,7 @@ def _deplumb(norm: BraidWord) -> tuple[tuple[int, ...], tuple[int, ...], BraidWo
         raise DisjointnessFailure(
             f"monodromy image meets the top band {traversals} times on {norm.text()!r}"
         )
-    after = BraidWord(norm.strands, norm.letters[2:])
-    if not after.is_connected:
-        raise InternalConsistencyError("square removal disconnected a knot word")
-    return r_curve.word, image.word, after
+    return r_curve.word, image.word, _after_word(norm)
 
 
 def _require_knot(word: BraidWord) -> None:
@@ -346,12 +483,15 @@ def _require_knot(word: BraidWord) -> None:
 
 
 def trefoil_step(word: BraidWord) -> TrefoilStep:
-    """Normalize to a square prefix, verify the deplumbing disjointness,
-    and remove the square.
+    """Normalize to a square prefix, construct the top rectangle's
+    monodromy image, and remove the square.
 
     The moves must replay to the normalized word, or the engine is at
-    fault; the step is then built by _deplumb, the routine the validator
-    runs, so a returned step passes validate_trefoil_step by construction.
+    fault.  The after-word comes from _after_word, the routine the
+    validator calls too, and the image from the normalized word's letters
+    (_top_rectangle_image), with no surface built and no twist applied.
+    R, the circle of the rectangle (m, 0, 1), is the word (1, -2).
+    validate_trefoil_step recomputes the image with the twist engine.
     """
     _require_knot(word)
     if word.b1 == 0:
@@ -359,8 +499,9 @@ def trefoil_step(word: BraidWord) -> TrefoilStep:
     res = square_normalization(word)
     if replay_moves(word, res.moves) != res.word:
         raise InternalConsistencyError("move replay does not reach the normalized word")
-    curve, image, after = _deplumb(res.word)
-    return TrefoilStep(word, res.moves, res.m, curve, image, after)
+    after = _after_word(res.word)
+    image = _top_rectangle_image(res.word.letters)
+    return TrefoilStep(word, res.moves, res.m, (1, -2), image, after)
 
 
 def trefoil_decompose(word: BraidWord) -> TrefoilDecomposition:

@@ -33,6 +33,7 @@ from .plumbing import (
     torus_summand_report,
     trefoil_step,
     validate_chain_certificate,
+    validate_trefoil_step,
 )
 
 
@@ -249,25 +250,45 @@ def proposition2(cert_sink: list) -> tuple[bool, str]:
 
 @_timed(600.0)
 def trefoil_exhaustive(max_crossings: int = 12) -> tuple[bool, str]:
+    """Criterion 5: every reduced positive knot class with c <= max_crossings
+    decomposes in genus-many trefoil steps.
+
+    Step counts are memoized by the class of the word a step starts from,
+    so each distinct step is built once, and validate_trefoil_step checks
+    each step built: it recomputes with the twist engine the image that
+    trefoil_step constructs from the letters.  A step count other than the
+    genus, or a step the validator rejects, is a failure.
+    """
     memo: dict = {}
+    validated = 0
+    bad = 0
 
     def step_count(word: BraidWord) -> int:
-        """Steps to genus zero; trefoil_step raises on a failed disjointness check."""
+        """Steps to genus zero; validates each step it builds."""
+        nonlocal validated, bad
         if word.b1 == 0:
             return 0
         key = (word.strands, word.canonical())
         hit = memo.get(key)
         if hit is None:
-            hit = memo[key] = step_count(trefoil_step(word).after) + 1
+            step = trefoil_step(word)
+            try:
+                validate_trefoil_step(step)
+                validated += 1
+            except CertificateRejected:
+                bad += 1
+            hit = memo[key] = step_count(step.after) + 1
         return hit
 
     total = 0
-    bad = 0
     for word in reduced_knot_corpus(max_crossings):
         total += 1
         if step_count(word) != word.b1 // 2:
             bad += 1
-    return bad == 0, f"{total} knot classes (c <= {max_crossings}), {bad} failures"
+    return bad == 0, (
+        f"{total} knot classes (c <= {max_crossings}), {validated} steps validated,"
+        f" {bad} failures"
+    )
 
 
 @_timed(60.0)

@@ -988,6 +988,33 @@ class TestRectangleDispatch:
                 for b in s.rectangles:
                     assert signed_intersection(tuple(a), tuple(b)) == signed_intersection(a, b)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: geometric_intersection(x, 5),
+            lambda x: dehn_twist(5, x),
+            lambda x: geometric_intersection(x, (1, 0)),
+            lambda x: signed_intersection((1, 0, 1), (1, 1)),
+            lambda x: dehn_twist((1, 0, 1, 2), x),
+            lambda x: geometric_intersection(x, (1, 0.0, 1)),
+            lambda x: geometric_intersection(x, (1, "0", 1)),
+        ],
+        ids=[
+            "count-int",
+            "twist-int",
+            "count-pair",
+            "pairing-pair",
+            "twist-four",
+            "count-float-top",
+            "count-str-top",
+        ],
+    )
+    def test_a_rectangle_that_is_not_three_integers_is_refused(self, call):
+        s = surface("1 1 1")
+        x = curve_from_rectangle(s, s.rectangles[0])
+        with pytest.raises(InvalidParameter, match="three integers"):
+            call(x)
+
 
 class TestPathErrors:
     def test_out_of_range_traversal(self):

@@ -46,14 +46,15 @@ from test_linalg import fraction_rank
 
 
 @st.composite
-def knot_words(draw):
-    """Connected knot words on up to 8 strands and 24 letters.
+def knot_words(draw, max_strands=8, max_letters=24):
+    """Connected knot words on up to max_strands strands and max_letters
+    letters.
 
     A connected word is drawn, then letters joining two closure components
     are appended until one is left.
     """
-    s = draw(st.integers(min_value=2, max_value=8))
-    c = draw(st.integers(min_value=s - 1, max_value=24 - (s - 1)))
+    s = draw(st.integers(min_value=2, max_value=max_strands))
+    c = draw(st.integers(min_value=s - 1, max_value=max_letters - (s - 1)))
     base = list(range(1, s)) + [
         draw(st.integers(min_value=1, max_value=s - 1)) for _ in range(c - s + 1)
     ]
@@ -928,6 +929,72 @@ class TestTrefoilDecompose:
         dec = trefoil_decompose(torus_braid(4, 5))
         assert len(dec.steps) == 6
         assert all(1 not in map(abs, s.image) for s in dec.steps)
+
+
+def engine_image(norm):
+    """apply_monodromy of the top rectangle (m, 0, 1) of a square-prefix word."""
+    surface = build_surface(norm)
+    r_curve = cv.curve_from_rectangle(surface, RectangleCurve(norm.letters[0], 0, 1))
+    return cv.apply_monodromy(r_curve).word
+
+
+def assert_images_are_the_engines(step):
+    """The producer's constructed image equals the engine's, letter for letter."""
+    norm = BraidWord(step.after.strands, (step.m, step.m) + step.after.letters)
+    assert step.curve == (1, -2)
+    assert step.image == engine_image(norm), norm.text()
+
+
+class TestConstructedImage:
+    """trefoil_step constructs phi(R) from the normalized word's letters
+    (plumbing._top_rectangle_image); the twist engine is the oracle."""
+
+    def test_worked_example(self):
+        letters = (3, 3, 2, 1, 1, 1, 3, 3, 1, 2, 3, 1, 2, 3, 1, 1, 3)
+        assert plumbing._top_rectangle_image(letters) == (-2, -3, -4, 12, 10, 7)
+        assert engine_image(BraidWord(4, letters)) == (-2, -3, -4, 12, 10, 7)
+
+    def test_every_step_of_the_knot_corpus(self):
+        seen = set()
+        todo = list(reduced_knot_corpus(10))
+        while todo:
+            w = todo.pop()
+            key = (w.strands, w.canonical())
+            if w.b1 == 0 or key in seen:
+                continue
+            seen.add(key)
+            step = trefoil_step(w)
+            assert_images_are_the_engines(step)
+            todo.append(step.after)
+        assert len(seen) == 5125
+
+    @settings(max_examples=100, deadline=None)
+    @given(knot_words(max_strands=10, max_letters=60))
+    def test_random_knots(self, w):
+        for step in trefoil_decompose(w).steps:
+            assert_images_are_the_engines(step)
+
+    @pytest.mark.parametrize(
+        "p,q", [(p, p + 1) for p in range(2, 13)] + [(p, 2 * p + 1) for p in range(2, 7)]
+    )
+    def test_torus_knots(self, p, q):
+        for step in trefoil_decompose(torus_braid(p, q)).steps:
+            assert_images_are_the_engines(step)
+
+    def test_certify_builds_no_surface_and_applies_no_twist(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("certify reached the twist engine")
+
+        for module, name in (
+            (plumbing, "build_surface"),
+            (cv, "apply_monodromy"),
+            (cv, "dehn_twist"),
+        ):
+            monkeypatch.setattr(module, name, refuse)
+        dec = trefoil_decompose(torus_braid(5, 6))
+        monkeypatch.undo()
+        assert len(dec.steps) == 10
+        assert validate_trefoil_decomposition(dec)
 
 
 class TestTorusSummandReport:

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 
+import braidplumb.plumbing as plumbing
 from braidplumb.braidwords import BraidWord, min_rotation
 from braidplumb.plumbing import torus_summand_report
 from braidplumb.selftest import (
@@ -9,6 +10,7 @@ from braidplumb.selftest import (
     obstruction_consistency,
     reduced_knot_corpus,
     run_all,
+    trefoil_exhaustive,
 )
 
 
@@ -103,3 +105,22 @@ class TestObstructionConsistency:
         result = obstruction_consistency([cert, tampered])
         assert not result.passed
         assert "1 rejected" in result.detail
+
+
+class TestTrefoilExhaustive:
+    def test_validates_every_step_it_builds(self, monkeypatch):
+        result = trefoil_exhaustive(8)
+        assert result.passed
+        assert "steps validated, 0 failures" in result.detail
+        # A construction that disagrees with the engine on every step with
+        # m >= 2 passes the step counts, so only the validator catches it.
+        honest = plumbing._top_rectangle_image
+
+        def wrong(letters):
+            image = honest(letters)
+            return image if letters[0] == 1 else image[::-1]
+
+        monkeypatch.setattr(plumbing, "_top_rectangle_image", wrong)
+        result = trefoil_exhaustive(8)
+        assert not result.passed
+        assert " 0 failures" not in result.detail
