@@ -38,6 +38,7 @@ its +-1 entries.
 from __future__ import annotations
 
 from bisect import bisect
+from itertools import compress
 
 from .alexpoly import LaurentPolynomial
 from .curves import RIGHT_HANDED_SIGN, signed_intersection
@@ -108,6 +109,18 @@ def homological_monodromy(surface: FatGraphSurface) -> list[dict[int, int]]:
                 else:
                     del row[c]
     return rows
+
+
+def row_times(row: list[int], h: list[dict[int, int]]) -> list[int]:
+    """The row vector row times the matrix with sparse rows h: the sum,
+    over the nonzero entries y at index r of row, of y times row r of h,
+    so it costs O(nnz(h)) plus row's support instead of b1^2."""
+    out = [0] * len(h)
+    for r in compress(range(len(h)), row):
+        y = row[r]
+        for c, x in h[r].items():
+            out[c] += y * x
+    return out
 
 
 def alexander_from_monodromy(surface: FatGraphSurface) -> LaurentPolynomial:

@@ -15,18 +15,19 @@ intersection is read from the seed rectangle's crossings by the push-off
 rule (curves._push_off_events), with no linked-pair scan.
 
 A trefoil step removes the square s_m s_m of a word in square-prefix form
-s_m s_m s_{m-1}^+ ... s_1^+ w.  Its certificate stores the monodromy image
-phi(R) of the top rectangle's circle.  trefoil_step constructs that image
-from the word's letters in one scan (_top_rectangle_image, whose docstring
-proves it), with no surface and no Dehn twist; validate_trefoil_step
-recomputes it with the twist engine (_deplumb), so every certificate is
-still checked against the engine.
+s_m s_m s_{m-1}^+ ... s_1^+ w.  Its certificate stores the moves to that
+form, m, and the monodromy image phi(R) of the top rectangle's circle; the
+validator walks the words from the certificate's own, so no step stores
+one.  trefoil_step constructs the image from the word's letters in one
+scan (_top_rectangle_image, whose docstring proves it), with no surface
+and no Dehn twist; validate_trefoil_step recomputes it with the twist
+engine (_deplumb), so every certificate is still checked against the
+engine.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from itertools import compress
 from math import gcd
 from typing import Optional
 
@@ -54,7 +55,7 @@ from .errors import (
 )
 from .fatgraph import FatGraphSurface, RectangleCurve, build_surface
 from .linalg import reduce_row
-from .monodromy import homological_monodromy
+from .monodromy import homological_monodromy, row_times
 
 
 # ---------------------------------------------------------------------------
@@ -240,19 +241,14 @@ def _arc_functionals_independent(
     the rows u H^{-k}, k < n; independence is exactly what keeps the cut
     surface connected.  Multiplying every row on the right by the
     invertible H^{n-1} turns them into the rows u H^k, k < n, and keeps
-    the rank, so the test needs only integer vector-matrix products.  H
-    comes as sparse rows of its nonzero entries, so the next row is the
-    sum, over the nonzero entries y at index r of the current row, of y
-    times row r of H, and each product costs O(nnz(H)) plus the current
-    row's support instead of b1^2.  Each row is reduced against the ones
+    the rank, so the test needs only integer vector-matrix products with
+    H's sparse rows (row_times).  Each row is reduced against the ones
     before it as it is formed (reduce_row), and the first dependent row
     decides.
     """
     h = homological_monodromy(surface)
-    span = range(len(h))
-    u = [(rect.top == seed.top) - (rect.bottom == seed.top) for rect in surface.rectangles]
+    row = [(rect.top == seed.top) - (rect.bottom == seed.top) for rect in surface.rectangles]
     echelon = []
-    row = u
     while True:
         entry = reduce_row(row, echelon)
         if entry is None:
@@ -260,12 +256,7 @@ def _arc_functionals_independent(
         echelon.append(entry)
         if len(echelon) == n:
             return True
-        nxt = [0] * len(h)
-        for r in compress(span, row):
-            y = row[r]
-            for c, x in h[r].items():
-                nxt[c] += y * x
-        row = nxt
+        row = row_times(row, h)
 
 
 # ---------------------------------------------------------------------------
@@ -275,23 +266,19 @@ def _arc_functionals_independent(
 
 @dataclasses.dataclass(frozen=True)
 class TrefoilStep:
-    """One square-removal step, certified by the disjointness check."""
+    """One square-removal step: the moves to the square-prefix form
+    s_m s_m ..., m, and the monodromy image phi(R) of the top rectangle's
+    circle.  It stores no word: the validator walks them."""
 
-    before: BraidWord
     moves: tuple[RewriteMove, ...]
     m: int
-    curve: tuple[int, ...]
     image: tuple[int, ...]
-    after: BraidWord
 
     def to_json(self):
         return {
-            "before": list(self.before.letters),
-            "moves": [m.to_json() for m in self.moves],
+            "moves": [mv.to_json() for mv in self.moves],
             "m": self.m,
-            "R": list(self.curve),
             "phiR": list(self.image),
-            "after": list(self.after.letters),
         }
 
 
@@ -303,16 +290,12 @@ class TrefoilDecomposition:
     steps: tuple[TrefoilStep, ...]
     final_word: BraidWord
 
-    @property
-    def genus(self) -> int:
-        return len(self.steps)
-
     def to_json(self):
         return {
             "word": list(self.word.letters),
             "strands": self.word.strands,
             "steps": [s.to_json() for s in self.steps],
-            "genus": self.genus,
+            "genus": len(self.steps),
             "ribbon_twists": len(self.steps),
             "final_word": list(self.final_word.letters),
         }
@@ -323,10 +306,9 @@ def _after_word(norm: BraidWord) -> BraidWord:
     the same strands.
 
     Both trefoil_step and validate_trefoil_step (through _deplumb) take
-    the after-word from here.  A connected after-word is a theorem for
-    positive braid knots, so a disconnected one is fatal, not recoverable.
-    A connected after-word has b1 two less: it is the c-letter word minus
-    two letters on the same s strands, so its b1 is c - 2 - s + 1.
+    the after-word from here.  It is connected by a theorem (s_m s_m w has
+    w's permutation, so w closes to a knot too), so a disconnected one is
+    fatal.  It has b1 two less: c - 2 letters on the same s strands.
     """
     after = BraidWord(norm.strands, norm.letters[2:])
     if not after.is_connected:
@@ -426,10 +408,6 @@ def _top_rectangle_image(letters: tuple[int, ...]) -> tuple[int, ...]:
     in at an index of at least 1, and the first letter -2 and the last
     u_m + 1 >= 3 never cancel, so reduce_cyclic keeps the rotation.  So
     the image is X_h.  QED.
-
-    validate_trefoil_step recomputes every image with the twist engine
-    (_deplumb), and the selftest's criterion 5 does so on every step of
-    the knot corpus.
     """
     m = letters[0]
     ups = []
@@ -450,27 +428,23 @@ def _top_rectangle_image(letters: tuple[int, ...]) -> tuple[int, ...]:
     return (*downs, *ups)
 
 
-def _deplumb(norm: BraidWord) -> tuple[tuple[int, ...], tuple[int, ...], BraidWord]:
-    """The top rectangle's curve R, its monodromy image and the after-word
-    of a knot word that starts with a square s_m s_m, by the twist engine.
-
-    The validator's deplumbing routine: it builds the surface, applies
-    the monodromy to the circle of the rectangle (m, 0, 1), m the first
-    letter, and takes the after-word from _after_word.  trefoil_step
-    constructs the image from the letters instead (_top_rectangle_image),
-    so this is the engine's check of that construction.  The disjointness
-    of the image from the top band is a theorem for positive braid knots;
-    its failure is fatal, not recoverable.
-    """
+def _deplumb(norm: BraidWord) -> tuple[tuple[int, ...], BraidWord]:
+    """phi(R), R the circle of the top rectangle (m, 0, 1), by the twist
+    engine, and the after-word of a knot word that starts with s_m s_m:
+    the validator's check of _top_rectangle_image.  That phi(R) misses the
+    top band and meets R once are theorems for knot words (the second is
+    proved in validate_trefoil_step), so a failure is fatal."""
     surface = build_surface(norm)
-    r_curve = cv.curve_from_rectangle(surface, RectangleCurve(norm.letters[0], 0, 1))
-    image = cv.apply_monodromy(r_curve)
+    top = RectangleCurve(norm.letters[0], 0, 1)
+    image = cv.apply_monodromy(cv.curve_from_rectangle(surface, top))
     traversals = image.traverses(0)
     if traversals != 0:
         raise DisjointnessFailure(
             f"monodromy image meets the top band {traversals} times on {norm.text()!r}"
         )
-    return r_curve.word, image.word, _after_word(norm)
+    if cv.geometric_intersection(image, top) != 1:
+        raise InternalConsistencyError(f"i(phi(R), R) is not 1 on {norm.text()!r}")
+    return image.word, _after_word(norm)
 
 
 def _require_knot(word: BraidWord) -> None:
@@ -482,15 +456,14 @@ def _require_knot(word: BraidWord) -> None:
         raise NotAKnot(f"closure has {count} components")
 
 
-def trefoil_step(word: BraidWord) -> TrefoilStep:
+def trefoil_step(word: BraidWord) -> tuple[TrefoilStep, BraidWord]:
     """Normalize to a square prefix, construct the top rectangle's
-    monodromy image, and remove the square.
+    monodromy image, and remove the square: the step and its after-word.
 
     The moves must replay to the normalized word, or the engine is at
     fault.  The after-word comes from _after_word, the routine the
     validator calls too, and the image from the normalized word's letters
     (_top_rectangle_image), with no surface built and no twist applied.
-    R, the circle of the rectangle (m, 0, 1), is the word (1, -2).
     validate_trefoil_step recomputes the image with the twist engine.
     """
     _require_knot(word)
@@ -500,69 +473,76 @@ def trefoil_step(word: BraidWord) -> TrefoilStep:
     if replay_moves(word, res.moves) != res.word:
         raise InternalConsistencyError("move replay does not reach the normalized word")
     after = _after_word(res.word)
-    image = _top_rectangle_image(res.word.letters)
-    return TrefoilStep(word, res.moves, res.m, (1, -2), image, after)
+    return TrefoilStep(res.moves, res.m, _top_rectangle_image(res.word.letters)), after
 
 
 def trefoil_decompose(word: BraidWord) -> TrefoilDecomposition:
     """Iterate trefoil_step until genus zero; step count equals the genus."""
     _require_knot(word)
-    genus = word.b1 // 2
     steps = []
     w = word
     while w.b1 > 0:
-        step = trefoil_step(w)
+        step, w = trefoil_step(w)
         steps.append(step)
-        w = step.after
-    if len(steps) != genus:
+    if len(steps) != word.b1 // 2:
         raise InternalConsistencyError("step count disagrees with the genus")
     if not is_trivial_closure(w):
         raise InternalConsistencyError("final word does not destabilize to the identity")
     return TrefoilDecomposition(word=word, steps=tuple(steps), final_word=w)
 
 
-def validate_trefoil_step(step: TrefoilStep) -> bool:
-    """Replay the moves, then recompute the step's curve and image.
+def validate_trefoil_step(word: BraidWord, step: TrefoilStep) -> BraidWord:
+    """Replay a step's moves from the knot word it starts from, check its
+    image, and return its after-word, recomputed by _after_word.
 
-    Moves that do not replay to the stored square s_m s_m followed by the
-    stored after-word, on its strands, or a stored curve or image other
-    than the recomputed one, raise CertificateRejected.  Only a word the
-    replay has matched reaches _deplumb, whose theorem checks keep
-    InternalConsistencyError.
+    Moves that do not replay to a word that starts with the stored square
+    s_m s_m, or a stored image other than _deplumb's, raise
+    CertificateRejected.  Only such a knot word, though not always in the
+    full square-prefix form, reaches _deplumb's theorem checks.
+
+    Each step is the paper's criterion at n = 2 for R, the circle of the
+    top rectangle (m, 0, 1).  First, i(phi(R), R) = 1, which _deplumb
+    checks.  Proof: the monodromy twists columns s - 1 down to 1, bottom to
+    top in each.  R runs on disks m and m + 1 between crossings 0 and 1,
+    where no other letter lies, so the circles of other columns miss it.
+    In column m only R_1 = (m, 1, u), u the third s_m (a knot word has
+    one), shares a band with R, and meets it once.  So every twist but
+    T_{R_1} and T_R fixes R, and i(phi(R), R) = i(T_R T_{R_1} R, R) =
+    i(T_{R_1} R, R) = i(R_1, R)^2 = 1.  So detect_chain from (m, 0, 1)
+    reaches n = 2: phi(R) is embedded, and its odd algebraic intersection
+    with R makes the classes independent.  The arc test passes at n = 2
+    by the cocore criterion: the cocore readings of the top band are
+    a_0 = 1 and a_1 = phi(R)'s signed count on band 0, which is 0, as
+    phi(R) misses that band (_deplumb's disjointness check).
     """
-    norm = replay_moves(step.before, step.moves)
-    after = step.after
-    if norm.strands != after.strands or norm.letters != (step.m, step.m) + after.letters:
+    norm = replay_moves(word, step.moves)
+    if norm.letters[:2] != (step.m, step.m):
         raise CertificateRejected("move replay does not reach the normalized word")
-    curve, image, _ = _deplumb(norm)
-    if curve != step.curve:
-        raise CertificateRejected("stored curve is not the top rectangle")
+    image, after = _deplumb(norm)
     if image != step.image:
         raise CertificateRejected("stored image is not the monodromy image")
-    return True
+    return after
 
 
 def validate_trefoil_decomposition(dec: TrefoilDecomposition) -> bool:
-    """Validate every step and the chain they form.
-
-    A certificate whose word is not a knot, whose steps do not chain, or
-    whose stored final word or step count differs from the recomputed one
-    raises CertificateRejected.  Past those checks the final word has
-    b1 = 0, so its failure to destabilize is an engine error.
+    """Walk the steps from the certificate's word; each step's validator
+    returns the word the next starts from, so the steps chain by
+    construction.  A certificate whose word is not a knot, or whose stored
+    final word (strands and letters) or step count differs from the walk's,
+    raises CertificateRejected.  The walk keeps a knot word (the moves keep
+    the closure, and s_m s_m w has w's permutation), so past the count check
+    it ends on b1 = 0, and a failure to destabilize is an engine error.
     """
     if not dec.word.is_knot:
         raise CertificateRejected("the certificate's word is not a knot")
     w = dec.word
     for step in dec.steps:
-        if step.before.letters != w.letters or step.before.strands != w.strands:
-            raise CertificateRejected("steps do not chain")
-        validate_trefoil_step(step)
-        w = step.after
-    if w.letters != dec.final_word.letters:
+        w = validate_trefoil_step(w, step)
+    if w != dec.final_word:
         raise CertificateRejected("final word mismatch")
     if len(dec.steps) != dec.word.b1 // 2:
         raise CertificateRejected("ribbon twist count must equal the genus")
-    if not is_trivial_closure(dec.final_word):
+    if not is_trivial_closure(w):
         raise InternalConsistencyError("final word does not destabilize to the identity")
     return True
 
@@ -570,50 +550,29 @@ def validate_trefoil_decomposition(dec: TrefoilDecomposition) -> bool:
 def trefoil_decomposition_from_json(data) -> TrefoilDecomposition:
     """Load a decomposition's JSON; CertificateRejected names a missing or
     wrongly typed field, a letter outside the generator range (in word,
-    before, m, after or final_word), or a genus or ribbon twist count other
-    than the step count."""
+    m or final_word), or a genus or ribbon twist count other than the step
+    count.  Only word and final_word become BraidWords."""
     ints = "a list of integers"
     strands = json_field(data, "strands", "an integer")
     word = field_word(strands, json_field(data, "word", ints), "word")
     steps = []
-    w = word
     for i, raw in enumerate(json_field(data, "steps", "a list")):
         where = f"steps[{i}]."
-        before = tuple(json_field(raw, "before", ints, where))
-        # A step that chains starts from the previous step's after-word:
-        # reuse it.  Any other before-word gets its own BraidWord, and
-        # validate_trefoil_decomposition rejects it.
-        before = w if before == w.letters else field_word(w.strands, before, where + "before")
         moves = tuple(
             move_from_json(mv, f"{where}moves[{k}].")
             for k, mv in enumerate(json_field(raw, "moves", "a list", where))
         )
-        # The after-word is on one strand fewer per destabilization;
-        # validate_trefoil_step replays the moves to the square plus it.
-        strands = before.strands - sum(isinstance(mv, Destabilize) for mv in moves)
-        after = field_word(strands, json_field(raw, "after", ints, where), where + "after")
-        # m is a letter of the normalized word, which is on after's strands.
+        # m is a letter of the normalized word: one strand per Destabilize less.
+        strands -= sum(isinstance(mv, Destabilize) for mv in moves)
         m = json_field(raw, "m", "an integer", where)
         if not 0 < m < strands:
             raise CertificateRejected(
                 f"field {where + 'm'!r}: letter {m} outside the generator range 1..{strands - 1}"
             )
-        steps.append(
-            TrefoilStep(
-                before=before,
-                moves=moves,
-                m=m,
-                curve=tuple(json_field(raw, "R", ints, where)),
-                image=tuple(json_field(raw, "phiR", ints, where)),
-                after=after,
-            )
-        )
-        w = after
-    genus = json_field(data, "genus", "an integer")
-    ribbon_twists = json_field(data, "ribbon_twists", "an integer")
-    final = tuple(json_field(data, "final_word", ints))
-    final_word = w if final == w.letters else field_word(w.strands, final, "final_word")
-    if genus != len(steps) or ribbon_twists != len(steps):
+        steps.append(TrefoilStep(moves, m, tuple(json_field(raw, "phiR", ints, where))))
+    counts = [json_field(data, key, "an integer") for key in ("genus", "ribbon_twists")]
+    final_word = field_word(strands, json_field(data, "final_word", ints), "final_word")
+    if counts != [len(steps)] * 2:
         raise CertificateRejected("genus and ribbon twists must equal the step count")
     return TrefoilDecomposition(word=word, steps=tuple(steps), final_word=final_word)
 

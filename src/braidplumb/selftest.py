@@ -25,7 +25,12 @@ from .alexpoly import (
 from .braidwords import BraidWord
 from .errors import CertificateRejected, InternalConsistencyError
 from .fatgraph import RectangleCurve, build_surface
-from .monodromy import alexander_from_monodromy, homological_monodromy, intersection_form
+from .monodromy import (
+    alexander_from_monodromy,
+    homological_monodromy,
+    intersection_form,
+    row_times,
+)
 from .plumbing import (
     ChainCertificate,
     detect_chain,
@@ -256,8 +261,9 @@ def trefoil_exhaustive(max_crossings: int = 12) -> tuple[bool, str]:
     Step counts are memoized by the class of the word a step starts from,
     so each distinct step is built once, and validate_trefoil_step checks
     each step built: it recomputes with the twist engine the image that
-    trefoil_step constructs from the letters.  A step count other than the
-    genus, or a step the validator rejects, is a failure.
+    trefoil_step constructs from the letters, and checks i(phi(R), R) = 1,
+    the paper's criterion at n = 2.  A step count other than the genus, or
+    a step the validator rejects, is a failure.
     """
     memo: dict = {}
     validated = 0
@@ -271,13 +277,13 @@ def trefoil_exhaustive(max_crossings: int = 12) -> tuple[bool, str]:
         key = (word.strands, word.canonical())
         hit = memo.get(key)
         if hit is None:
-            step = trefoil_step(word)
+            step, after = trefoil_step(word)
             try:
-                validate_trefoil_step(step)
+                validate_trefoil_step(word, step)
                 validated += 1
             except CertificateRejected:
                 bad += 1
-            hit = memo[key] = step_count(step.after) + 1
+            hit = memo[key] = step_count(after) + 1
         return hit
 
     total = 0
@@ -330,7 +336,8 @@ def curve_property_suite() -> tuple[bool, str]:
     circle, |pairing| <= geometric intersection, the monodromy keeps
     geometric and self-intersection numbers (the lemma behind
     detect_chain's orbit criterion), H meets the Seifert identity
-    V^T H = V, and rectangle orbits of three torus knots.  J comes from intersection_form, which
+    V^T H = V, the periodicity of the T(3,5) and T(4,4) monodromies, and
+    rectangle orbits of three torus knots.  J comes from intersection_form, which
     reads the brick diagram and runs no part of the curve engine, so the
     transvection and bound checks test the engine against it.  V is 1 on
     the diagonal and J[a][b] for a > b (rectangle a is twisted before b),
@@ -400,6 +407,24 @@ def curve_property_suite() -> tuple[bool, str]:
             cv.curve_from_rectangle(surface, rect)
         )
 
+    def periodic(surface, order):
+        """T(p, q)'s phi has order lcm(p, q) on closed curves (x^p + y^q's
+        Milnor fibre): each rectangle circle first returns at `order`; H^order = I."""
+        h = homological_monodromy(surface)
+        for r, rect in enumerate(surface.rectangles):
+            start = x = cv.curve_from_rectangle(surface, rect)
+            unit = row = [int(c == r) for c in range(len(h))]
+            for k in range(1, order + 1):
+                x = cv.apply_monodromy(x)
+                row = row_times(row, h)
+                if x.is_isotopic(start) != (k == order):
+                    return False
+            if x != start or row != unit:
+                return False
+        return True
+
+    periodic_ok = periodic(surfaces[0], 15) and periodic(surfaces[1], 4)
+
     s43 = build_surface(torus_braid(4, 3))
     orbit_ok = (
         all(reaches(s43, k, RectangleCurve(k + 1, k, k + 3)) for k in (1, 2))
@@ -408,10 +433,11 @@ def curve_property_suite() -> tuple[bool, str]:
     )
 
     return (
-        pl_ok and rect_ok and count_ok and bound_ok and invariance_ok and seifert_ok and orbit_ok,
+        pl_ok and rect_ok and count_ok and bound_ok and invariance_ok and seifert_ok
+        and periodic_ok and orbit_ok,
         f"transvection={pl_ok} rect-twist={rect_ok} rect-count={count_ok} "
         f"pairing-bound={bound_ok} monodromy-invariance={invariance_ok} "
-        f"seifert={seifert_ok} orbits={orbit_ok}",
+        f"seifert={seifert_ok} periodicity={periodic_ok} orbits={orbit_ok}",
     )
 
 

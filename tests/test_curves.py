@@ -1,6 +1,7 @@
 import collections
 import itertools
 import random
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,7 +22,7 @@ from braidplumb.curves import (
 )
 from braidplumb.errors import EmptyCurve, InvalidParameter, NonEmbeddedCore, NotAPath
 from braidplumb.fatgraph import RectangleCurve, build_surface
-from braidplumb.monodromy import intersection_form
+from braidplumb.monodromy import homological_monodromy, intersection_form
 from braidplumb.plumbing import detect_chain, torus_braid
 
 FIGURE_BRAID = BraidWord(6, (4, 4, 3, 2, 1, 5, 5, 3, 4, 2, 2, 5, 3, 4, 1, 1, 2, 2, 3))
@@ -329,6 +330,45 @@ def drawn_curve(s, data):
                     return NormalCurve(s, word)
                 break
     return x
+
+
+def sparse_power(h, k):
+    """The k-th power of the matrix with sparse rows h, as sparse rows."""
+    rows = [{r: 1} for r in range(len(h))]
+    for _ in range(k):
+        nxt = []
+        for row in rows:
+            out = collections.Counter()
+            for r, y in row.items():
+                for c, x in h[r].items():
+                    out[c] += y * x
+            nxt.append({c: x for c, x in out.items() if x})
+        rows = nxt
+    return rows
+
+
+class TestTorusPeriodicity:
+    """The fibre surface of T(p, q) is the Milnor fibre of x^p + y^q, whose
+    monodromy (x, y) -> (e^{2 pi i/p} x, e^{2 pi i/q} y) has order lcm(p, q)
+    up to boundary twists, which move no closed curve."""
+
+    @pytest.mark.parametrize(
+        "p,q", [(3, 4), (3, 5), (4, 5), (5, 6), (6, 7), (10, 11), (3, 3), (3, 6), (4, 6)]
+    )
+    def test_rectangles_first_return_after_lcm(self, p, q):
+        s = build_surface(torus_braid(p, q))
+        order = lcm(p, q)
+        for rect in s.rectangles:
+            start = x = curve_from_rectangle(s, rect)
+            returns = []
+            for k in range(1, order + 1):
+                x = apply_monodromy(x)
+                if x.is_isotopic(start):
+                    returns.append(k)
+            assert returns == [order], rect
+            assert apply_monodromy(start, order) == start
+        identity = [{r: 1} for r in range(s.b1)]
+        assert sparse_power(homological_monodromy(s), order) == identity
 
 
 class TestMonodromyInvariance:

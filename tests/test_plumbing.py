@@ -590,7 +590,7 @@ class TestLoaderContract:
 
 
     @pytest.mark.parametrize(
-        "field", ["word", "steps[0].before", "steps[0].m", "steps[0].after", "final_word"]
+        "field", ["word", "steps[0].m", "final_word"]
     )
     def test_letter_out_of_range_names_the_field(self, field):
         data = json.loads(json.dumps(trefoil_decompose(torus_braid(3, 4)).to_json()))
@@ -598,8 +598,7 @@ class TestLoaderContract:
         if field == "steps[0].m":
             step["m"], bad = 7, 7
         else:
-            letters = step[field[len("steps[0].") :]] if "." in field else data[field]
-            letters.insert(0, 9)
+            data[field].insert(0, 9)
             bad = 9
         message = f"field '{field}': letter {bad} outside the generator range 1.."
         with pytest.raises(CertificateRejected, match="^" + re.escape(message)):
@@ -614,17 +613,18 @@ class TestLoaderContract:
 
 class TestTrefoilStep:
     def test_trefoil(self):
-        step = trefoil_step(parse_braid("1 1 1"))
+        word = parse_braid("1 1 1")
+        step, after = trefoil_step(word)
         assert step.m == 1
-        assert step.after.letters == (1,)
+        assert after.letters == (1,)
         assert 1 not in map(abs, step.image)  # the image avoids the top band
-        assert validate_trefoil_step(step)
+        assert validate_trefoil_step(word, step) == after
 
     def test_genus_drops(self):
         w = torus_braid(3, 4)
-        step = trefoil_step(w)
-        assert step.after.b1 == w.b1 - 2
-        assert step.after.is_knot
+        _, after = trefoil_step(w)
+        assert after.b1 == w.b1 - 2
+        assert after.is_knot
 
     def test_not_a_knot(self):
         with pytest.raises(NotAKnot):
@@ -652,22 +652,32 @@ class TestTrefoilStep:
     @pytest.mark.parametrize(
         "field,message",
         [
-            ("curve", "stored curve is not the top rectangle"),
             ("image", "stored image is not the monodromy image"),
-            # The moves replay to the square plus the after-word.
-            ("after", "move replay does not reach the normalized word"),
+            # The moves replay to a word that starts with the square s_m s_m.
+            ("m", "move replay does not reach the normalized word"),
+            ("moves", "move replay does not reach the normalized word"),
         ],
     )
     def test_validator_compares_every_field(self, field, message):
-        step = trefoil_step(torus_braid(3, 4))
-        value = getattr(step, field)
-        if isinstance(value, BraidWord):
-            bad = BraidWord(value.strands, value.letters[::-1])
-        else:
-            bad = tuple(-t for t in value)
-        assert bad != value
+        word = torus_braid(3, 4)
+        step, _ = trefoil_step(word)
+        bad = {
+            "image": tuple(-t for t in step.image),
+            "m": 3 - step.m,
+            "moves": step.moves[1:],  # the first move dropped
+        }[field]
+        assert bad != getattr(step, field)
         with pytest.raises(CertificateRejected, match=message):
-            validate_trefoil_step(dataclasses.replace(step, **{field: bad}))
+            validate_trefoil_step(word, dataclasses.replace(step, **{field: bad}))
+
+    def test_push_off_count_other_than_one_is_an_engine_error(self, monkeypatch):
+        # i(phi(R), R) = 1 is a theorem (validate_trefoil_step), so its
+        # failure is exit 3, not a rejected certificate.
+        word = torus_braid(3, 4)
+        step, _ = trefoil_step(word)
+        monkeypatch.setattr(cv, "geometric_intersection", lambda x, y: 2)
+        with pytest.raises(InternalConsistencyError, match=r"i\(phi\(R\), R\) is not 1"):
+            validate_trefoil_step(word, step)
 
 
 class TestTrefoilDecompose:
@@ -700,12 +710,18 @@ class TestTrefoilDecompose:
         assert back.word.letters == dec.word.letters
         assert [s.to_json() for s in back.steps] == [s.to_json() for s in dec.steps]
 
+    def test_step_json_holds_moves_m_and_image_only(self):
+        # No step stores a word: the validator walks them from "word".
+        data = trefoil_decompose(parse_braid("1 2 1 3 2 3 3 1 2 2 3 1 3")).to_json()
+        assert data["steps"]
+        assert all(step.keys() == {"moves", "m", "phiR"} for step in data["steps"])
+
     @pytest.mark.parametrize(
         "tamper",
         [
             "drop_move",
             "change_m",
-            "change_after",
+            "change_final_word",
             "change_phiR",
             "change_genus",
             "change_ribbon_twists",
@@ -713,12 +729,13 @@ class TestTrefoilDecompose:
         ],
     )
     def test_tampered_round_trip_rejected(self, tamper):
-        # A step's normalized word is its stored m's square followed by
-        # its stored after-word, so the validator's one replay checks the
-        # moves against the certificate, not against a second replay.  The
-        # loader itself checks genus and ribbon_twists against the steps,
-        # and refuses a mismatch as a malformed certificate.  T(3,4) carries
-        # no letter; the 4-strand word's first step carries three.
+        # The validator replays each step's moves from the word the walk
+        # has reached and requires the stored m's square in front; it
+        # recomputes the after-word, and the walk's last one must be the
+        # stored final word.  The loader itself checks genus and
+        # ribbon_twists against the steps, and refuses a mismatch as a
+        # malformed certificate.  T(3,4) carries no letter; the 4-strand
+        # word's first step carries three.
         if tamper == "block_carry":
             dec = trefoil_decompose(parse_braid("1 2 1 3 2 3 3 1 2 2 3 1 3"))
         else:
@@ -732,7 +749,7 @@ class TestTrefoilDecompose:
             k, carry = next(
                 (k, mv) for k, mv in enumerate(dec.steps[0].moves) if isinstance(mv, Carry)
             )
-            letters = replay_moves(dec.steps[0].before, dec.steps[0].moves[:k]).letters
+            letters = replay_moves(dec.word, dec.steps[0].moves[:k]).letters
             x = letters[carry.source]
             step["moves"][k]["target"] = min(
                 (p for p, y in enumerate(letters) if p != carry.source and abs(y - x) < 2),
@@ -742,8 +759,8 @@ class TestTrefoilDecompose:
             del step["moves"][0]
         elif tamper == "change_m":
             step["m"] = 3 - step["m"]
-        elif tamper == "change_after":
-            step["after"] = step["after"][::-1]
+        elif tamper == "change_final_word":
+            data["final_word"] = data["final_word"][::-1] + [1]
         elif tamper == "change_phiR":
             step["phiR"][0] = -step["phiR"][0]
         elif tamper == "change_genus":
@@ -755,15 +772,15 @@ class TestTrefoilDecompose:
             with pytest.raises(CertificateRejected, match="^genus and ribbon twists"):
                 trefoil_decomposition_from_json(data)
             return
-        assert step != honest["steps"][0]
+        assert data != honest
         back = trefoil_decomposition_from_json(data)
         # A stored field that differs from the replay is a rejected
-        # certificate.  Moves, m and the after-word are checked together:
-        # the moves must replay to the square s_m s_m plus the after-word.
+        # certificate.  Moves and m are checked together: the moves must
+        # replay to a word that starts with the square s_m s_m.
         expected = {
             "drop_move": (CertificateRejected, "move replay does not reach"),
             "change_m": (CertificateRejected, "move replay does not reach"),
-            "change_after": (CertificateRejected, "move replay does not reach"),
+            "change_final_word": (CertificateRejected, "final word mismatch"),
             "change_phiR": (CertificateRejected, "stored image is not the monodromy image"),
             "block_carry": (IllegalMove, r"do not commute: position \d+ blocks the carry"),
         }
@@ -776,15 +793,15 @@ class TestTrefoilDecompose:
     @settings(max_examples=150, deadline=None)
     @given(knot_words(), st.data())
     def test_tampered_step_is_accepted_or_a_domain_error(self, w, data):
-        # Whatever one step's moves, m, after-word, R or phiR say, loading
-        # and validating ends in acceptance or a DomainError (exit 2);
+        # Whatever one step's moves, m or phiR, or the final word, say,
+        # loading and validating ends in acceptance or a DomainError (exit 2);
         # InternalConsistencyError (exit 3) is left for engine bugs.
         doc = json.loads(json.dumps(trefoil_decompose(w).to_json()))
         if not doc["steps"]:
             return
         step = data.draw(st.sampled_from(doc["steps"]))
         moves = step["moves"]
-        tampers = ["change_m", "shuffle_after", "flip_R", "flip_phiR"]
+        tampers = ["change_m", "flip_final_word", "flip_phiR"]
         if moves:
             tampers += ["drop_move", "duplicate_move"]
         # The integer positions a move names: a braid relation's, and a
@@ -807,10 +824,14 @@ class TestTrefoilDecompose:
         elif tamper == "shift_position":
             move, key = data.draw(st.sampled_from(shiftable))
             move[key] += data.draw(st.sampled_from([-2, -1, 1, 2]))
-        elif tamper == "shuffle_after":
-            step["after"] = data.draw(st.permutations(step["after"]))
+        elif tamper == "flip_final_word":
+            # Reversed, with one letter, in range or not, put in anywhere.
+            final = doc["final_word"][::-1]
+            k = data.draw(st.integers(0, len(final)))
+            final.insert(k, data.draw(st.integers(-1, w.strands)))
+            doc["final_word"] = final
         else:
-            word = step["R" if tamper == "flip_R" else "phiR"]
+            word = step["phiR"]
             k = data.draw(st.integers(0, len(word) - 1))
             word[k] = -word[k]
         try:
@@ -851,41 +872,23 @@ class TestTrefoilDecompose:
         with pytest.raises(IllegalMove, match=re.escape("unknown move kind 'commute'")):
             trefoil_decomposition_from_json(data)
 
-    def test_loaded_normalized_word_is_square_plus_after(self):
-        dec = trefoil_decompose(parse_braid("1 1 1 2 1 3 2 3 3"))
-        back = trefoil_decomposition_from_json(json.loads(json.dumps(dec.to_json())))
-        for got, made in zip(back.steps, dec.steps):
-            assert (got.m, got.m) + got.after.letters == (made.m, made.m) + made.after.letters
-            assert got.after == made.after
-
-    def test_loader_reuses_the_chaining_words(self):
-        dec = trefoil_decompose(torus_braid(3, 5))
-        back = trefoil_decomposition_from_json(json.loads(json.dumps(dec.to_json())))
-        previous = back.word
-        for step in back.steps:
-            assert step.before is previous
-            previous = step.after
-        assert back.final_word is previous
-        assert validate_trefoil_decomposition(back)
-
-    def test_loader_keeps_a_before_word_that_does_not_chain(self):
-        data = json.loads(json.dumps(trefoil_decompose(torus_braid(3, 5)).to_json()))
-        data["steps"][1]["before"] = data["steps"][1]["before"][::-1]
-        back = trefoil_decomposition_from_json(data)
-        assert back.steps[1].before is not back.steps[0].after
-        assert list(back.steps[1].before.letters) == data["steps"][1]["before"]
-        with pytest.raises(CertificateRejected, match="steps do not chain"):
-            validate_trefoil_decomposition(back)
-
     def test_stored_final_word_and_step_count_rejected(self):
         dec = trefoil_decompose(torus_braid(3, 5))
-        last = dec.steps[-1].after
+        last = dec.final_word
         wrong_final = BraidWord(last.strands + 1, last.letters + (last.strands,))
         with pytest.raises(CertificateRejected, match="final word mismatch"):
             validate_trefoil_decomposition(dataclasses.replace(dec, final_word=wrong_final))
-        short = dataclasses.replace(
-            dec, steps=dec.steps[:-1], final_word=dec.steps[-2].after
-        )
+        # The same letters on other strands: the walk ends on 2 strands.
+        t34 = trefoil_decompose(torus_braid(3, 4))
+        assert t34.final_word == BraidWord(2, (1,))
+        with pytest.raises(CertificateRejected, match="final word mismatch"):
+            validate_trefoil_decomposition(
+                dataclasses.replace(t34, final_word=BraidWord(4, (1,)))
+            )
+        w = dec.word
+        for step in dec.steps[:-1]:
+            w = validate_trefoil_step(w, step)
+        short = dataclasses.replace(dec, steps=dec.steps[:-1], final_word=w)
         with pytest.raises(CertificateRejected, match="ribbon twist count"):
             validate_trefoil_decomposition(short)
 
@@ -893,8 +896,8 @@ class TestTrefoilDecompose:
         # Every step of this 2-component word replays, and its one step is
         # b1 // 2 = 1 of them, but the final word "1 1" is no unknot.
         word = parse_braid("1 1 1 1")
-        curve, image, after = plumbing._deplumb(word)
-        step = plumbing.TrefoilStep(word, (), 1, curve, image, after)
+        image, after = plumbing._deplumb(word)
+        step = plumbing.TrefoilStep((), 1, image)
         dec = plumbing.TrefoilDecomposition(word=word, steps=(step,), final_word=after)
         with pytest.raises(CertificateRejected, match="not a knot"):
             validate_trefoil_decomposition(dec)
@@ -931,6 +934,39 @@ class TestTrefoilDecompose:
         assert all(1 not in map(abs, s.image) for s in dec.steps)
 
 
+class TestStepIsTheCriterionAtTwo:
+    def test_knot_corpus(self):
+        # On every distinct normalized step word of the knot classes with
+        # c <= 10, validate_trefoil_step accepts exactly when the chain
+        # detector reaches n = 2 from the top rectangle and the arc test
+        # passes at n = 2 (the proof is in its docstring).
+        seen, norms = set(), set()
+        passed = 0
+        todo = list(reduced_knot_corpus(10))
+        while todo:
+            w = todo.pop()
+            key = (w.strands, w.canonical())
+            if w.b1 == 0 or key in seen:
+                continue
+            seen.add(key)
+            step, after = trefoil_step(w)
+            todo.append(after)
+            norm = replay_moves(w, step.moves)
+            if norm in norms:
+                continue
+            norms.add(norm)
+            try:
+                accepted = validate_trefoil_step(w, step) == after
+            except InternalConsistencyError:
+                accepted = False
+            surface = build_surface(norm)
+            top = RectangleCurve(step.m, 0, 1)
+            chain = detect_chain(surface, top, 2).n == 2
+            assert accepted == (chain and plumbing._arc_functionals_independent(surface, top, 2))
+            passed += accepted
+        assert len(norms) == passed == 2074
+
+
 def engine_image(norm):
     """apply_monodromy of the top rectangle (m, 0, 1) of a square-prefix word."""
     surface = build_surface(norm)
@@ -938,11 +974,19 @@ def engine_image(norm):
     return cv.apply_monodromy(r_curve).word
 
 
-def assert_images_are_the_engines(step):
-    """The producer's constructed image equals the engine's, letter for letter."""
-    norm = BraidWord(step.after.strands, (step.m, step.m) + step.after.letters)
-    assert step.curve == (1, -2)
+def assert_images_are_the_engines(word, step):
+    """The producer's constructed image of the step from word equals the
+    engine's, letter for letter; returns the step's after-word."""
+    norm = replay_moves(word, step.moves)
     assert step.image == engine_image(norm), norm.text()
+    return BraidWord(norm.strands, norm.letters[2:])
+
+
+def assert_decomposition_images_are_the_engines(dec):
+    w = dec.word
+    for step in dec.steps:
+        w = assert_images_are_the_engines(w, step)
+    assert w == dec.final_word
 
 
 class TestConstructedImage:
@@ -963,23 +1007,21 @@ class TestConstructedImage:
             if w.b1 == 0 or key in seen:
                 continue
             seen.add(key)
-            step = trefoil_step(w)
-            assert_images_are_the_engines(step)
-            todo.append(step.after)
+            step, after = trefoil_step(w)
+            assert assert_images_are_the_engines(w, step) == after
+            todo.append(after)
         assert len(seen) == 5125
 
     @settings(max_examples=100, deadline=None)
     @given(knot_words(max_strands=10, max_letters=60))
     def test_random_knots(self, w):
-        for step in trefoil_decompose(w).steps:
-            assert_images_are_the_engines(step)
+        assert_decomposition_images_are_the_engines(trefoil_decompose(w))
 
     @pytest.mark.parametrize(
         "p,q", [(p, p + 1) for p in range(2, 13)] + [(p, 2 * p + 1) for p in range(2, 7)]
     )
     def test_torus_knots(self, p, q):
-        for step in trefoil_decompose(torus_braid(p, q)).steps:
-            assert_images_are_the_engines(step)
+        assert_decomposition_images_are_the_engines(trefoil_decompose(torus_braid(p, q)))
 
     def test_certify_builds_no_surface_and_applies_no_twist(self, monkeypatch):
         def refuse(*args, **kwargs):
