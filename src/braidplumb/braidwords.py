@@ -133,23 +133,18 @@ def min_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
 def parse_braid(text: str, strands: Optional[int] = None) -> BraidWord:
     """Parse whitespace-separated generator indices into a BraidWord.
 
-    The strand count defaults to max letter + 1.
+    The strand count defaults to max letter + 1, and to 1 when no letter
+    is positive.  BraidWord checks the strand count and every letter's
+    range (InvalidGenerator).
     """
-    tokens = text.split()
     letters = []
-    for tok in tokens:
+    for tok in text.split():
         try:
-            val = int(tok)
+            letters.append(int(tok))
         except ValueError as exc:
             raise InvalidGenerator(f"non-integer token {tok!r}") from exc
-        if val < 1:
-            raise InvalidGenerator(f"generator index {val} must be positive")
-        letters.append(val)
     if strands is None:
-        strands = (max(letters) + 1) if letters else 1
-    for val in letters:
-        if val >= strands:
-            raise InvalidGenerator(f"letter {val} needs more than {strands} strands")
+        strands = max([0, *letters]) + 1
     return BraidWord(strands, tuple(letters))
 
 

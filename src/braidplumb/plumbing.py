@@ -4,7 +4,10 @@ Two evidence objects: ChainCertificate witnesses an iterated-Hopf chain of
 curves C_k = phi^k(C_0) (consecutive curves meet once, all others are
 disjoint, classes independent over Q), and TrefoilDecomposition witnesses
 a genus-many sequence of square-removal steps, each certified by a
-monodromy-image disjointness check.
+monodromy-image disjointness check.  A chain certificate stores the word,
+the seed rectangle, n and the curves: n fixes the intersection pattern
+and the rank, so neither is stored, and the validator decides both by
+regrowing the chain.
 
 The chain is grown by the orbit criterion: phi keeps intersection
 numbers, so i(C_a, C_b) = i(C_{a-b}, C_0) for a > b, and each new iterate
@@ -65,14 +68,13 @@ from .monodromy import homological_monodromy, row_times
 
 @dataclasses.dataclass(frozen=True)
 class ChainCertificate:
-    """Witness of an n-fold iterated-plumbing chain grown from one rectangle."""
+    """Witness of an n-fold iterated-plumbing chain grown from one rectangle:
+    the word, the seed, n and the curves C_0, ..., C_{n-1}."""
 
     word: BraidWord
     seed: RectangleCurve
     n: int
     curve_words: tuple[tuple[int, ...], ...]
-    intersections: tuple[tuple[int, ...], ...]
-    rank: int
 
     def to_json(self):
         return {
@@ -81,14 +83,13 @@ class ChainCertificate:
             "seed": self.seed.to_json(),
             "n": self.n,
             "curves": [list(w) for w in self.curve_words],
-            "intersections": [list(r) for r in self.intersections],
-            "rank": self.rank,
         }
 
     @classmethod
     def from_json(cls, data) -> "ChainCertificate":
         """Load a certificate's JSON; CertificateRejected names a missing
-        or wrongly typed field."""
+        or wrongly typed field.  Keys other than word, strands, seed, n and
+        curves are not read."""
         strands = json_field(data, "strands", "an integer")
         word = field_word(strands, json_field(data, "word", "a list of integers"), "word")
         seed = json_field(data, "seed", "a JSON object")
@@ -99,10 +100,6 @@ class ChainCertificate:
             ),
             n=json_field(data, "n", "an integer"),
             curve_words=tuple(map(tuple, json_field(data, "curves", "a list of integer lists"))),
-            intersections=tuple(
-                map(tuple, json_field(data, "intersections", "a list of integer lists"))
-            ),
-            rank=json_field(data, "rank", "an integer"),
         )
 
 
@@ -132,7 +129,9 @@ def detect_chain(
 
     Greedy growth; a single embedded curve is a valid 1-chain, so n >= 1
     and max_n must be at least 1.  The result is prefix-monotone in max_n
-    by construction.
+    by construction.  It stores the curves only: each was admitted by the
+    orbit criterion and a rank rise, so by the induction below the table
+    of the n curves is the chain pattern and their rank is n.
 
     The orbit criterion: C_0, ..., C_k being a chain (each embedded,
     i(C_a, C_b) = 1 when |a - b| = 1 and 0 otherwise, rank k + 1), the
@@ -170,20 +169,11 @@ def detect_chain(
         chain.append(candidate)
         echelon.append(entry)
         last = candidate
-    # _chain_ok admitted each curve only by the orbit criterion and a rank
-    # rise, so the table is the chain pattern (by the induction in the
-    # docstring) and the rank is n.
-    # validate_chain_certificate regrows the chain through this function
-    # and compares.
-    n = len(chain)
-    pattern = tuple(tuple(int(abs(a - b) == 1) for b in range(n)) for a in range(n))
     return ChainCertificate(
         word=surface.word,
         seed=seed,
-        n=n,
+        n=len(chain),
         curve_words=tuple(c.word for c in chain),
-        intersections=pattern,
-        rank=n,
     )
 
 
@@ -195,12 +185,11 @@ def validate_chain_certificate(cert: ChainCertificate) -> bool:
     property C_k = phi^k(C_0), embeddedness, the intersection pattern and
     the rank over Q are decided by the test that certifies them.  A stored
     length other than n, or a seed that is no rectangle, contradicts the
-    certificate itself.  The regrown chain must reach n, every stored
-    word must have the least rotation of the regrown curve, and the stored
-    table and rank must equal the regrown ones.  The regrown curves are
-    closed paths, so a stored word that is no path, or is empty, fails the
-    rotation comparison.  Each of these checks compares a
-    stored field with the engine's own result, so each failure raises
+    certificate itself.  The regrown chain must reach n, and every stored
+    word must have the least rotation of the regrown curve.  The regrown
+    curves are closed paths, so a stored word that is no path, or is
+    empty, fails the rotation comparison.  Each of these checks compares
+    a stored field with the engine's own result, so each failure raises
     CertificateRejected.  Only the validator tests the cut independence of
     the transversal-arc functionals u H^{-k} (u pairs cycles with the
     seed's top band), which certifies that cutting the surface along the
@@ -222,10 +211,6 @@ def validate_chain_certificate(cert: ChainCertificate) -> bool:
                 if k
                 else "chain does not start at the seed rectangle"
             )
-    if cert.intersections != fresh.intersections:
-        raise CertificateRejected("intersection table is not the chain pattern")
-    if cert.rank != fresh.rank:
-        raise CertificateRejected("chain classes are not independent over Q")
     if not _arc_functionals_independent(surface, cert.seed, n):
         raise InternalConsistencyError("cut surface would disconnect: arc rank too low")
     return True
@@ -495,10 +480,11 @@ def validate_trefoil_step(word: BraidWord, step: TrefoilStep) -> BraidWord:
     """Replay a step's moves from the knot word it starts from, check its
     image, and return its after-word, recomputed by _after_word.
 
-    Moves that do not replay to a word that starts with the stored square
-    s_m s_m, or a stored image other than _deplumb's, raise
-    CertificateRejected.  Only such a knot word, though not always in the
-    full square-prefix form, reaches _deplumb's theorem checks.
+    A word whose closure is not a knot, moves that do not replay to a word
+    that starts with the stored square s_m s_m, or a stored image other
+    than _deplumb's, raise CertificateRejected.  Only such a knot word,
+    though not always in the full square-prefix form, reaches _deplumb's
+    theorem checks.
 
     Each step is the paper's criterion at n = 2 for R, the circle of the
     top rectangle (m, 0, 1).  First, i(phi(R), R) = 1, which _deplumb
@@ -515,6 +501,8 @@ def validate_trefoil_step(word: BraidWord, step: TrefoilStep) -> BraidWord:
     a_0 = 1 and a_1 = phi(R)'s signed count on band 0, which is 0, as
     phi(R) misses that band (_deplumb's disjointness check).
     """
+    if not word.is_knot:
+        raise CertificateRejected("the step's word is not a knot")
     norm = replay_moves(word, step.moves)
     if norm.letters[:2] != (step.m, step.m):
         raise CertificateRejected("move replay does not reach the normalized word")
@@ -527,11 +515,13 @@ def validate_trefoil_step(word: BraidWord, step: TrefoilStep) -> BraidWord:
 def validate_trefoil_decomposition(dec: TrefoilDecomposition) -> bool:
     """Walk the steps from the certificate's word; each step's validator
     returns the word the next starts from, so the steps chain by
-    construction.  A certificate whose word is not a knot, or whose stored
-    final word (strands and letters) or step count differs from the walk's,
-    raises CertificateRejected.  The walk keeps a knot word (the moves keep
-    the closure, and s_m s_m w has w's permutation), so past the count check
-    it ends on b1 = 0, and a failure to destabilize is an engine error.
+    construction.  A certificate whose word is not a knot (checked here
+    too, as a certificate with no steps calls no step validator), or whose
+    stored final word (strands and letters) or step count differs from the
+    walk's, raises CertificateRejected.  The walk keeps a knot word (the
+    moves keep the closure, and s_m s_m w has w's permutation), so past the
+    count check it ends on b1 = 0, and a failure to destabilize is an
+    engine error.
     """
     if not dec.word.is_knot:
         raise CertificateRejected("the certificate's word is not a knot")

@@ -94,6 +94,15 @@ class TestParse:
     def test_explicit_strands(self):
         assert parse_braid("1", strands=5).strands == 5
 
+    @pytest.mark.parametrize(
+        "text,strands,bad", [("-5", None, -5), ("0", None, 0), ("3 -1", None, -1), ("1 3", 3, 3)]
+    )
+    def test_bad_letter_is_named(self, text, strands, bad):
+        # BraidWord checks the range; a word of letters below 1 alone still
+        # names its letter, not the strand count it would default to.
+        with pytest.raises(InvalidGenerator, match=f"^letter {bad} outside the generator range"):
+            parse_braid(text, strands)
+
 
 class TestClosure:
     def test_single_crossing(self):

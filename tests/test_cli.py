@@ -1,7 +1,9 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -312,6 +314,30 @@ class TestModuleEntryPoint:
         proc = self._run_module("analyze", "0 1")
         assert proc.returncode == 2, proc.stderr
         assert "error" in json.loads(proc.stdout)
+
+
+def pinned_cli_digests():
+    """The "digest COMMAND ARGS" lines of .github/cli-digests.txt, ARGS read
+    as shell words."""
+    path = Path(__file__).resolve().parents[1] / ".github" / "cli-digests.txt"
+    for number, line in enumerate(path.read_text().splitlines(), 1):
+        if line.strip() and not line.startswith("#"):
+            digest, args = line.split(" ", 1)
+            argv = shlex.split(args)
+            yield pytest.param(digest, argv, id=f"line{number}-{argv[0]}")
+
+
+@pytest.mark.parametrize("digest,argv", list(pinned_cli_digests()))
+def test_cli_output_matches_the_pinned_digest(digest, argv):
+    # The digest is of the output as `printf '%s\n' "$(...)"` writes it:
+    # trailing newlines cut, then one added.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "braidplumb", *argv], capture_output=True, env=env, cwd=root
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout.rstrip(b"\n") + b"\n").hexdigest() == digest
 
 
 class TestOutputFailures:

@@ -23,7 +23,7 @@ from braidplumb.curves import (
 from braidplumb.errors import EmptyCurve, InvalidParameter, NonEmbeddedCore, NotAPath
 from braidplumb.fatgraph import RectangleCurve, build_surface
 from braidplumb.monodromy import homological_monodromy, intersection_form
-from braidplumb.plumbing import detect_chain, torus_braid
+from braidplumb.plumbing import detect_chain, torus_braid, torus_summand_report
 
 FIGURE_BRAID = BraidWord(6, (4, 4, 3, 2, 1, 5, 5, 3, 4, 2, 2, 5, 3, 4, 1, 1, 2, 2, 3))
 
@@ -369,6 +369,31 @@ class TestTorusPeriodicity:
             assert apply_monodromy(start, order) == start
         identity = [{r: 1} for r in range(s.b1)]
         assert sparse_power(homological_monodromy(s), order) == identity
+
+    @pytest.mark.parametrize(
+        "p,q", [(3, 4), (3, 5), (4, 5), (2, 7), (5, 6), (3, 3), (4, 6), (2, 4)]
+    )
+    def test_chains_and_twisted_curves_return_after_lcm(self, p, q):
+        # The period holds for every closed curve, not only for rectangle
+        # circles: the torus report's chain curves, and embedded curves
+        # made by twisting a rectangle circle 1-4 times along other
+        # rectangles, right- or left-handed.
+        s = build_surface(torus_braid(p, q))
+        order = lcm(p, q)
+        cert = torus_summand_report(p, q).certificate
+        curves = [NormalCurve(s, w) for w in cert.curve_words]
+        rng = random.Random(5)
+        for _ in range(6):
+            start = rng.choice(s.rectangles)
+            x = curve_from_rectangle(s, start)
+            for _ in range(rng.randint(1, 4)):
+                core = curve_from_rectangle(s, rng.choice([r for r in s.rectangles if r != start]))
+                x = dehn_twist(TwistFactor(core, right=rng.random() < 0.5), x)
+            assert self_intersection(x) == 0
+            curves.append(x)
+        assert any(len(x.word) > 2 for x in curves)  # not only rectangle circles
+        for x in curves:
+            assert apply_monodromy(x, order) == x
 
 
 class TestMonodromyInvariance:

@@ -114,7 +114,7 @@ class TestDetectChain:
     def test_single_curve_chain(self):
         s = build_surface(torus_braid(3, 4))
         cert = detect_chain(s, s.top_left_rectangle(), 1)
-        assert cert.n == 1 and cert.rank == 1
+        assert cert.n == 1 and len(cert.curve_words) == 1
 
     def test_certificate_validates_and_round_trips(self):
         s = build_surface(torus_braid(3, 5))
@@ -124,17 +124,22 @@ class TestDetectChain:
         assert validate_chain_certificate(reloaded)
         assert reloaded == cert
 
-    def test_corrupted_certificate_rejected(self):
+    def test_json_holds_word_seed_n_and_curves_only(self):
+        s = build_surface(torus_braid(3, 5))
+        data = detect_chain(s, s.top_left_rectangle(), 6).to_json()
+        assert list(data) == ["word", "strands", "seed", "n", "curves"]
+
+    def test_old_schema_with_table_and_rank_still_loads(self):
+        # Certificates written with the intersection table and rank load as
+        # before: the loader reads only the keys it needs, and the stored
+        # table and rank, right or wrong, are not evidence.
         s = build_surface(torus_braid(3, 5))
         cert = detect_chain(s, s.top_left_rectangle(), 6)
-        bad_table = tuple(
-            tuple(2 if (a, b) == (0, 1) else v for b, v in enumerate(row))
-            for a, row in enumerate(cert.intersections)
-        )
-        bad = dataclasses.replace(cert, intersections=bad_table)
-        message = "^intersection table is not the chain pattern$"
-        with pytest.raises(CertificateRejected, match=message):
-            validate_chain_certificate(bad)
+        for table, rank in ((chain_pattern(cert.n), cert.n), ([[2]], 0)):
+            data = {**cert.to_json(), "intersections": table, "rank": rank}
+            reloaded = ChainCertificate.from_json(json.loads(json.dumps(data)))
+            assert reloaded == cert
+            assert validate_chain_certificate(reloaded)
 
     def test_seed_that_is_no_rectangle_rejected(self):
         # Column 1 of T(3, 5) holds positions 0, 2, 4, ...; (0, 4) spans two
@@ -161,9 +166,8 @@ class TestDetectChain:
             detect_chain(s, seed, s.b1 + 1)
 
     def test_curve_beyond_the_regrown_chain_rejected(self):
-        # The appended image breaks the chain; the table and rank are left
-        # as the detector wrote them for the shorter chain, so only the
-        # length of the regrown chain tells the two apart.
+        # The appended image breaks the chain, so only the length of the
+        # regrown chain tells the certificate from a true one.
         s = build_surface(torus_braid(3, 5))
         cert = detect_chain(s, s.top_left_rectangle(), 9)
         last = cv.NormalCurve(s, cert.curve_words[-1])
@@ -194,19 +198,15 @@ class TestDetectChain:
         s = build_surface(torus_braid(3, 8))
         cert = detect_chain(s, s.top_left_rectangle(), 9)
         assert cert.n == 8
-        for a in range(cert.n):
-            for b in range(cert.n):
-                expect = 1 if abs(a - b) == 1 else 0
-                if a != b:
-                    assert cert.intersections[a][b] == expect
-        assert cert.rank == cert.n
+        assert brute_force_table(s, cert) == chain_pattern(cert.n)
+        assert brute_force_rank(s, cert) == cert.n
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_stored_table_equals_recomputed(self, data):
-        # detect_chain writes the chain pattern and rank n without
-        # recomputing them; every intersection and the rank agree with the
-        # curve engine and the exact rank.
+        # detect_chain stores no table or rank: the chain pattern and rank n
+        # follow from n by the orbit criterion.  Every intersection of the
+        # stored curves, counted pair by pair, and their exact rank agree.
         s = data.draw(st.integers(min_value=2, max_value=6))
         c = data.draw(st.integers(min_value=s, max_value=14))
         base = list(range(1, s)) + [
@@ -215,13 +215,26 @@ class TestDetectChain:
         surface = build_surface(BraidWord(s, tuple(data.draw(st.permutations(base)))))
         seed = data.draw(st.sampled_from(surface.rectangles))
         cert = detect_chain(surface, seed, surface.b1 + 1)
-        chain = [cv.NormalCurve(surface, w) for w in cert.curve_words]
-        n = cert.n
-        for a in range(n):
-            for b in range(n):
-                got = 0 if a == b else cv.geometric_intersection(chain[a], chain[b])
-                assert cert.intersections[a][b] == got
-        assert cert.rank == fraction_rank([list(x.homology) for x in chain]) == n
+        assert brute_force_table(surface, cert) == chain_pattern(cert.n)
+        assert brute_force_rank(surface, cert) == cert.n
+
+
+def chain_pattern(n):
+    return tuple(tuple(int(abs(a - b) == 1) for b in range(n)) for a in range(n))
+
+
+def brute_force_table(surface, cert):
+    """Every pair of stored curves counted by geometric_intersection; 0 on
+    the diagonal."""
+    chain = [cv.NormalCurve(surface, w) for w in cert.curve_words]
+    return tuple(
+        tuple(0 if a == b else cv.geometric_intersection(x, y) for b, y in enumerate(chain))
+        for a, x in enumerate(chain)
+    )
+
+
+def brute_force_rank(surface, cert):
+    return fraction_rank([list(cv.NormalCurve(surface, w).homology) for w in cert.curve_words])
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +264,11 @@ def loop_validate_chain_certificate(cert):
         for b in range(n):
             expect = 1 if abs(a - b) == 1 else 0
             got = 0 if a == b else cv.geometric_intersection(chain[a], chain[b])
-            if got != expect or cert.intersections[a][b] != got:
+            if got != expect:
                 raise InternalConsistencyError(
                     f"intersection table mismatch at ({a}, {b}): {got}"
                 )
-    if fraction_rank([list(c.homology) for c in chain]) != n or cert.rank != n:
+    if fraction_rank([list(c.homology) for c in chain]) != n:
         raise InternalConsistencyError("chain classes are not independent over Q")
     if not plumbing._arc_functionals_independent(surface, cert.seed, n):
         raise InternalConsistencyError("cut surface would disconnect: arc rank too low")
@@ -267,10 +280,6 @@ def verdict(validate, cert):
         return validate(cert)
     except (InternalConsistencyError, CertificateRejected):
         return False
-
-
-def chain_pattern(n):
-    return tuple(tuple(int(abs(a - b) == 1) for b in range(n)) for a in range(n))
 
 
 def tampered_chains(surface, cert, data):
@@ -285,27 +294,9 @@ def tampered_chains(surface, cert, data):
     yield dataclasses.replace(cert, curve_words=words[:k] + (reverse,) + words[k + 1 :])
     yield dataclasses.replace(cert, curve_words=words[:-1])
     if n > 1:
-        yield dataclasses.replace(
-            cert,
-            n=n - 1,
-            curve_words=words[:-1],
-            intersections=chain_pattern(n - 1),
-            rank=n - 1,
-        )
+        yield dataclasses.replace(cert, n=n - 1, curve_words=words[:-1])
     image = cv.apply_monodromy(cv.NormalCurve(surface, words[-1]), 1)
-    yield dataclasses.replace(
-        cert,
-        n=n + 1,
-        curve_words=words + (image.word,),
-        intersections=chain_pattern(n + 1),
-        rank=n + 1,
-    )
-    a = data.draw(st.integers(min_value=0, max_value=n - 1))
-    b = data.draw(st.integers(min_value=0, max_value=n - 1))
-    table = [list(row) for row in cert.intersections]
-    table[a][b] = 1 - table[a][b]
-    yield dataclasses.replace(cert, intersections=tuple(map(tuple, table)))
-    yield dataclasses.replace(cert, rank=cert.rank + 1)
+    yield dataclasses.replace(cert, n=n + 1, curve_words=words + (image.word,))
     others = [r for r in surface.rectangles if r != cert.seed]
     if others:
         yield dataclasses.replace(cert, seed=data.draw(st.sampled_from(others)))
@@ -357,14 +348,11 @@ def pairwise_detect_chain(surface, seed, max_n):
             break
         chain.append(candidate)
         echelon.append(entry)
-    n = len(chain)
     return ChainCertificate(
         word=surface.word,
         seed=seed,
-        n=n,
+        n=len(chain),
         curve_words=tuple(c.word for c in chain),
-        intersections=chain_pattern(n),
-        rank=n,
     )
 
 
@@ -678,6 +666,14 @@ class TestTrefoilStep:
         monkeypatch.setattr(cv, "geometric_intersection", lambda x, y: 2)
         with pytest.raises(InternalConsistencyError, match=r"i\(phi\(R\), R\) is not 1"):
             validate_trefoil_step(word, step)
+
+    @pytest.mark.parametrize("letters", [(1, 1), (1, 1, 1, 1), (1, 1, 2, 2)])
+    def test_word_that_is_no_knot_rejected(self, letters):
+        # The step validator is public: a link word is the caller's error,
+        # not a failed disjointness theorem.
+        word = BraidWord(max(letters) + 1, letters)
+        with pytest.raises(CertificateRejected, match="^the step's word is not a knot$"):
+            validate_trefoil_step(word, plumbing.TrefoilStep((), 1, (-2,)))
 
 
 class TestTrefoilDecompose:
@@ -1122,7 +1118,7 @@ class TestIncrementalRank:
         max_n = data.draw(st.integers(min_value=1, max_value=surface.b1 + 1))
         cert = detect_chain(surface, seed, max_n)
         assert cert.curve_words == rank_detect_chain(surface, seed, max_n)
-        assert cert.rank == cert.n == len(cert.curve_words)
+        assert cert.n == len(cert.curve_words)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())

@@ -95,13 +95,10 @@ class TestObstructionConsistency:
     def test_validates_every_pooled_certificate(self):
         cert = torus_summand_report(3, 5).certificate
         assert obstruction_consistency([cert]).passed
-        # The bound still holds, but the stored table no longer matches
-        # the curves, so only the validator can reject it.
-        table = [list(row) for row in cert.intersections]
-        table[0][1] = 0
-        tampered = dataclasses.replace(
-            cert, intersections=tuple(tuple(row) for row in table)
-        )
+        # The bound still holds, but the stored C_1 is C_0 again, not the
+        # monodromy image, so only the validator can reject it.
+        words = cert.curve_words
+        tampered = dataclasses.replace(cert, curve_words=words[:1] + words[:-1])
         result = obstruction_consistency([cert, tampered])
         assert not result.passed
         assert "1 rejected" in result.detail
